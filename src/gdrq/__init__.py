@@ -12,6 +12,7 @@ from .encoding import BasisWindow, NucleusConfig, OccupationTable, fill_occupati
 from .errors import GdrqError
 from .experiment import (
     MadSeries,
+    QuantumPlan,
     RunRecord,
     collect_runs,
     error_vs_runs,
@@ -31,6 +32,7 @@ __all__ = [
     "OccupationTable",
     "PauliSum",
     "PauliTerm",
+    "QuantumPlan",
     "ResponseSpectrum",
     "RngStream",
     "RunRecord",

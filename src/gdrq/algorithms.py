@@ -8,12 +8,20 @@ Three building blocks, each usable in two modes:
   histograms) is drawn from an RngStream, modelling a finite-shot experiment.
 
 All circuits place ancillas above the system register and remove them again by
-post-selection, so callers only ever see system-sized states.
+post-selection, so callers only ever see system-sized states.  The random
+steps read a circuit only through numbers it yields once (a success
+probability, an ancilla distribution).  replay_post_selection, SwapStatistics
+and LcuOverlap draw from those numbers; the primitives below use them on a
+fresh circuit, and a caller that repeats a circuit under many seeds simulates
+it once and keeps them.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -26,12 +34,15 @@ from .statevector import (
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
+    marginal,
     measure_probability,
     post_select,
     sample,
 )
 
 MAX_ATTEMPTS = 1000
+# the Bernoulli post-selection replay runs out of attempts at most this often
+_EXHAUST_PROBABILITY = 1e-12
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
@@ -65,7 +76,7 @@ class LcuResult:
     lam: float
 
 
-def _check_mode(mode: str, rng: RngStream | None) -> None:
+def check_mode(mode: str, rng: RngStream | None) -> None:
     if mode not in ("exact", "sampled"):
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "sampled" and rng is None:
@@ -102,7 +113,7 @@ def prepare_excited(
     sampled mode post-selection is repeated until the |1> outcome occurs, up
     to max_attempts.
     """
-    _check_mode(mode, rng)
+    check_mode(mode, rng)
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     if operator.nqubits != psi0.nqubits:
@@ -138,6 +149,65 @@ def prepare_excited(
     return PreparedState(state=state, success_probability=prob, attempts=attempts)
 
 
+def replay_post_selection(
+    p_success: float, rng: RngStream, max_attempts: int = MAX_ATTEMPTS
+) -> int:
+    """Bernoulli post-selection attempts up to and including the first success.
+
+    The budget is at least max_attempts and grows like 1/p_success, so that
+    running out has probability below 1e-12 per call.
+    """
+    budget = max_attempts
+    if p_success < 1.0:
+        budget = max(budget, math.ceil(math.log(_EXHAUST_PROBABILITY) / math.log1p(-p_success)))
+    for attempts in range(1, budget + 1):
+        if rng.generator.random() < p_success:
+            return attempts
+    raise PreparationError(f"LCU post-selection failed {budget} times (p = {p_success:.3e})")
+
+
+@dataclass(frozen=True)
+class SwapStatistics:
+    """Ancilla statistics of one simulated SWAP-test circuit.
+
+    p0 is the exact probability that the ancilla reads |0>, marginal the
+    normalized ancilla distribution that shots are drawn from.
+    """
+
+    p0: float
+    marginal: np.ndarray
+
+    def estimate(
+        self, shots: int, mode: str = "exact", rng: RngStream | None = None
+    ) -> OverlapEstimate:
+        """Overlap from p0 (exact) or from `shots` multinomial draws (sampled)."""
+        if mode == "exact":
+            raw = 2.0 * self.p0 - 1.0
+            return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=0, standard_error=0.0)
+        assert rng is not None
+        if shots < 1:
+            raise ValidationError("sampled mode requires shots >= 1")
+        k0 = int(rng.generator.multinomial(shots, self.marginal)[0])
+        raw = 2.0 * k0 / shots - 1.0
+        smoothed = (k0 + 1.0) / (shots + 2.0)
+        se = 2.0 * float(np.sqrt(smoothed * (1.0 - smoothed) / shots))
+        return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=shots, standard_error=se)
+
+
+def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
+    """Simulate the SWAP-test circuit of psi and phi once."""
+    if psi.nqubits != phi.nqubits:
+        raise SizeError("swap test requires equal register sizes")
+    n = psi.nqubits
+    anc = 2 * n
+    full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
+    full = apply_unitary(full, _HADAMARD, [anc])
+    for j in range(n):
+        full = apply_multiplexed(full, [np.eye(4, dtype=complex), _SWAP], [anc], [j, n + j])
+    full = apply_unitary(full, _HADAMARD, [anc])
+    return SwapStatistics(p0=measure_probability(full, anc, 0), marginal=marginal(full, [anc]))
+
+
 def swap_test(
     psi: StateVector,
     phi: StateVector,
@@ -153,29 +223,8 @@ def swap_test(
     positive at extreme counts.  In exact mode shots is ignored and the error
     is zero.
     """
-    _check_mode(mode, rng)
-    if psi.nqubits != phi.nqubits:
-        raise SizeError("swap test requires equal register sizes")
-    n = psi.nqubits
-    anc = 2 * n
-    full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
-    full = apply_unitary(full, _HADAMARD, [anc])
-    for j in range(n):
-        full = apply_multiplexed(full, [np.eye(4, dtype=complex), _SWAP], [anc], [j, n + j])
-    full = apply_unitary(full, _HADAMARD, [anc])
-    if mode == "exact":
-        p0 = measure_probability(full, anc, 0)
-        raw = 2.0 * p0 - 1.0
-        return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=0, standard_error=0.0)
-    assert rng is not None
-    if shots < 1:
-        raise ValidationError("sampled mode requires shots >= 1")
-    hist = sample(full, [anc], shots, rng)
-    k0 = hist.counts.get("0", 0)
-    raw = 2.0 * k0 / shots - 1.0
-    smoothed = (k0 + 1.0) / (shots + 2.0)
-    se = 2.0 * float(np.sqrt(smoothed * (1.0 - smoothed) / shots))
-    return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=shots, standard_error=se)
+    check_mode(mode, rng)
+    return swap_statistics(psi, phi).estimate(shots, mode, rng)
 
 
 def _prep_unitary(amps: np.ndarray) -> np.ndarray:
@@ -205,9 +254,9 @@ def lcu_apply(
     post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
     probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  The reported
     probability is the exact circuit value; sampled mode only replays the
-    post-selection as Bernoulli attempts (up to max_attempts).
+    post-selection as Bernoulli attempts (see replay_post_selection).
     """
-    _check_mode(mode, rng)
+    check_mode(mode, rng)
     if op.nqubits != psi.nqubits:
         raise SizeError(f"operator on {op.nqubits} qubits, state on {psi.nqubits}")
     if not op.is_real_weighted():
@@ -223,15 +272,7 @@ def lcu_apply(
         raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
     if mode == "sampled":
         assert rng is not None
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > max_attempts:
-                raise PreparationError(
-                    f"LCU post-selection failed {max_attempts} times (p = {p_success:.3e})"
-                )
-            if rng.generator.random() < p_success:
-                break
+        replay_post_selection(p_success, rng, max_attempts)
     k = len(op.terms)
     if k == 1:
         # single unitary: no ancilla, success is certain up to rounding
@@ -257,6 +298,42 @@ def lcu_apply(
     return LcuResult(state=full, success_probability=p_success, lam=lam)
 
 
+@dataclass(frozen=True)
+class LcuOverlap:
+    """Seed-free numbers of an LCU application followed by a SWAP test."""
+
+    lam: float
+    p_success: float
+    swap: SwapStatistics
+
+    def factors(
+        self, shots: int, mode: str, rngs: Iterator[RngStream | None]
+    ) -> tuple[float, OverlapEstimate]:
+        """(success rate, overlap) as one repeat of the experiment measures them.
+
+        Sampled mode replays the LCU post-selection, shoots the SWAP test and
+        re-estimates the success rate from `shots` Bernoulli draws, each step
+        on the next stream of `rngs`; exact mode reads the analytic values.
+        """
+        if mode == "exact":
+            return self.p_success, self.swap.estimate(shots)
+        replay_post_selection(self.p_success, next(rngs))
+        overlap = self.swap.estimate(shots, mode, next(rngs))
+        hits = next(rngs).generator.binomial(shots, self.p_success)
+        return hits / shots, overlap
+
+    def energy(self, shots: int, mode: str, rng: RngStream | None) -> float:
+        """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
+        p_hat, overlap = self.factors(shots, mode, itertools.repeat(rng))
+        return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
+
+
+def energy_statistics(op: pl.PauliSum, psi: StateVector) -> LcuOverlap:
+    """Simulate the circuits of an energy measurement once: A|psi>, then SWAP with psi."""
+    result = lcu_apply(op, psi)
+    return LcuOverlap(result.lam, result.success_probability, swap_statistics(psi, result.state))
+
+
 def energy_expectation(
     op: pl.PauliSum,
     psi: StateVector,
@@ -270,18 +347,8 @@ def energy_expectation(
     output; in sampled mode the success rate is re-estimated from `shots`
     Bernoulli draws so both factors carry shot noise.
     """
-    _check_mode(mode, rng)
-    result = lcu_apply(op, psi, mode=mode, rng=rng)
-    overlap = swap_test(psi, result.state, shots, mode=mode, rng=rng)
-    if mode == "sampled":
-        assert rng is not None
-        if shots < 1:
-            raise ValidationError("sampled mode requires shots >= 1")
-        hits = rng.generator.binomial(shots, result.success_probability)
-        p_hat = hits / shots
-    else:
-        p_hat = result.success_probability
-    return result.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
+    check_mode(mode, rng)
+    return energy_statistics(op, psi).energy(shots, mode, rng)
 
 
 def transition_strength(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .algorithms import energy_expectation, swap_test
 from .encoding import BasisWindow, NucleusConfig, build_hamiltonian, jw_annihilation, jw_creation
-from .errors import GdrqError, SchemaError
+from .errors import GdrqError, SchemaError, ValidationError
 from .experiment import (
     basis_study,
     bundled_experiment,
@@ -34,7 +34,21 @@ from .experiment import (
 )
 from .statevector import init_basis_state
 
-TABLE_WINDOWS = "0-10,2-8,3-6,4-6,4-5"
+
+def _window(text: str) -> BasisWindow:
+    """argparse type for one shell window: a malformed one is a usage error."""
+    try:
+        return BasisWindow.parse(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _windows(text: str) -> tuple[BasisWindow, ...]:
+    """argparse type for a comma-separated list of shell windows."""
+    return tuple(_window(token) for token in text.split(",") if token.strip())
+
+
+TABLE_WINDOWS = _windows("0-10,2-8,3-6,4-6,4-5")
 
 _SCHEMA = {
     "A": int,
@@ -64,7 +78,7 @@ class CliCommand:
     output_dir: str
     master_seed: int
     exact: bool = False
-    bases: str = TABLE_WINDOWS
+    bases: tuple[BasisWindow, ...] = TABLE_WINDOWS
     experiment_path: str | None = None
     mode: str = "classical"
 
@@ -117,8 +131,15 @@ def save_config(config: NucleusConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gdrq",
         description="Dipole response of closed-shell nuclei on a simulated quantum register.",
     )
@@ -132,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, help="override the number of independent runs")
         p.add_argument("--kappa", type=float, help="override the residual strength")
         p.add_argument("--gamma-spread", type=float, help="override the Lorentzian spread (MeV)")
-        p.add_argument("--basis", help="override the shell window, e.g. 3-6")
+        p.add_argument("--basis", type=_window, help="override the shell window, e.g. 3-6")
         p.add_argument(
             "--exact", action="store_true", help="analytic probabilities, no sampling"
         )
@@ -144,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_basis)
     p_basis.add_argument(
         "--bases",
+        type=_windows,
         default=TABLE_WINDOWS,
-        help=f"comma-separated windows (default {TABLE_WINDOWS})",
+        help=f"comma-separated windows (default {','.join(w.label for w in TABLE_WINDOWS)})",
     )
     common(sub.add_parser("error-study", help="MAD of the peak energy versus run count"))
     p_cmp = sub.add_parser("compare", help="model spectrum against experimental data")
@@ -177,7 +199,7 @@ def parse_args(argv=None) -> CliCommand:
     if args.gamma_spread is not None:
         overrides["gamma_spread"] = args.gamma_spread
     if args.basis is not None:
-        overrides["basis"] = BasisWindow.parse(args.basis)
+        overrides["basis"] = args.basis
     return CliCommand(
         subcommand=args.subcommand,
         config_path=args.config,
@@ -239,8 +261,7 @@ def _cmd_quantum(cmd: CliCommand) -> int:
 
 def _cmd_basis_study(cmd: CliCommand) -> int:
     config = _configure(cmd)
-    windows = [BasisWindow.parse(token) for token in cmd.bases.split(",") if token.strip()]
-    rows = basis_study(config, windows)
+    rows = basis_study(config, cmd.bases)
     os.makedirs(cmd.output_dir, exist_ok=True)
     out = os.path.join(cmd.output_dir, "basis_study.csv")
     write_basis_csv(out, rows)

@@ -5,25 +5,34 @@ window form the reference bitstring; the dipole moves the collective top-shell
 particle to an adjacent empty shell.  Excitation energies come from LCU energy
 estimates of the identity-stripped Hamiltonian (much better post-selection
 odds than the raw one), strengths from the LCU success rate times a SWAP-test
-overlap with the target configuration.  Everything classically random draws
-from spawn-keyed RngStream children, so runs are reproducible bit for bit and
-independent of execution order (GDRQ_THREADS only adds worker threads).
+overlap with the target configuration.
+
+A QuantumPlan builds the operators and simulates every circuit of a config
+once; a run then only draws the classically random steps (post-selection
+replays, shot counts, success-rate estimates) from spawn-keyed RngStream
+children of its seed.  Runs are therefore reproducible bit for bit, and
+independent of how many runs share a plan or in which order they are drawn.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algorithms import MAX_ATTEMPTS, energy_expectation, lcu_apply, swap_test
+from .algorithms import (
+    MAX_ATTEMPTS,
+    LcuOverlap,
+    check_mode,
+    energy_statistics,
+    lcu_apply,
+    swap_statistics,
+)
 from .encoding import (
     BasisWindow,
     NucleusConfig,
@@ -42,7 +51,7 @@ from .response import (
     find_peak,
     quantum_transitions,
 )
-from .statevector import RngStream, init_basis_state
+from .statevector import RngStream, StateVector, init_basis_state
 
 _SPECIES = ("proton", "neutron")
 _FULL_TOL = 1e-12
@@ -157,97 +166,148 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+@dataclass(frozen=True)
+class _Energy:
+    """Energy measurement of one basis configuration.
+
+    The LCU and SWAP statistics give |<H - offset>|; its sign is known
+    analytically.
+    """
+
+    sign: float
+    statistics: LcuOverlap
+
+    def measure(self, shots: int, mode: str, rng: RngStream | None) -> float:
+        return self.sign * self.statistics.energy(shots, mode, rng)
+
+
+@dataclass(frozen=True)
+class _Hop:
+    """One dipole-reachable configuration: its energy and the transition statistics."""
+
+    excited: StateVector
+    energy: _Energy
+    strength: LcuOverlap
+
+
+@dataclass(frozen=True)
+class _SpeciesPlan:
+    """Reference configuration of one species and its hops; spawn_index keys its RNG."""
+
+    spawn_index: int
+    reference: StateVector
+    energy: _Energy
+    hops: tuple[_Hop, ...]
+
+
+@dataclass(frozen=True)
+class QuantumPlan:
+    """The seed-free half of a quantum run, built once per config.
+
+    Building validates the config, constructs the operators and simulates
+    every LCU and SWAP-test circuit; `run` only replays the random draws.
+    `length` is the oscillator length b (fm) that scales the strengths.
+    """
+
+    config: NucleusConfig
+    length: float
+    species: tuple[_SpeciesPlan, ...]
+
+    @classmethod
+    def build(cls, config: NucleusConfig) -> "QuantumPlan":
+        if config.beta2 != 0.0:
+            raise ValidationError("the quantum pipeline requires a spherical shape (beta2 = 0)")
+        basis = config.basis
+        if basis.nqubits < 2:
+            raise ValidationError("quantum window needs at least two shells")
+        if basis.nqubits > 5:
+            raise ValidationError("quantum window capped at five shells")
+        occupations = fill_occupations(config)
+        homega = hbar_omega(config.A)
+        b = oscillator_length(config.A)
+        hamiltonian = build_hamiltonian(basis, homega)
+        offset = hamiltonian.identity_coefficient()
+        hz = hamiltonian.without_identity()
+
+        def configuration(bits: Sequence[int]) -> tuple[StateVector, _Energy]:
+            state = init_basis_state(basis.nqubits, _bitstring(bits))
+            sign = _shifted_sign(bits, basis, homega, offset)
+            return state, _Energy(sign, energy_statistics(hz, state))
+
+        species = []
+        for sp_index, name in enumerate(_SPECIES):
+            bits = _core_bits(basis, occupations.occupations(name))
+            moves = _hops(bits)
+            if not moves:
+                continue
+            ref, ref_energy = configuration(bits)
+            dipole = build_dipole(basis, config, name) * (1.0 / b)
+            lcu = lcu_apply(dipole, ref)
+            hops = []
+            for q_from, q_to in moves:
+                ex_bits = list(bits)
+                ex_bits[q_from], ex_bits[q_to] = 0, 1
+                ex_state, ex_energy = configuration(ex_bits)
+                swap = swap_statistics(lcu.state, ex_state)
+                hops.append(
+                    _Hop(ex_state, ex_energy, LcuOverlap(lcu.lam, lcu.success_probability, swap))
+                )
+            species.append(_SpeciesPlan(sp_index, ref, ref_energy, tuple(hops)))
+        if not species:
+            raise ValidationError(f"window {basis.label} holds no dipole-active pair")
+        return cls(config=config, length=b, species=tuple(species))
+
+    def run(self, seed: int, run_index: int = 0, mode: str = "sampled") -> RunRecord:
+        """One full quantum experiment at a given seed.
+
+        Per species: measure the reference energy and the energy of every
+        dipole-reachable configuration (redrawing a measurement whose
+        excitation energy comes out non-positive), then estimate each
+        transition strength from the dipole LCU success rate and a SWAP
+        overlap.  In sampled mode every measurement step draws from the next
+        child of the species stream; the measured poles are dressed exactly
+        like the classical ones.
+        """
+        rng = RngStream(seed)
+        check_mode(mode, rng)
+        shots = self.config.shots
+        b = self.length
+        measured: list[tuple[float, float]] = []
+        for sp in self.species:
+            if mode == "sampled":
+                streams = map(rng.child(sp.spawn_index).child, itertools.count())
+            else:
+                streams = itertools.repeat(None)
+            e_ref = sp.energy.measure(shots, mode, next(streams))
+            for hop in sp.hops:
+                for _attempt in range(MAX_ATTEMPTS):
+                    delta = hop.energy.measure(shots, mode, next(streams)) - e_ref
+                    if delta > _MIN_GAP_MEV:
+                        break
+                else:
+                    raise PreparationError("could not resolve a positive excitation energy")
+                p_hat, overlap = hop.strength.factors(shots, mode, streams)
+                measured.append((delta, hop.strength.lam**2 * p_hat * overlap.clamped * b**2))
+        transitions = quantum_transitions(measured)
+        spectrum = assemble_spectrum(self.config, transitions)
+        return RunRecord(
+            run_index=run_index,
+            seed=int(seed),
+            transitions=transitions,
+            spectrum=spectrum,
+            peak_energy=spectrum.peak_energy,
+            width_fwhm=spectrum.width_fwhm,
+        )
+
+
 def run_quantum(
     config: NucleusConfig,
     seed: int,
     run_index: int = 0,
     mode: str = "sampled",
 ) -> RunRecord:
-    """One full quantum experiment at a given seed.
-
-    Per species: prepare the reference configuration, measure its energy and
-    the energy of every dipole-reachable configuration (redrawing a measurement
-    whose excitation energy comes out non-positive), then estimate each
-    transition strength from the dipole LCU success rate and a SWAP overlap.
-    The measured poles are dressed exactly like the classical ones.
-    """
-    if config.beta2 != 0.0:
-        raise ValidationError("the quantum pipeline requires a spherical shape (beta2 = 0)")
-    basis = config.basis
-    if basis.nqubits < 2:
-        raise ValidationError("quantum window needs at least two shells")
-    if basis.nqubits > 5:
-        raise ValidationError("quantum window capped at five shells")
-    rng = RngStream(seed)
-    occupations = fill_occupations(config)
-    homega = hbar_omega(config.A)
-    b = oscillator_length(config.A)
-    hamiltonian = build_hamiltonian(basis, homega)
-    offset = hamiltonian.identity_coefficient()
-    hz = hamiltonian.without_identity()
-    shots = config.shots
-    measured: list[tuple[float, float]] = []
-    for sp_index, species in enumerate(_SPECIES):
-        bits = _core_bits(basis, occupations.occupations(species))
-        hops = _hops(bits)
-        if not hops:
-            continue
-        stream_counter = itertools.count()
-        species_rng = rng.child(sp_index)
-
-        def stream() -> RngStream:
-            return species_rng.child(next(stream_counter))
-
-        ref = init_basis_state(basis.nqubits, _bitstring(bits))
-        sign_ref = _shifted_sign(bits, basis, homega, offset)
-        e_ref = sign_ref * energy_expectation(hz, ref, shots, mode=mode, rng=stream())
-        dipole = build_dipole(basis, config, species) * (1.0 / b)
-        for q_from, q_to in hops:
-            ex_bits = list(bits)
-            ex_bits[q_from], ex_bits[q_to] = 0, 1
-            ex_state = init_basis_state(basis.nqubits, _bitstring(ex_bits))
-            sign_ex = _shifted_sign(ex_bits, basis, homega, offset)
-            for _attempt in range(MAX_ATTEMPTS):
-                e_ex = sign_ex * energy_expectation(hz, ex_state, shots, mode=mode, rng=stream())
-                delta = e_ex - e_ref
-                if delta > _MIN_GAP_MEV:
-                    break
-            else:
-                raise PreparationError("could not resolve a positive excitation energy")
-            lcu = lcu_apply(dipole, ref, mode=mode, rng=stream())
-            overlap = swap_test(lcu.state, ex_state, shots, mode=mode, rng=stream())
-            if mode == "sampled":
-                hits = stream().generator.binomial(shots, lcu.success_probability)
-                p_hat = hits / shots
-            else:
-                p_hat = lcu.success_probability
-            strength = lcu.lam**2 * p_hat * overlap.clamped * b**2
-            measured.append((delta, strength))
-    if not measured:
-        raise ValidationError(f"window {config.basis.label} holds no dipole-active pair")
-    transitions = quantum_transitions(measured)
-    spectrum = assemble_spectrum(config, transitions)
-    return RunRecord(
-        run_index=run_index,
-        seed=int(seed),
-        transitions=transitions,
-        spectrum=spectrum,
-        peak_energy=spectrum.peak_energy,
-        width_fwhm=spectrum.width_fwhm,
-    )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("GDRQ_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"GDRQ_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValidationError("GDRQ_THREADS must be >= 1")
-    return count
+    """One full quantum experiment at a given seed (see QuantumPlan.run)."""
+    return QuantumPlan.build(config).run(seed, run_index, mode)
 
 
 def collect_runs(
@@ -256,22 +316,15 @@ def collect_runs(
     runs: int | None = None,
     mode: str = "sampled",
 ) -> tuple[RunRecord, ...]:
-    """Independent repeats with seeds derived from the master seed.
-
-    Results are ordered by run index regardless of GDRQ_THREADS.
-    """
+    """Independent repeats of one plan with seeds derived from the master seed."""
     n_runs = config.runs if runs is None else int(runs)
     if n_runs < 1:
         raise ValidationError("runs must be >= 1")
-
-    def one(index: int) -> RunRecord:
-        return run_quantum(config, derive_run_seed(master_seed, index), run_index=index, mode=mode)
-
-    workers = _thread_count()
-    if workers == 1:
-        return tuple(one(i) for i in range(n_runs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(one, range(n_runs)))
+    plan = QuantumPlan.build(config)
+    return tuple(
+        plan.run(derive_run_seed(master_seed, index), run_index=index, mode=mode)
+        for index in range(n_runs)
+    )
 
 
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:

@@ -209,18 +209,24 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVect
     return StateVector(state.nqubits - 1, kept / np.sqrt(prob)), prob
 
 
-def sample(state: StateVector, qubits: Sequence[int], shots: int, rng: RngStream) -> ShotHistogram:
-    """Multinomial shot counts of the marginal distribution on `qubits`."""
+def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """Normalized distribution of the 2^k outcomes on `qubits` (little endian in the list)."""
     qubits = _check_targets(state, qubits)
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
     k = len(qubits)
     n = state.nqubits
     arr = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
     front = [n - 1 - qubits[k - 1 - i] for i in range(k)]
     moved = np.moveaxis(arr, front, range(k))
     probs = moved.reshape(2**k, -1).sum(axis=1)
-    probs = probs / probs.sum()
+    return probs / probs.sum()
+
+
+def sample(state: StateVector, qubits: Sequence[int], shots: int, rng: RngStream) -> ShotHistogram:
+    """Multinomial shot counts of the marginal distribution on `qubits`."""
+    probs = marginal(state, qubits)
+    if shots < 1:
+        raise ValidationError("shots must be >= 1")
+    k = len(qubits)
     drawn = rng.generator.multinomial(shots, probs)
     counts = {format(i, f"0{k}b"): int(c) for i, c in enumerate(drawn) if c > 0}
     return ShotHistogram(counts, shots)

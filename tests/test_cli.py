@@ -1,5 +1,7 @@
 """Unit tests for config parsing, argument handling, and CLI entry points."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from gdrq import cli
 from gdrq.encoding import BasisWindow, NucleusConfig
 from gdrq.errors import SchemaError, ValidationError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SN_TEXT = """\
 # tin experiment
 A = 120
@@ -306,6 +309,30 @@ class TestMainErrors:
         assert cli.main(["bogus"]) == 2
         assert cli.main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "--basis", "6-3"],
+            ["classical", "--basis", "x"],
+            ["basis-study", "--bases", "0-10,x"],
+        ],
+    )
+    def test_bad_window_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        code = cli.main([*argv, "--config", str(CONFIGS / "sn120.cfg"), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert "error:" in err
+
+
+class TestPostSelectionBudget:
+    def test_rare_post_selection_seed_completes(self, tmp_path, capsys):
+        # at p = 1/144 this ensemble needed more than 1000 Bernoulli attempts
+        argv = ["quantum", "--config", str(CONFIGS / "sn120.cfg"), "--seed", "799819"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert "E0 = 16.3531 MeV" in capsys.readouterr().out
 
 
 class TestSelftest:

@@ -1,13 +1,19 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
 import statistics
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import gdrq.algorithms
+import gdrq.encoding
+import gdrq.statevector
 from gdrq.encoding import BasisWindow, NucleusConfig, fill_occupations
 from gdrq.errors import SchemaError, ValidationError
 from gdrq.experiment import (
+    QuantumPlan,
     bundled_experiment,
     basis_study,
     collect_runs,
@@ -123,25 +129,69 @@ class TestCollectRuns:
         assert derive_run_seed(5, 0) != derive_run_seed(6, 0)
         assert 0 <= derive_run_seed(5, 0) < 2**64
 
-    def test_threaded_equals_serial(self, monkeypatch):
-        serial = collect_runs(SN_QUANTUM, 5, runs=6)
-        monkeypatch.setenv("GDRQ_THREADS", "3")
-        threaded = collect_runs(SN_QUANTUM, 5, runs=6)
-        assert [r.peak_energy for r in threaded] == [r.peak_energy for r in serial]
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.spectrum.sigma, b.spectrum.sigma)
-
-    def test_thread_env_validated(self, monkeypatch):
-        monkeypatch.setenv("GDRQ_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            collect_runs(SN_QUANTUM, 5, runs=2)
-        monkeypatch.setenv("GDRQ_THREADS", "0")
-        with pytest.raises(ValidationError):
-            collect_runs(SN_QUANTUM, 5, runs=2)
-
     def test_runs_validated(self):
         with pytest.raises(ValidationError):
             collect_runs(SN_QUANTUM, 5, runs=0)
+
+    @pytest.mark.parametrize("mode", ["sampled", "exact"])
+    def test_each_record_equals_its_single_run(self, mode):
+        records = collect_runs(SN_QUANTUM, 5, runs=4, mode=mode)
+        for i, record in enumerate(records):
+            single = run_quantum(SN_QUANTUM, derive_run_seed(5, i), i, mode)
+            assert_same_record(record, single)
+
+
+def assert_same_record(a, b):
+    assert (a.run_index, a.seed, a.transitions) == (b.run_index, b.seed, b.transitions)
+    assert (a.peak_energy, a.width_fwhm) == (b.peak_energy, b.width_fwhm)
+    for field in ("energies", "r0", "r_dressed", "sigma_raw", "sigma"):
+        assert np.array_equal(getattr(a.spectrum, field), getattr(b.spectrum, field))
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls to module-level functions, wherever gdrq modules refer to them."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("gdrq")]
+    for owner, attr in targets:
+        original = getattr(owner, attr)
+
+        def counted(*args, _name=attr, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+class TestQuantumPlan:
+    def test_circuit_work_is_done_once_per_config(self, monkeypatch):
+        counts = count_calls(
+            monkeypatch,
+            [
+                (gdrq.encoding, "build_hamiltonian"),
+                (gdrq.encoding, "build_dipole"),
+                (gdrq.algorithms, "lcu_apply"),
+                (gdrq.statevector, "apply_unitary"),
+            ],
+        )
+        collect_runs(SN_QUANTUM, 5, runs=1)
+        one_run = dict(counts)
+        counts.clear()
+        collect_runs(SN_QUANTUM, 5, runs=10)
+        assert dict(counts) == one_run
+        assert one_run["build_hamiltonian"] == 1
+        assert one_run["build_dipole"] == 2
+        assert one_run["apply_unitary"] > 0
+
+    def test_bad_mode_and_seed_rejected(self):
+        plan = QuantumPlan.build(SN_QUANTUM)
+        with pytest.raises(ValidationError):
+            plan.run(1, mode="bogus")
+        with pytest.raises(ValidationError):
+            plan.run(-1)
 
 
 class TestMedianSpectrum:
