@@ -15,7 +15,6 @@ from .experiment import (
     QuantumPlan,
     RunRecord,
     collect_runs,
-    error_vs_runs,
     run_classical,
     run_quantum,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Transition",
     "TransitionSet",
     "collect_runs",
-    "error_vs_runs",
     "fill_occupations",
     "hbar_omega",
     "init_basis_state",

@@ -1,6 +1,8 @@
 """Circuit-level estimation primitives.
 
-Three building blocks, each usable in two modes:
+Three building blocks, each usable in two modes: the SWAP test (swap_test),
+linear-combination-of-unitaries application (lcu_apply), and the energy
+estimator built from the two (energy_expectation).
 
 - "exact": amplitudes are read off the simulated circuit, so estimators return
   their analytic values (success probabilities, overlaps) with zero variance;
@@ -37,7 +39,6 @@ from .statevector import (
     marginal,
     measure_probability,
     post_select,
-    sample,
 )
 
 MAX_ATTEMPTS = 1000
@@ -46,15 +47,6 @@ _EXHAUST_PROBABILITY = 1e-12
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-
-
-@dataclass(frozen=True)
-class PreparedState:
-    """Post-selected output state with its success probability."""
-
-    state: StateVector
-    success_probability: float
-    attempts: int
 
 
 @dataclass(frozen=True)
@@ -83,81 +75,13 @@ def check_mode(mode: str, rng: RngStream | None) -> None:
         raise ValidationError("sampled mode requires an RngStream")
 
 
-def _hermitian_dense(op: pl.PauliSum) -> np.ndarray:
-    mat = pl.dense_matrix(op)
-    defect = np.max(np.abs(mat - mat.conj().T))
-    if defect > 1e-10:
-        raise ValidationError(f"operator is not Hermitian (defect {defect:.2e})")
-    return mat
-
-
-def _evolution(mat: np.ndarray, angle: float) -> np.ndarray:
-    """exp(-i * angle * mat) for Hermitian mat, via its eigendecomposition."""
-    w, v = np.linalg.eigh(mat)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-
-
-def prepare_excited(
-    psi0: StateVector,
-    operator: pl.PauliSum,
-    gamma: float,
-    mode: str = "exact",
-    rng: RngStream | None = None,
-    max_attempts: int = MAX_ATTEMPTS,
-) -> PreparedState:
-    """Post-select sin(gamma O)|psi0> (normalized) with one ancilla.
-
-    The circuit is H on the ancilla, the multiplexed pair exp(+i gamma O) /
-    exp(-i gamma O), H again, then post-selection of the ancilla on |1>; the
-    surviving branch is i*sin(gamma O)|psi0>, rephased to drop the i.  In
-    sampled mode post-selection is repeated until the |1> outcome occurs, up
-    to max_attempts.
-    """
-    check_mode(mode, rng)
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    if operator.nqubits != psi0.nqubits:
-        raise SizeError(f"operator on {operator.nqubits} qubits, state on {psi0.nqubits}")
-    n = psi0.nqubits
-    mat = _hermitian_dense(operator)
-    u_forward = _evolution(mat, gamma)
-    u_backward = u_forward.conj().T
-    full = psi0.tensor(init_basis_state(1, "0"))
-    full = apply_unitary(full, _HADAMARD, [n])
-    # ancilla 0 -> exp(+i gamma O), ancilla 1 -> exp(-i gamma O); the |1> branch
-    # then carries i*sin(gamma O)|psi0> after the closing Hadamard
-    full = apply_multiplexed(full, [u_backward, u_forward], controls=[n], targets=list(range(n)))
-    full = apply_unitary(full, _HADAMARD, [n])
-    p1 = measure_probability(full, n, 1)
-    if p1 < POSTSELECT_TOL:
-        raise PreparationError(f"sin(gamma O) annihilates the input state (p = {p1:.3e})")
-    attempts = 1
-    if mode == "sampled":
-        assert rng is not None
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > max_attempts:
-                raise PreparationError(
-                    f"post-selection failed {max_attempts} times (p = {p1:.3e})"
-                )
-            hist = sample(full, [n], 1, rng)
-            if hist.counts.get("1", 0) == 1:
-                break
-    state, prob = post_select(full, n, 1)
-    state = StateVector(n, state.amplitudes * (-1j))
-    return PreparedState(state=state, success_probability=prob, attempts=attempts)
-
-
-def replay_post_selection(
-    p_success: float, rng: RngStream, max_attempts: int = MAX_ATTEMPTS
-) -> int:
+def replay_post_selection(p_success: float, rng: RngStream) -> int:
     """Bernoulli post-selection attempts up to and including the first success.
 
-    The budget is at least max_attempts and grows like 1/p_success, so that
+    The budget is at least MAX_ATTEMPTS and grows like 1/p_success, so that
     running out has probability below 1e-12 per call.
     """
-    budget = max_attempts
+    budget = MAX_ATTEMPTS
     if p_success < 1.0:
         budget = max(budget, math.ceil(math.log(_EXHAUST_PROBABILITY) / math.log1p(-p_success)))
     for attempts in range(1, budget + 1):
@@ -245,7 +169,6 @@ def lcu_apply(
     psi: StateVector,
     mode: str = "exact",
     rng: RngStream | None = None,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> LcuResult:
     """Apply a real-weighted Pauli sum as a linear combination of unitaries.
 
@@ -272,7 +195,7 @@ def lcu_apply(
         raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
     if mode == "sampled":
         assert rng is not None
-        replay_post_selection(p_success, rng, max_attempts)
+        replay_post_selection(p_success, rng)
     k = len(op.terms)
     if k == 1:
         # single unitary: no ancilla, success is certain up to rounding
@@ -350,22 +273,3 @@ def energy_expectation(
     check_mode(mode, rng)
     return energy_statistics(op, psi).energy(shots, mode, rng)
 
-
-def transition_strength(
-    psi0: StateVector,
-    dipole: pl.PauliSum,
-    excited: StateVector,
-    gamma: float,
-    shots: int,
-    mode: str = "exact",
-    rng: RngStream | None = None,
-) -> float:
-    """|<nu|D|psi0>|^2 up to O(gamma^2): swap-test the sin(gamma D) state.
-
-    The prepared state is sin(gamma D)|psi0> normalized; its overlap with the
-    target, scaled by the preparation success probability over gamma^2,
-    recovers the squared matrix element as gamma -> 0.
-    """
-    prep = prepare_excited(psi0, dipole, gamma, mode=mode, rng=rng)
-    est = swap_test(prep.state, excited, shots, mode=mode, rng=rng)
-    return est.clamped * prep.success_probability / gamma**2

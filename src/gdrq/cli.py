@@ -19,6 +19,7 @@ from .errors import GdrqError, SchemaError, ValidationError
 from .experiment import (
     basis_study,
     bundled_experiment,
+    check_mad_runs,
     collect_runs,
     compare_with_experiment,
     load_experimental_csv,
@@ -59,7 +60,6 @@ _SCHEMA = {
     "beta2": float,
     "shots": int,
     "runs": int,
-    "gamma_prep": float,
     "grid_min": float,
     "grid_max": float,
     "grid_step": float,
@@ -122,7 +122,6 @@ def save_config(config: NucleusConfig) -> str:
         f"beta2 = {config.beta2!r}",
         f"shots = {config.shots}",
         f"runs = {config.runs}",
-        f"gamma_prep = {config.gamma_prep!r}",
         f"grid_min = {config.grid_min!r}",
         f"grid_max = {config.grid_max!r}",
         f"grid_step = {config.grid_step!r}",
@@ -213,10 +212,24 @@ def parse_args(argv=None) -> CliCommand:
     )
 
 
+class _UsageError(Exception):
+    """A command-line value the config rejects: reported like a parser error."""
+
+
 def _configure(cmd: CliCommand) -> NucleusConfig:
+    """Load the config file and apply the command-line overrides.
+
+    A bad value in the file is a runtime error (exit 1); an override that the
+    config checks reject, or error-study's --runs below two, is a usage error
+    (exit 2).
+    """
     config = load_config(cmd.config_path)
-    if cmd.overrides:
+    try:
         config = replace(config, **cmd.overrides)
+        if cmd.subcommand == "error-study" and "runs" in cmd.overrides:
+            check_mad_runs(config.runs)
+    except ValidationError as exc:
+        raise _UsageError(f"gdrq {cmd.subcommand}: error: {exc}") from exc
     return config
 
 
@@ -432,6 +445,9 @@ def main(argv=None) -> int:
         return selftest()
     try:
         return _HANDLERS[cmd.subcommand](cmd)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except GdrqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

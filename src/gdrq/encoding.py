@@ -90,7 +90,6 @@ class NucleusConfig:
     beta2: float = 0.0
     shots: int = 8000
     runs: int = 100
-    gamma_prep: float = 0.1
     grid_min: float = 5.0
     grid_max: float = 30.0
     grid_step: float = 0.1
@@ -107,8 +106,6 @@ class NucleusConfig:
             raise ValidationError("beta2 must lie in [-0.5, 0.5]")
         if self.shots < 1 or self.runs < 1:
             raise ValidationError("shots and runs must be >= 1")
-        if self.gamma_prep <= 0:
-            raise ValidationError("gamma_prep must be positive")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
         if self.calibration <= 0:
@@ -220,36 +217,28 @@ def build_hamiltonian(basis: BasisWindow, homega: float) -> pl.PauliSum:
     return total
 
 
-def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str | None = None) -> pl.PauliSum:
-    """Dipole operator on the window, in fm (units of the oscillator length).
+def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.PauliSum:
+    """Dipole operator of one species on the window, in fm.
 
-    The default form couples adjacent shells with the isovector charge NZ/A
-    and the radial element b*sqrt((N+1)/2).  With `species` set, the hop
-    amplitude is the collective one of that species: effective charge (-N/A
-    for protons, +Z/A for neutrons) times sqrt((N+1)(N+2)) for the shell
-    degeneracy, so one hop carries the summed strength of the shell.
+    Adjacent shells are coupled with the collective hop amplitude of the
+    species: effective charge (-N/A for protons, +Z/A for neutrons) times
+    sqrt((N+1)(N+2)) for the shell degeneracy times the radial element
+    b*sqrt((N+1)/2), so one hop carries the summed strength of the shell.
     """
+    if species == "proton":
+        charge = -config.n_neutrons / config.A
+    elif species == "neutron":
+        charge = config.Z / config.A
+    else:
+        raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
     n = basis.nqubits
     b = oscillator_length(config.A)
-    if species is None:
-        def amplitude(shell: int) -> float:
-            return config.n_neutrons * config.Z / config.A * math.sqrt((shell + 1) / 2.0) * b
-    elif species == "proton":
-        def amplitude(shell: int) -> float:
-            charge = -config.n_neutrons / config.A
-            return charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-    elif species == "neutron":
-        def amplitude(shell: int) -> float:
-            charge = config.Z / config.A
-            return charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-    else:
-        raise ValidationError(f"species must be None, 'proton' or 'neutron', got {species!r}")
-
     total = pl.PauliSum(n)
     for q, shell in enumerate(list(basis.shells())[:-1]):
         hop = pl.add(
             pl.multiply_sums(jw_creation(q + 1, n), jw_annihilation(q, n)),
             pl.multiply_sums(jw_creation(q, n), jw_annihilation(q + 1, n)),
         )
-        total = pl.add(total, hop * amplitude(shell))
+        amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
+        total = pl.add(total, hop * amplitude)
     return total

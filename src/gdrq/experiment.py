@@ -353,10 +353,15 @@ def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
     )
 
 
+def check_mad_runs(runs: int) -> None:
+    """A MAD series starts at m = 2, so it needs at least two runs."""
+    if runs < 2:
+        raise ValidationError("need at least two runs for a MAD series")
+
+
 def mad_series(records: Sequence[RunRecord]) -> MadSeries:
     """Cumulative statistics of peak energies over the first m runs, m >= 2."""
-    if len(records) < 2:
-        raise ValidationError("need at least two runs for a MAD series")
+    check_mad_runs(len(records))
     e0s = [r.peak_energy for r in records]
     ms, medians, deviations = [], [], []
     for m in range(2, len(e0s) + 1):
@@ -365,16 +370,6 @@ def mad_series(records: Sequence[RunRecord]) -> MadSeries:
         medians.append(statistics.median(head))
         deviations.append(mad(head))
     return MadSeries(tuple(ms), tuple(medians), tuple(deviations))
-
-
-def error_vs_runs(
-    config: NucleusConfig,
-    max_runs: int,
-    master_seed: int,
-    mode: str = "sampled",
-) -> MadSeries:
-    """Shot-noise scaling study: MAD of the peak energy versus repeat count."""
-    return mad_series(collect_runs(config, master_seed, runs=max_runs, mode=mode))
 
 
 def basis_study(config: NucleusConfig, windows: Sequence[BasisWindow]) -> tuple[BasisRow, ...]:
@@ -486,7 +481,9 @@ def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def write_spectrum_arrays(path, energies, im_r0, im_r, sigma_raw, sigma) -> None:
+def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
+    im_r0 = spectrum.r0.imag
+    im_r = spectrum.r_dressed.imag
     header = [
         "energy_mev",
         "im_r0_1",
@@ -500,30 +497,19 @@ def write_spectrum_arrays(path, energies, im_r0, im_r, sigma_raw, sigma) -> None
     ]
     rows = (
         [
-            float(energies[i]),
+            float(spectrum.energies[i]),
             float(im_r0[0][i]),
             float(im_r0[1][i]),
             float(im_r0[2][i]),
             float(im_r[0][i]),
             float(im_r[1][i]),
             float(im_r[2][i]),
-            float(sigma_raw[i]),
-            float(sigma[i]),
+            float(spectrum.sigma_raw[i]),
+            float(spectrum.sigma[i]),
         ]
-        for i in range(len(energies))
+        for i in range(len(spectrum.energies))
     )
     _write_rows(path, header, rows)
-
-
-def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
-    write_spectrum_arrays(
-        path,
-        spectrum.energies,
-        spectrum.r0.imag,
-        spectrum.r_dressed.imag,
-        spectrum.sigma_raw,
-        spectrum.sigma,
-    )
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:

@@ -65,19 +65,11 @@ class TransitionSet:
 
 @dataclass(frozen=True)
 class ShapeParams:
-    """Spheroidal shape: deformation coefficients, axes, and split frequencies."""
+    """Spheroidal shape: volume factor, semi-axes, and split frequencies."""
 
-    a_lambda_mu: tuple[tuple[tuple[int, int], float], ...]
     volume_factor: float
     semi_axes_fm: tuple[float, float, float]
     omega_alpha_mev: tuple[float, float, float]
-
-    @property
-    def beta2(self) -> float:
-        for (lam, mu), value in self.a_lambda_mu:
-            if (lam, mu) == (2, 0):
-                return value
-        return 0.0
 
 
 def shape_frequencies(a: int, beta2: float) -> ShapeParams:
@@ -105,7 +97,6 @@ def shape_frequencies(a: int, beta2: float) -> ShapeParams:
     geo_mean = math.prod(inverse) ** (1.0 / 3.0)
     omegas = tuple(homega * iv / geo_mean for iv in inverse)
     return ShapeParams(
-        a_lambda_mu=(((2, 0), float(beta2)),),
         volume_factor=volume_factor,
         semi_axes_fm=tuple(r0 * r for r in radii),
         omega_alpha_mev=omegas,
@@ -162,15 +153,12 @@ def classical_transitions(config: NucleusConfig, occupations: OccupationTable) -
     return TransitionSet(tuple(entries))
 
 
-def quantum_transitions(
-    measured: list[tuple[float, float]],
-    include_antiresonant: bool = True,
-) -> TransitionSet:
+def quantum_transitions(measured: list[tuple[float, float]]) -> TransitionSet:
     """Poles from measured (energy, strength) pairs, replicated over alpha.
 
     Measured excitations are isotropic (the quantum pipeline is spherical), so
     each pair lands in all three Cartesian channels; the antiresonant mirror
-    at -energy with weight -1 completes the response unless disabled.
+    at -energy with weight -1 completes the response.
     """
     entries = []
     for alpha in _ALPHAS:
@@ -180,10 +168,7 @@ def quantum_transitions(
             if strength < 0:
                 raise ValidationError(f"measured strengths must be >= 0, got {strength}")
             entries.append(Transition(energy=energy, strength=strength, weight=1.0, alpha=alpha))
-            if include_antiresonant:
-                entries.append(
-                    Transition(energy=-energy, strength=strength, weight=-1.0, alpha=alpha)
-                )
+            entries.append(Transition(energy=-energy, strength=strength, weight=-1.0, alpha=alpha))
     return TransitionSet(tuple(entries))
 
 
@@ -200,9 +185,7 @@ def bare_response(
     return out
 
 
-def dress_response(
-    r0: np.ndarray, kappas: np.ndarray, grid: np.ndarray | None = None
-) -> np.ndarray:
+def dress_response(r0: np.ndarray, kappas: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """RPA-dressed response R = R0 / (1 - kappa_alpha R0), channel by channel."""
     r0 = np.asarray(r0, dtype=complex)
     kappas = np.asarray(kappas, dtype=float)
@@ -212,24 +195,21 @@ def dress_response(
     small = np.abs(denom) <= 1e-10
     if small.any():
         _, col = np.argwhere(small)[0]
-        where = f"E = {grid[col]:.4f} MeV" if grid is not None else f"grid point {col}"
-        raise PoleCrossingError(f"dressing denominator vanishes at {where}")
+        raise PoleCrossingError(f"dressing denominator vanishes at E = {grid[col]:.4f} MeV")
     return r0 / denom
 
 
-def cross_section(grid: np.ndarray, r_dressed: np.ndarray, calibration: float = 1.0) -> np.ndarray:
+def cross_section(grid: np.ndarray, r_dressed: np.ndarray) -> np.ndarray:
     """Photo-absorption sigma(E) in mb from the dressed response.
 
-    sigma = calibration * 4 pi (e^2 / hbar c) * E * sum_alpha (-Im R_alpha) * 10.
+    sigma = 4 pi (e^2 / hbar c) * E * sum_alpha (-Im R_alpha) * 10.
     """
     grid = np.asarray(grid, dtype=float)
     r_dressed = np.asarray(r_dressed, dtype=complex)
     if r_dressed.shape != (3, grid.size):
         raise ValidationError("r_dressed must have shape (3, len(grid))")
-    if calibration <= 0:
-        raise ValidationError("calibration must be positive")
     strength = -r_dressed.imag.sum(axis=0)
-    return calibration * 4.0 * math.pi * (E2_MEV_FM / HBARC_MEV_FM) * grid * strength * FM2_TO_MB
+    return 4.0 * math.pi * (E2_MEV_FM / HBARC_MEV_FM) * grid * strength * FM2_TO_MB
 
 
 def _parabola_vertex(
@@ -296,10 +276,6 @@ class ResponseSpectrum:
     width_fwhm: float
 
 
-def peak_and_width(spectrum: ResponseSpectrum) -> tuple[float, float]:
-    return spectrum.peak_energy, spectrum.width_fwhm
-
-
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
     """Full response pipeline: bare poles -> dressing -> calibrated cross section."""
     grid = config.energy_grid()
@@ -307,7 +283,7 @@ def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> Resp
     kappas = kappa_alpha(config.kappa, config, shape)
     r0 = bare_response(transitions, grid, config.gamma_spread)
     r_dressed = dress_response(r0, kappas, grid)
-    sigma_raw = cross_section(grid, r_dressed, 1.0)
+    sigma_raw = cross_section(grid, r_dressed)
     sigma = config.calibration * sigma_raw
     e0, height, width = find_peak(grid, sigma)
     return ResponseSpectrum(

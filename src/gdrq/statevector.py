@@ -13,7 +13,7 @@ experiment can be re-derived independently of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -145,16 +145,6 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> 
     out = (u @ moved.reshape(2**k, -1)).reshape([2] * n)
     out = np.moveaxis(out, range(k), front)
     return StateVector(n, out.reshape(-1))
-
-
-def apply_controlled(state: StateVector, u: np.ndarray, control: int, targets: Sequence[int]) -> StateVector:
-    """Apply u on targets when the control qubit is |1>."""
-    k = len(targets)
-    u = _check_unitary(u, k)
-    dim = 2**k
-    cu = np.eye(2 * dim, dtype=complex)
-    cu[dim:, dim:] = u
-    return apply_unitary(state, cu, [*targets, control])
 
 
 def apply_multiplexed(

@@ -1,5 +1,5 @@
-"""Unit tests for the estimation primitives: excited-state preparation,
-SWAP-test overlaps, LCU application, and the energy estimator built on them."""
+"""Unit tests for the estimation primitives: SWAP-test overlaps, LCU
+application, and the energy estimator built on them."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdrq import pauli as pl
-from gdrq.algorithms import (
-    energy_expectation,
-    lcu_apply,
-    prepare_excited,
-    swap_test,
-    transition_strength,
-)
-from gdrq.encoding import BasisWindow, NucleusConfig, build_dipole, build_hamiltonian
-from gdrq.errors import (
-    AnnihilatedStateError,
-    PreparationError,
-    SizeError,
-    ValidationError,
-)
+from gdrq.algorithms import energy_expectation, lcu_apply, swap_test
+from gdrq.encoding import BasisWindow, build_hamiltonian
+from gdrq.errors import AnnihilatedStateError, SizeError, ValidationError
 from gdrq.statevector import RngStream, StateVector, init_basis_state
 
 
@@ -37,70 +26,6 @@ def random_hermitian_sum(rng: np.random.Generator, nqubits: int, max_terms: int)
         axes = "".join(rng.choice(list("IXYZ"), size=nqubits))
         seen[axes] = float(rng.uniform(0.25, 2.0)) * float(rng.choice([-1.0, 1.0]))
     return pl.PauliSum(nqubits, tuple(pl.PauliTerm(c, axes) for axes, c in seen.items()))
-
-
-def sin_oracle(op: pl.PauliSum, gamma: float, psi: StateVector) -> np.ndarray:
-    """Dense sin(gamma * M) |psi>, unnormalized."""
-    mat = pl.dense_matrix(op)
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sin(gamma * w)) @ v.conj().T @ psi.amplitudes
-
-
-class TestPrepareExcited:
-    def test_matches_dense_sine_including_sign(self):
-        config = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 5))
-        dipole = build_dipole(config.basis, config)
-        psi0 = init_basis_state(3, "011")
-        gamma = 0.1
-        prepared = prepare_excited(psi0, dipole, gamma)
-        target = sin_oracle(dipole, gamma, psi0)
-        norm2 = float(np.vdot(target, target).real)
-        assert prepared.success_probability == pytest.approx(norm2, abs=1e-12)
-        assert np.allclose(prepared.state.amplitudes, target / np.sqrt(norm2), atol=1e-9)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_random_operators_match_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        op = random_hermitian_sum(rng, 2, 4)
-        psi0 = random_state(rng, 2)
-        gamma = float(rng.uniform(0.05, 0.5))
-        target = sin_oracle(op, gamma, psi0)
-        norm2 = float(np.vdot(target, target).real)
-        if norm2 < 1e-8:
-            return
-        prepared = prepare_excited(psi0, op, gamma)
-        assert prepared.success_probability == pytest.approx(norm2, abs=1e-10)
-        assert np.allclose(prepared.state.amplitudes, target / np.sqrt(norm2), atol=1e-9)
-
-    def test_sampled_mode_reaches_same_state(self):
-        config = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 5))
-        dipole = build_dipole(config.basis, config)
-        psi0 = init_basis_state(3, "011")
-        exact = prepare_excited(psi0, dipole, 0.1)
-        sampled = prepare_excited(psi0, dipole, 0.1, mode="sampled", rng=RngStream(3))
-        assert sampled.attempts >= 1
-        assert np.allclose(sampled.state.amplitudes, exact.state.amplitudes)
-        assert sampled.success_probability == exact.success_probability
-
-    def test_annihilated_input_rejected(self):
-        config = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 4))
-        dipole = build_dipole(config.basis, config)
-        # both shells occupied: no hop survives, sin(gamma D)|11> = 0
-        with pytest.raises(PreparationError):
-            prepare_excited(init_basis_state(2, "11"), dipole, 0.1)
-
-    def test_argument_validation(self):
-        op = pl.PauliSum(1, (pl.PauliTerm(1.0, "X"),))
-        psi = init_basis_state(1, "0")
-        with pytest.raises(ValidationError):
-            prepare_excited(psi, op, 0.0)
-        with pytest.raises(ValidationError):
-            prepare_excited(psi, op, 0.1, mode="bogus")
-        with pytest.raises(ValidationError):
-            prepare_excited(psi, op, 0.1, mode="sampled", rng=None)
-        with pytest.raises(SizeError):
-            prepare_excited(init_basis_state(2, "00"), op, 0.1)
 
 
 class TestSwapTest:
@@ -221,16 +146,3 @@ class TestEnergyExpectation:
         b = energy_expectation(h, psi, shots=2000, mode="sampled", rng=RngStream(9))
         assert a == b
 
-
-class TestTransitionStrength:
-    def test_small_gamma_recovers_matrix_element(self):
-        config = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 5))
-        dipole = build_dipole(config.basis, config)
-        psi0 = init_basis_state(3, "011")
-        excited = init_basis_state(3, "101")
-        element = abs(
-            np.vdot(excited.amplitudes, pl.dense_matrix(dipole) @ psi0.amplitudes)
-        ) ** 2
-        # gamma must be small against 1/||D|| (matrix elements are tens of fm)
-        got = transition_strength(psi0, dipole, excited, gamma=1e-5, shots=0)
-        assert got == pytest.approx(element, rel=1e-5)

@@ -316,6 +316,11 @@ class TestMainErrors:
             ["classical", "--basis", "6-3"],
             ["classical", "--basis", "x"],
             ["basis-study", "--bases", "0-10,x"],
+            ["quantum", "--shots", "0"],
+            ["quantum", "--runs", "0"],
+            ["classical", "--kappa", "5"],
+            ["classical", "--gamma-spread", "-1"],
+            ["error-study", "--runs", "1"],
         ],
     )
     def test_bad_window_is_one_line_usage_error(self, tmp_path, capsys, argv):
@@ -325,6 +330,13 @@ class TestMainErrors:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert "error:" in err
+
+    def test_out_of_range_file_value_stays_runtime_error(self, tmp_path, capsys):
+        # the value --runs 1 rejects as usage is a data error when the file holds it
+        cfg = small_quantum_config(tmp_path, runs=1)
+        code = cli.main(["error-study", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "at least two runs" in capsys.readouterr().err
 
 
 class TestPostSelectionBudget:

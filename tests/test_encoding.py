@@ -96,8 +96,6 @@ class TestNucleusConfig:
         with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "runs": 0})
         with pytest.raises(ValidationError):
-            NucleusConfig(**{**good, "gamma_prep": 0.0})
-        with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "grid_min": 30.0})
         with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "calibration": 0.0})
@@ -238,20 +236,11 @@ class TestHamiltonian:
 class TestDipole:
     def test_terms_are_adjacent_two_local(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
-        d = build_dipole(c.basis, c)
+        d = build_dipole(c.basis, c, "proton")
         for term in d.terms:
             lo, hi = term.support
             assert hi - lo == 1
             assert set(term.axes[lo : hi + 1]) <= {"X", "Y"}
-
-    def test_hop_amplitude_isovector(self):
-        c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 4))
-        dense = pl.dense_matrix(build_dipole(c.basis, c))
-        # <01| D |10>: hop from shell 4 (qubit 1) to shell 3 (qubit 0)
-        b = oscillator_length(120)
-        expected = 70 * 50 / 120 * np.sqrt((3 + 1) / 2.0) * b
-        assert dense[0b01, 0b10].real == pytest.approx(expected)
-        assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
 
     def test_species_amplitudes_carry_charge_and_degeneracy(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 4))
@@ -265,6 +254,8 @@ class TestDipole:
         assert dn[0b01, 0b10].real == pytest.approx(
             50 / 120 * np.sqrt(shell_capacity(3)) * radial
         )
+        for dense in (dp, dn):
+            assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
 
     def test_unknown_species_rejected(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))

@@ -3,6 +3,8 @@
 import statistics
 import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import gdrq.algorithms
 import gdrq.encoding
 import gdrq.statevector
+from gdrq.cli import load_config
 from gdrq.encoding import BasisWindow, NucleusConfig, fill_occupations
 from gdrq.errors import SchemaError, ValidationError
 from gdrq.experiment import (
@@ -19,7 +22,6 @@ from gdrq.experiment import (
     collect_runs,
     compare_with_experiment,
     derive_run_seed,
-    error_vs_runs,
     load_experimental_csv,
     mad,
     mad_series,
@@ -30,12 +32,13 @@ from gdrq.experiment import (
     write_runs_csv,
     write_spectrum_csv,
 )
-from gdrq.response import ResponseSpectrum, bare_response, classical_transitions
+from gdrq.response import ResponseSpectrum, bare_response, classical_transitions, cross_section
 
 SN_CLASSICAL = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
 PB_CLASSICAL = NucleusConfig(A=208, Z=82, kappa=0.4, basis=BasisWindow(0, 10))
 SN_QUANTUM = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
 HE4_QUANTUM = NucleusConfig(A=4, Z=2, kappa=0.3, basis=BasisWindow(0, 1), grid_max=60.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestMad:
@@ -232,11 +235,6 @@ class TestMadSeries:
         with pytest.raises(ValidationError):
             mad_series(records)
 
-    def test_error_vs_runs_wraps_collection(self):
-        series = error_vs_runs(SN_QUANTUM, max_runs=4, master_seed=5)
-        direct = mad_series(collect_runs(SN_QUANTUM, 5, runs=4))
-        assert series == direct
-
 
 class TestBasisStudy:
     def test_wide_windows_agree_small_windows_shift(self):
@@ -251,6 +249,37 @@ class TestBasisStudy:
     def test_empty_window_list_rejected(self):
         with pytest.raises(ValidationError):
             basis_study(SN_CLASSICAL, [])
+
+
+def trapezoid_sum(values: np.ndarray) -> float:
+    """Trapezoid-rule integral over a uniform grid, in units of the step."""
+    return float(values.sum() - 0.5 * (values[0] + values[-1]))
+
+
+class TestTrkSumRule:
+    """The separable residual interaction keeps the energy-weighted sum rule.
+
+    So the dressed cross section integrates to the bare one.  The grid is
+    widened to 0-400 MeV: on the shipped 5-30 MeV grid the Lorentzian tails
+    it cuts off leave ratios of 1.009-1.064.
+    """
+
+    @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
+    @pytest.mark.parametrize("path", ["classical 0-10", "classical", "quantum exact"])
+    def test_dressing_conserves_integrated_cross_section(self, nucleus, path):
+        config = replace(
+            load_config(CONFIGS / f"{nucleus}.cfg"), grid_min=0.0, grid_max=400.0, grid_step=0.01
+        )
+        if path == "classical 0-10":
+            spectrum = run_classical(replace(config, kappa=0.4, basis=BasisWindow(0, 10)))
+        elif path == "classical":
+            spectrum = run_classical(config)
+        else:
+            spectrum = run_quantum(config, 1, mode="exact").spectrum
+        # on a uniform grid the step cancels from the ratio of the two integrals
+        dressed = trapezoid_sum(spectrum.sigma_raw)
+        bare = trapezoid_sum(cross_section(spectrum.energies, spectrum.r0))
+        assert abs(dressed / bare - 1.0) < 1e-4
 
 
 class TestExperimentalData:

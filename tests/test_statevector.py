@@ -15,7 +15,6 @@ from gdrq.statevector import (
     RngStream,
     ShotHistogram,
     StateVector,
-    apply_controlled,
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
@@ -180,12 +179,6 @@ class TestApplyUnitary:
 
 
 class TestControlledAndMultiplexed:
-    def test_controlled_acts_only_on_set_control(self):
-        off = apply_controlled(init_basis_state(2, "00"), X, control=1, targets=[0])
-        assert np.argmax(np.abs(off.amplitudes)) == 0
-        on = apply_controlled(init_basis_state(2, "10"), X, control=1, targets=[0])
-        assert np.argmax(np.abs(on.amplitudes)) == 3
-
     def test_multiplexed_pattern_selection(self):
         u_list = [np.eye(2, dtype=complex), X]
         # control 0 -> identity
