@@ -46,7 +46,6 @@ MAX_ATTEMPTS = 1000
 _EXHAUST_PROBABILITY = 1e-12
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 @dataclass(frozen=True)
@@ -119,16 +118,23 @@ class SwapStatistics:
 
 
 def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
-    """Simulate the SWAP-test circuit of psi and phi once."""
+    """Simulate the SWAP-test circuit of psi and phi once.
+
+    The ladder of controlled SWAPs (qubit j with n + j, controlled by the
+    ancilla) exchanges the two registers where the ancilla reads 1, so it is
+    applied as the transpose of that half of the amplitudes: a permutation,
+    exact to the bit.
+    """
     if psi.nqubits != phi.nqubits:
         raise SizeError("swap test requires equal register sizes")
     n = psi.nqubits
     anc = 2 * n
     full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
     full = apply_unitary(full, _HADAMARD, [anc])
-    for j in range(n):
-        full = apply_multiplexed(full, [np.eye(4, dtype=complex), _SWAP], [anc], [j, n + j])
-    full = apply_unitary(full, _HADAMARD, [anc])
+    # axes (ancilla, phi register, psi register)
+    halves = full.amplitudes.reshape(2, 2**n, 2**n)
+    laddered = np.stack([halves[0], halves[1].T]).reshape(-1)
+    full = apply_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
     return SwapStatistics(p0=measure_probability(full, anc, 0), marginal=marginal(full, [anc]))
 
 

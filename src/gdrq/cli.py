@@ -44,6 +44,17 @@ def _window(text: str) -> BasisWindow:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _seed(text: str) -> int:
+    """argparse type for the master seed: a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _windows(text: str) -> tuple[BasisWindow, ...]:
     """argparse type for a comma-separated list of shell windows."""
     return tuple(_window(token) for token in text.split(",") if token.strip())
@@ -147,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
         p.add_argument("--config", required=needs_config, help="path to a key = value config file")
-        p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+        p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
         p.add_argument("--shots", type=int, help="override shots per measurement")
         p.add_argument("--runs", type=int, help="override the number of independent runs")
         p.add_argument("--kappa", type=float, help="override the residual strength")

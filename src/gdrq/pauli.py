@@ -4,7 +4,8 @@ Conventions used across the package:
 
 - qubit j indexes bit j of the basis-state integer (little endian);
 - an axes string lists qubit 0 first, so "XZ" means X on qubit 0, Z on qubit 1;
-- the dense matrix of an n-qubit string is kron(M_{n-1}, ..., M_1, M_0);
+- the dense matrix of an n-qubit string equals kron(M_{n-1}, ..., M_1, M_0);
+  it is built from the string's bit masks (see masks), not from kron;
 - each term factors as (signed real coefficient) * (phase), with the phase kept
   exactly in {1, i}.  Products track phases through the single-qubit table
   (X*Y = iZ and cyclic), so no rounding ever touches the phase group.
@@ -27,13 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 AXES = "IXYZ"
 DENSE_MAX_QUBITS = 12
-
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # Single-qubit product table: _PRODUCT[(a, b)] = (phase, axis) with a*b = phase*axis.
 _PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {}
@@ -94,13 +88,39 @@ class PauliTerm:
         return body or "I"
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix of the weighted string (kron oracle, <= 12 qubits)."""
+        """Dense matrix of the weighted string from its bit masks (<= 12 qubits).
+
+        Column c holds one entry, weight * i^(Y count) * (-1)^popcount(c & zmask),
+        in row c ^ flip.
+        """
         if self.nqubits > DENSE_MAX_QUBITS:
             raise CapacityError(f"dense matrix capped at {DENSE_MAX_QUBITS} qubits")
-        out = np.array([[self.weight]], dtype=complex)
-        for ax in reversed(self.axes):
-            out = np.kron(out, _MATRICES[ax])
+        flip, zmask, n_y = masks(self)
+        idx = np.arange(2**self.nqubits, dtype=np.uint64)
+        out = np.zeros((idx.size, idx.size), dtype=complex)
+        out[idx ^ np.uint64(flip), idx] = self.weight * (1j**n_y) * _signs(idx, zmask)
         return out
+
+
+def masks(term: PauliTerm) -> tuple[int, int, int]:
+    """(flip, zmask, Y count) of a string: X and Y flip a bit, Z and Y read its sign."""
+    flip = 0
+    zmask = 0
+    n_y = 0
+    for j, ax in enumerate(term.axes):
+        if ax in "XY":
+            flip |= 1 << j
+        if ax in "ZY":
+            zmask |= 1 << j
+        if ax == "Y":
+            n_y += 1
+    return flip, zmask, n_y
+
+
+def _signs(idx: np.ndarray, zmask: int) -> np.ndarray:
+    """(-1)^popcount(i & zmask) for every basis index i."""
+    parity = np.bitwise_count(idx & np.uint64(zmask)) & 1
+    return 1.0 - 2.0 * parity
 
 
 def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -215,7 +235,7 @@ def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
 
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the sum (independent kron oracle, <= 12 qubits)."""
+    """Dense 2^n x 2^n matrix of the sum: its terms' bit-mask matrices added (<= 12 qubits)."""
     if op.nqubits > DENSE_MAX_QUBITS:
         raise CapacityError(f"dense matrix capped at {DENSE_MAX_QUBITS} qubits")
     dim = 2**op.nqubits
@@ -235,18 +255,7 @@ def apply(op: PauliSum, state: "StateVector") -> "StateVector":
     idx = np.arange(state.amplitudes.size, dtype=np.uint64)
     out = np.zeros_like(state.amplitudes)
     for term in op.terms:
-        flip = 0
-        zmask = 0
-        n_y = 0
-        for j, ax in enumerate(term.axes):
-            if ax in "XY":
-                flip |= 1 << j
-            if ax in "ZY":
-                zmask |= 1 << j
-            if ax == "Y":
-                n_y += 1
-        parity = np.bitwise_count(idx & np.uint64(zmask)) & 1
-        sign = 1.0 - 2.0 * parity
+        flip, zmask, n_y = masks(term)
         phase = term.weight * (1j**n_y)
-        out[idx ^ np.uint64(flip)] += phase * sign * state.amplitudes
+        out[idx ^ np.uint64(flip)] += phase * _signs(idx, zmask) * state.amplitudes
     return StateVector(n, out)

@@ -27,6 +27,9 @@ from .errors import DegenerateSpectrumError, PoleCrossingError, ValidationError
 R0_FM_PER_A13 = 1.2  # nuclear radius parameter r0 in fm
 _ALPHAS = (1, 2, 3)
 _Y20_NORM = math.sqrt(5.0 / (16.0 * math.pi))
+# 8-point Gauss-Legendre rule in cos(theta) and Y20 at its nodes, for the volume quadrature
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_Y20 = _Y20_NORM * (3.0 * _GL_NODES**2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,7 @@ def shape_frequencies(a: int, beta2: float) -> ShapeParams:
         raise ValidationError("beta2 must lie in [-0.5, 0.5]")
     homega = hbar_omega(a)
     r0 = R0_FM_PER_A13 * float(a) ** (1.0 / 3.0)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    y20 = _Y20_NORM * (3.0 * nodes**2 - 1.0)
-    mean_r3 = float(((1.0 + beta2 * y20) ** 3 * weights).sum()) / 2.0
+    mean_r3 = float(((1.0 + beta2 * _GL_Y20) ** 3 * _GL_WEIGHTS).sum()) / 2.0
     volume_factor = mean_r3 ** (-1.0 / 3.0)
     # semi-axes: x and y at theta = pi/2 (Y20 = -norm), z at theta = 0 (Y20 = 2*norm)
     y20_axes = (-_Y20_NORM, -_Y20_NORM, 2.0 * _Y20_NORM)

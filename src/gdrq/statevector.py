@@ -131,6 +131,13 @@ def _check_unitary(u: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
+def _front_axes(n: int, qubits: Sequence[int]) -> list[int]:
+    """Axes of `qubits` (qubit q is axis n-1-q), ordered so that the C-order
+    flatten of them reads the list little-endian."""
+    k = len(qubits)
+    return [n - 1 - qubits[k - 1 - i] for i in range(k)]
+
+
 def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply a 2^k x 2^k unitary; u row/col index bit m belongs to targets[m]."""
     targets = _check_targets(state, targets)
@@ -138,9 +145,7 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> 
     u = _check_unitary(u, k)
     n = state.nqubits
     arr = state.amplitudes.reshape([2] * n)
-    # axis of qubit q is n-1-q; front axes ordered so the C-order flatten of the
-    # first k axes reads the targets little-endian
-    front = [n - 1 - targets[k - 1 - i] for i in range(k)]
+    front = _front_axes(n, targets)
     moved = np.moveaxis(arr, front, range(k))
     out = (u @ moved.reshape(2**k, -1)).reshape([2] * n)
     out = np.moveaxis(out, range(k), front)
@@ -156,7 +161,8 @@ def apply_multiplexed(
     """Apply unitaries[i] on targets when the control register reads i.
 
     Control patterns are little endian in the listed controls; patterns beyond
-    len(unitaries) act as the identity.
+    len(unitaries) act as the identity.  Each block is checked once and applied
+    to its own control pattern's slice, so no block-diagonal matrix is built.
     """
     kc = len(controls)
     kt = len(targets)
@@ -164,11 +170,19 @@ def apply_multiplexed(
         raise SizeError("multiplexing needs at least one control and one target")
     if len(unitaries) > 2**kc:
         raise ValidationError(f"{len(unitaries)} unitaries exceed {2**kc} control patterns")
-    dim = 2**kt
-    big = np.eye(dim * 2**kc, dtype=complex)
-    for i, u in enumerate(unitaries):
-        big[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = _check_unitary(u, kt)
-    return apply_unitary(state, big, [*targets, *controls])
+    qubits = _check_targets(state, [*targets, *controls])
+    blocks = [_check_unitary(u, kt) for u in unitaries]
+    n = state.nqubits
+    k = kc + kt
+    # the flatten reads the control pattern, then the target index
+    front = _front_axes(n, qubits)
+    moved = np.moveaxis(state.amplitudes.reshape([2] * n), front, range(k))
+    slices = moved.reshape(2**kc, 2**kt, -1)
+    out = slices.copy()
+    for i, u in enumerate(blocks):
+        out[i] = u @ slices[i]
+    out = np.moveaxis(out.reshape([2] * n), range(k), front)
+    return StateVector(n, out.reshape(-1))
 
 
 def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
@@ -205,7 +219,7 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     k = len(qubits)
     n = state.nqubits
     arr = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
-    front = [n - 1 - qubits[k - 1 - i] for i in range(k)]
+    front = _front_axes(n, qubits)
     moved = np.moveaxis(arr, front, range(k))
     probs = moved.reshape(2**k, -1).sum(axis=1)
     return probs / probs.sum()

@@ -7,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdrq import pauli as pl
-from gdrq.algorithms import energy_expectation, lcu_apply, swap_test
+from gdrq.algorithms import energy_expectation, lcu_apply, swap_statistics, swap_test
 from gdrq.encoding import BasisWindow, build_hamiltonian
 from gdrq.errors import AnnihilatedStateError, SizeError, ValidationError
-from gdrq.statevector import RngStream, StateVector, init_basis_state
+from gdrq.statevector import (
+    RngStream,
+    StateVector,
+    apply_multiplexed,
+    apply_unitary,
+    init_basis_state,
+    marginal,
+    measure_probability,
+)
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def random_state(rng: np.random.Generator, nqubits: int) -> StateVector:
@@ -59,6 +70,20 @@ class TestSwapTest:
         assert 0.0 <= est.clamped <= 1.0
         again = swap_test(a, b, shots=4000, mode="sampled", rng=RngStream(2))
         assert est.raw == again.raw
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_statistics_equal_controlled_swap_ladder(self, seed, n):
+        rng = np.random.default_rng(seed)
+        psi, phi = random_state(rng, n), random_state(rng, n)
+        anc = 2 * n
+        full = apply_unitary(psi.tensor(phi).tensor(init_basis_state(1, "0")), HADAMARD, [anc])
+        for j in range(n):
+            full = apply_multiplexed(full, [np.eye(4), SWAP], [anc], [j, n + j])
+        full = apply_unitary(full, HADAMARD, [anc])
+        stats = swap_statistics(psi, phi)
+        assert stats.p0 == measure_probability(full, anc, 0)
+        assert np.array_equal(stats.marginal, marginal(full, [anc]))
 
     def test_validation(self):
         a = init_basis_state(1, "0")

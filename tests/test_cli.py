@@ -1,9 +1,11 @@
 """Unit tests for config parsing, argument handling, and CLI entry points."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdrq import cli
@@ -321,6 +323,8 @@ class TestMainErrors:
             ["classical", "--kappa", "5"],
             ["classical", "--gamma-spread", "-1"],
             ["error-study", "--runs", "1"],
+            ["quantum", "--seed", "-1"],
+            ["quantum", "--seed", "-1", "--exact"],
         ],
     )
     def test_bad_window_is_one_line_usage_error(self, tmp_path, capsys, argv):
@@ -337,6 +341,45 @@ class TestMainErrors:
         code = cli.main(["error-study", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "at least two runs" in capsys.readouterr().err
+
+
+def _values(numbers):
+    """Command-line text of a number, or a string that is no number at all."""
+    junk = st.sampled_from(["", "x", "1.5", "nan", "inf", "-inf", "1e400", "0x10", "--"])
+    return st.one_of(numbers.map(str), junk)
+
+
+_FUZZ_OPTIONS = {
+    "--seed": _values(st.integers(-3, 2**70)),
+    "--shots": _values(st.integers(-3, 10**9)),
+    "--runs": _values(st.integers(-3, 10**9)),
+    "--kappa": _values(st.floats(allow_nan=True, allow_infinity=True)),
+    "--gamma-spread": _values(st.floats(allow_nan=True, allow_infinity=True)),
+    "--basis": st.one_of(
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda w: f"{w[0]}-{w[1]}"),
+        _values(st.integers(-2, 12)),
+    ),
+}
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from([["classical"], ["quantum", "--exact"]]),
+        options=st.sets(st.sampled_from(sorted(_FUZZ_OPTIONS))).flatmap(
+            lambda keys: st.fixed_dictionaries({k: _FUZZ_OPTIONS[k] for k in sorted(keys)})
+        ),
+    )
+    def test_exit_code_documented_and_no_traceback(self, tmp_path_factory, command, options):
+        out = tmp_path_factory.mktemp("fuzz")
+        argv = [*command, "--config", str(CONFIGS / "sn120.cfg"), "--out", str(out)]
+        for flag, value in options.items():
+            argv += [flag, value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestPostSelectionBudget:

@@ -1,5 +1,7 @@
 """Unit tests for the exact Pauli-string algebra."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,18 @@ class TestPauliTerm:
 
     @given(pauli_terms())
     def test_matrix_matches_kron_oracle(self, term):
-        assert np.allclose(term.matrix(), term.weight * kron_oracle(term.axes))
+        assert np.array_equal(term.matrix(), term.weight * kron_oracle(term.axes))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_equals_kron_oracle_on_every_string(self, n):
+        for axes in itertools.product("IXYZ", repeat=n):
+            for term in (pl.PauliTerm(-1.5, "".join(axes)), pl.PauliTerm(0.75, "".join(axes), 1j)):
+                assert np.array_equal(term.matrix(), term.weight * kron_oracle(term.axes))
+
+    def test_masks(self):
+        # axes list qubit 0 first: X on 0, Y on 1, Z on 2
+        assert pl.masks(pl.PauliTerm(1.0, "XYZI")) == (0b0011, 0b0110, 1)
+        assert pl.masks(pl.PauliTerm(1.0, "IIII")) == (0, 0, 0)
 
     def test_bad_axes_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from gdrq.errors import (
     TargetError,
     ValidationError,
 )
+from gdrq import statevector
 from gdrq.statevector import (
     RngStream,
     ShotHistogram,
@@ -51,6 +52,38 @@ def embed_oracle(u: np.ndarray, targets: list[int], nqubits: int) -> np.ndarray:
             sj = sum(((j >> t) & 1) << m for m, t in enumerate(targets))
             full[i, j] = u[si, sj]
     return full
+
+
+def signed_permutation(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Unitary with one entry from {1, -1, i, -i} in each row and column."""
+    phases = rng.choice(np.array([1, -1, 1j, -1j]), size=dim)
+    return np.eye(dim, dtype=complex)[:, rng.permutation(dim)] * phases
+
+
+def multiplexer_oracle(
+    unitaries: list[np.ndarray], controls: list[int], targets: list[int], nqubits: int
+) -> np.ndarray:
+    """Dense block-diagonal multiplexer (identity on unlisted patterns), embedded."""
+    dim = 2 ** len(targets)
+    big = np.eye(dim * 2 ** len(controls), dtype=complex)
+    for i, u in enumerate(unitaries):
+        big[i * dim : (i + 1) * dim, i * dim : (i + 1) * dim] = u
+    return embed_oracle(big, [*targets, *controls], nqubits)
+
+
+def multiplexer_case(seed: int, nqubits: int, kc: int, kt: int, blocks):
+    """Random state, qubit split and 1..2^kc blocks drawn by `blocks(rng, dim)`."""
+    rng = np.random.default_rng(seed)
+    qubits = [int(q) for q in rng.permutation(nqubits)]
+    controls, targets = qubits[:kc], qubits[kc : kc + kt]
+    count = int(rng.integers(1, 2**kc + 1))
+    unitaries = [blocks(rng, 2**kt) for _ in range(count)]
+    return random_state(rng, nqubits), unitaries, controls, targets
+
+
+multiplexer_shapes = st.tuples(st.integers(2, 5), st.integers(1, 2), st.integers(1, 2)).filter(
+    lambda shape: shape[1] + shape[2] <= shape[0]
+)
 
 
 class TestRngStream:
@@ -199,6 +232,44 @@ class TestControlledAndMultiplexed:
         state = init_basis_state(2, "10")
         out = apply_multiplexed(state, [X], [1], [0])
         assert np.argmax(np.abs(out.amplitudes)) == 2
+
+    @given(st.integers(0, 2**32 - 1), multiplexer_shapes)
+    @settings(max_examples=40, deadline=None)
+    def test_signed_permutations_match_oracle_exactly(self, seed, shape):
+        state, unitaries, controls, targets = multiplexer_case(seed, *shape, signed_permutation)
+        got = apply_multiplexed(state, unitaries, controls, targets).amplitudes
+        want = multiplexer_oracle(unitaries, controls, targets, state.nqubits) @ state.amplitudes
+        assert np.array_equal(got, want)
+
+    @given(st.integers(0, 2**32 - 1), multiplexer_shapes)
+    @settings(max_examples=40, deadline=None)
+    def test_random_unitaries_match_oracle(self, seed, shape):
+        state, unitaries, controls, targets = multiplexer_case(seed, *shape, random_unitary)
+        got = apply_multiplexed(state, unitaries, controls, targets).amplitudes
+        want = multiplexer_oracle(unitaries, controls, targets, state.nqubits) @ state.amplitudes
+        assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("controls, targets", [([1], [0]), ([0], [1]), ([2, 0], [1])])
+    def test_input_amplitudes_untouched(self, controls, targets):
+        # controls [1], targets [0] on two qubits needs no axis move at all
+        rng = np.random.default_rng(5)
+        state = random_state(rng, 3)
+        before = state.amplitudes.copy()
+        unitaries = [random_unitary(rng, 2) for _ in range(2 ** len(controls))]
+        apply_multiplexed(state, unitaries, controls, targets)
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_each_block_checked_once(self, monkeypatch):
+        checked = []
+        real = statevector._check_unitary
+        monkeypatch.setattr(statevector, "_check_unitary", lambda u, k: checked.append(k) or real(u, k))
+        apply_multiplexed(init_basis_state(3, "000"), [np.eye(4), np.eye(4)[::-1]], [2], [0, 1])
+        assert checked == [2, 2]
+
+    def test_non_unitary_block_rejected(self):
+        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError):
+            apply_multiplexed(init_basis_state(2, "00"), [np.eye(2), bad], [1], [0])
 
     def test_too_many_unitaries_rejected(self):
         with pytest.raises(ValidationError):
