@@ -3,6 +3,9 @@
 The digests pin every byte of the quantum and error-study outputs at two master
 seeds with each config's own run count (100 runs of 8000 shots), plus the exact
 spectrum.  A refactor of the quantum pipeline must leave all of them unchanged.
+The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
+script runs them, and at each config's own window and kappa) and the 120Sn
+basis study pin the classical path the same way; they do not depend on the seed.
 """
 
 import hashlib
@@ -58,6 +61,21 @@ GOLDEN = {
     },
     ("pb208", 2, "quantum --exact"): {
         "spectrum.csv": "09ff1a514ae009baf3076c06bebdb2449d1e31798caeaaf869035f67c3ceb52d",
+    },
+    ("sn120", 1, "classical --kappa 0.4 --basis 0-10"): {
+        "spectrum.csv": "f497c6d5868444d3af7e3879409c1806e4735e08ce514721831e57ffe6c1252f",
+    },
+    ("sn120", 1, "classical"): {
+        "spectrum.csv": "d769e9efa2cf45d3617eeaa8b04aa889f2d47ab3969fb0e418bfc53f38d9f381",
+    },
+    ("pb208", 1, "classical --kappa 0.4 --basis 0-10"): {
+        "spectrum.csv": "0632a6717f9f4fce32a54bf17a4ce7631150749738b9b89922cef3de128ccf97",
+    },
+    ("pb208", 1, "classical"): {
+        "spectrum.csv": "d2e375707a2c6b3997ab3e9ab0737a5d7473288f539e74bd6503a2493c558881",
+    },
+    ("sn120", 1, "basis-study --kappa 0.4"): {
+        "basis_study.csv": "4df83deb993deda4bd699dafd4dd3085a612b368fad1a84e2599a590f055dcc7",
     },
 }
 
