@@ -68,7 +68,6 @@ _SCHEMA = {
     "kappa": float,
     "basis": BasisWindow.parse,
     "gamma_spread": float,
-    "beta2": float,
     "shots": int,
     "runs": int,
     "grid_min": float,
@@ -120,25 +119,6 @@ def load_config(path) -> NucleusConfig:
     if missing:
         raise SchemaError(f"{path}: missing required key(s): {', '.join(missing)}")
     return NucleusConfig(**values)
-
-
-def save_config(config: NucleusConfig) -> str:
-    """Config file text that round-trips through load_config."""
-    lines = [
-        f"A = {config.A}",
-        f"Z = {config.Z}",
-        f"kappa = {config.kappa!r}",
-        f"basis = {config.basis.label}",
-        f"gamma_spread = {config.gamma_spread!r}",
-        f"beta2 = {config.beta2!r}",
-        f"shots = {config.shots}",
-        f"runs = {config.runs}",
-        f"grid_min = {config.grid_min!r}",
-        f"grid_max = {config.grid_max!r}",
-        f"grid_step = {config.grid_step!r}",
-        f"calibration = {config.calibration!r}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

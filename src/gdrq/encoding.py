@@ -68,11 +68,6 @@ class BasisWindow:
     def shells(self) -> range:
         return range(self.n_min, self.n_max + 1)
 
-    def qubit_of(self, shell: int) -> int:
-        if not self.n_min <= shell <= self.n_max:
-            raise ValidationError(f"shell {shell} outside window {self.label}")
-        return shell - self.n_min
-
     @property
     def label(self) -> str:
         return f"{self.n_min}-{self.n_max}"
@@ -87,7 +82,6 @@ class NucleusConfig:
     kappa: float
     basis: BasisWindow
     gamma_spread: float = 2.0
-    beta2: float = 0.0
     shots: int = 8000
     runs: int = 100
     grid_min: float = 5.0
@@ -96,14 +90,15 @@ class NucleusConfig:
     calibration: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.Z < 1 or self.A <= self.Z:
             raise ValidationError(f"need Z >= 1 and A > Z, got A={self.A}, Z={self.Z}")
         if not 0.0 <= self.kappa <= 2.0:
             raise ValidationError(f"kappa must lie in [0, 2], got {self.kappa}")
         if self.gamma_spread <= 0:
             raise ValidationError("gamma_spread must be positive")
-        if not abs(self.beta2) <= 0.5:
-            raise ValidationError("beta2 must lie in [-0.5, 0.5]")
         if self.shots < 1 or self.runs < 1:
             raise ValidationError("shots and runs must be >= 1")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
@@ -127,8 +122,6 @@ class OccupationTable:
 
     protons: tuple[float, ...]
     neutrons: tuple[float, ...]
-    fermi_level_p: int
-    fermi_level_n: int
 
     def occupations(self, species: str) -> tuple[float, ...]:
         if species == "proton":
@@ -137,36 +130,24 @@ class OccupationTable:
             return self.neutrons
         raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
 
-    def fermi_level(self, species: str) -> int:
-        if species == "proton":
-            return self.fermi_level_p
-        if species == "neutron":
-            return self.fermi_level_n
-        raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
 
-
-def _fill(count: int, n_max: int) -> tuple[tuple[float, ...], int]:
+def _fill(count: int, n_max: int) -> tuple[float, ...]:
     remaining = count
     occ = []
-    fermi = 0
     for shell in range(n_max + 1):
         cap = shell_capacity(shell)
         placed = min(cap, remaining)
         occ.append(placed / cap)
         remaining -= placed
-        if placed > 0:
-            fermi = shell
     if remaining > 0:
         raise CapacityError(f"{count} particles exceed the capacity of shells 0..{n_max}")
-    return tuple(occ), fermi
+    return tuple(occ)
 
 
 def fill_occupations(config: NucleusConfig) -> OccupationTable:
     """Fill shells bottom-up for both species; partial top shells get n_N < 1."""
     n_max = config.basis.n_max
-    protons, fermi_p = _fill(config.Z, n_max)
-    neutrons, fermi_n = _fill(config.n_neutrons, n_max)
-    return OccupationTable(protons, neutrons, fermi_p, fermi_n)
+    return OccupationTable(_fill(config.Z, n_max), _fill(config.n_neutrons, n_max))
 
 
 def _chain_axes(nqubits: int, mode: int, op_axis: str) -> str:

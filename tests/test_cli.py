@@ -1,11 +1,14 @@
 """Unit tests for config parsing, argument handling, and CLI entry points."""
 
 import contextlib
+import dataclasses
 import io
+import math
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdrq import cli
@@ -32,12 +35,30 @@ def sn_config(tmp_path):
     return path
 
 
+def save_config(config: NucleusConfig) -> str:
+    """Config file text that round-trips through cli.load_config."""
+    lines = [
+        f"A = {config.A}",
+        f"Z = {config.Z}",
+        f"kappa = {config.kappa!r}",
+        f"basis = {config.basis.label}",
+        f"gamma_spread = {config.gamma_spread!r}",
+        f"shots = {config.shots}",
+        f"runs = {config.runs}",
+        f"grid_min = {config.grid_min!r}",
+        f"grid_max = {config.grid_max!r}",
+        f"grid_step = {config.grid_step!r}",
+        f"calibration = {config.calibration!r}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def small_quantum_config(tmp_path, runs=3):
     config = NucleusConfig(
         A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), runs=runs, calibration=0.1751
     )
     path = tmp_path / "small.cfg"
-    path.write_text(cli.save_config(config))
+    path.write_text(save_config(config))
     return path
 
 
@@ -98,8 +119,12 @@ class TestLoadConfig:
             calibration=0.2378,
         )
         path = tmp_path / "roundtrip.cfg"
-        path.write_text(cli.save_config(config))
+        path.write_text(save_config(config))
         assert cli.load_config(path) == config
+        # every config field is written, and every schema key is a field
+        assert {line.split(" = ")[0] for line in save_config(config).splitlines()} == set(
+            cli._SCHEMA
+        ) == {f.name for f in dataclasses.fields(NucleusConfig)}
 
     @given(
         st.floats(min_value=0.01, max_value=2.0, allow_nan=False),
@@ -109,7 +134,7 @@ class TestLoadConfig:
         config = NucleusConfig(
             A=120, Z=50, kappa=kappa, basis=BasisWindow(3, 6), gamma_spread=gamma_spread
         )
-        text = cli.save_config(config)
+        text = save_config(config)
         parsed = {
             line.split("=")[0].strip(): line.split("=", 1)[1].strip()
             for line in text.splitlines()
@@ -342,6 +367,28 @@ class TestMainErrors:
         assert code == 1
         assert "at least two runs" in capsys.readouterr().err
 
+    def test_deformation_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "old.cfg"
+        path.write_text(SN_TEXT + "beta2 = 0.0\n")
+        code = cli.main(["classical", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {path}:9: unknown key 'beta2'\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", ["gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"]
+    )
+    def test_non_finite_file_value_is_data_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SN_TEXT.replace("calibration = 0.1751\n", "") + f"{key} = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["classical", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == f"error: {key} must be finite, got {float(value)}\n"
+
 
 def _values(numbers):
     """Command-line text of a number, or a string that is no number at all."""
@@ -362,8 +409,19 @@ _FUZZ_OPTIONS = {
 }
 
 
+def _non_finite(text):
+    """True for the text of NaN or an infinity, e.g. "nan", "-inf" or "1e400"."""
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 class TestArgvFuzz:
     @settings(max_examples=60, deadline=None)
+    @example(command=["classical"], options={"--gamma-spread": "nan"})
+    @example(command=["classical"], options={"--gamma-spread": "inf"})
+    @example(command=["quantum", "--exact"], options={"--gamma-spread": "-inf"})
     @given(
         command=st.sampled_from([["classical"], ["quantum", "--exact"]]),
         options=st.sets(st.sampled_from(sorted(_FUZZ_OPTIONS))).flatmap(
@@ -380,6 +438,9 @@ class TestArgvFuzz:
             code = cli.main(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+        floats = (options.get(flag) for flag in ("--kappa", "--gamma-spread"))
+        if any(_non_finite(value) for value in floats if value is not None):
+            assert code == 2, argv
 
 
 class TestPostSelectionBudget:

@@ -1,5 +1,7 @@
 """Unit tests for shell windows, occupations, and qubit encodings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,13 +50,6 @@ class TestBasisWindow:
         assert w.nqubits == 4
         assert list(w.shells()) == [3, 4, 5, 6]
 
-    def test_qubit_of(self):
-        w = BasisWindow(3, 6)
-        assert w.qubit_of(3) == 0
-        assert w.qubit_of(6) == 3
-        with pytest.raises(ValidationError):
-            w.qubit_of(7)
-
     def test_parse_validation(self):
         for bad in ("3", "a-b", "3-6-9", "6-3", "-1-2"):
             with pytest.raises(ValidationError):
@@ -77,7 +72,7 @@ class TestNucleusConfig:
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
         assert c.n_neutrons == 70
         assert c.shots == 8000 and c.runs == 100
-        assert c.gamma_spread == 2.0 and c.beta2 == 0.0
+        assert c.gamma_spread == 2.0 and c.calibration == 1.0
 
     def test_validation_matrix(self):
         good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
@@ -90,8 +85,6 @@ class TestNucleusConfig:
         with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "gamma_spread": 0.0})
         with pytest.raises(ValidationError):
-            NucleusConfig(**{**good, "beta2": 0.6})
-        with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "shots": 0})
         with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "runs": 0})
@@ -99,6 +92,10 @@ class TestNucleusConfig:
             NucleusConfig(**{**good, "grid_min": 30.0})
         with pytest.raises(ValidationError):
             NucleusConfig(**{**good, "calibration": 0.0})
+        for field in ("gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                    NucleusConfig(**{**good, field: bad})
 
     def test_energy_grid_includes_both_endpoints(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
@@ -109,6 +106,11 @@ class TestNucleusConfig:
         assert np.allclose(np.diff(grid), 0.1)
 
 
+def last_occupied(occ):
+    """Index of the highest shell that holds any particle (the Fermi level)."""
+    return max(shell for shell, n in enumerate(occ) if n > 0)
+
+
 class TestOccupations:
     def test_sn120_shell_filling(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(0, 6))
@@ -117,19 +119,17 @@ class TestOccupations:
         assert occ.protons[:4] == (1.0, 1.0, 1.0, 1.0)
         assert occ.protons[4] == pytest.approx(10.0 / 30.0)
         assert occ.protons[5] == 0.0
-        assert occ.fermi_level_p == 4
         # neutrons: 70 = 2 + 6 + 12 + 20 + 30 exactly
         assert occ.neutrons[:5] == (1.0, 1.0, 1.0, 1.0, 1.0)
         assert occ.neutrons[5] == 0.0
-        assert occ.fermi_level_n == 4
 
     def test_pb208_fermi_levels(self):
         c = NucleusConfig(A=208, Z=82, kappa=0.5, basis=BasisWindow(0, 6))
         occ = fill_occupations(c)
         # 82 protons: shells 0-4 hold 70, so 12 land in shell 5.
         # 126 neutrons: shells 0-5 hold 112, so 14 spill into shell 6.
-        assert occ.fermi_level("proton") == 5
-        assert occ.fermi_level("neutron") == 6
+        assert last_occupied(occ.protons) == 5
+        assert last_occupied(occ.neutrons) == 6
 
     def test_species_accessors(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(0, 6))
@@ -138,8 +138,6 @@ class TestOccupations:
         assert occ.occupations("neutron") == occ.neutrons
         with pytest.raises(ValidationError):
             occ.occupations("electron")
-        with pytest.raises(ValidationError):
-            occ.fermi_level("electron")
 
     def test_capacity_error_when_window_too_small(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(0, 2))

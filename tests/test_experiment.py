@@ -74,7 +74,7 @@ class TestRunQuantum:
         record = run_quantum(SN_QUANTUM, 1, mode="exact")
         assert record.peak_energy == pytest.approx(16.198032176618415, abs=1e-9)
         # both species hop at exactly one oscillator spacing
-        up = [t for t in record.transitions.for_alpha(1) if t.energy > 0]
+        up = [t for t in record.transitions.entries if t.energy > 0]
         assert len(up) == 2
         for t in up:
             assert t.energy == pytest.approx(8.312342727283648, abs=1e-9)
@@ -114,9 +114,9 @@ class TestRunQuantum:
             )
 
     def test_deformed_shape_rejected(self):
-        config = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), beta2=0.2)
-        with pytest.raises(ValidationError):
-            run_quantum(config, 1)
+        # the nucleus is a spherical oscillator: a deformation cannot be configured
+        with pytest.raises(TypeError, match="beta2"):
+            NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), beta2=0.2)
 
 
 class TestCollectRuns:
@@ -340,8 +340,8 @@ class TestCompareWithExperiment:
     def test_disjoint_ranges_rejected(self):
         fake = ResponseSpectrum(
             energies=np.linspace(100.0, 110.0, 11),
-            r0=np.zeros((3, 11), dtype=complex),
-            r_dressed=np.zeros((3, 11), dtype=complex),
+            r0=np.zeros(11, dtype=complex),
+            r_dressed=np.zeros(11, dtype=complex),
             sigma_raw=np.zeros(11),
             sigma=np.zeros(11),
             peak_energy=105.0,

@@ -316,7 +316,7 @@ class TestMeasurement:
         state = init_basis_state(2, "10")
         hist = sample(state, [0, 1], 10, RngStream(1))
         assert hist.counts == {"10": 10}
-        assert hist.frequency("10") == 1.0
+        assert hist.shots == 10
 
     def test_histogram_validation(self):
         with pytest.raises(ValidationError):
