@@ -1,13 +1,11 @@
 """Circuit-level estimation primitives.
 
-Three building blocks, each usable in two modes: the SWAP test (swap_test),
-linear-combination-of-unitaries application (lcu_apply), and the energy
-estimator built from the two (energy_expectation).
-
-- "exact": amplitudes are read off the simulated circuit, so estimators return
-  their analytic values (success probabilities, overlaps) with zero variance;
-- "sampled": every classically-random step (post-selection attempts, shot
-  histograms) is drawn from an RngStream, modelling a finite-shot experiment.
+Three building blocks: the SWAP test (swap_test), linear-combination-of-
+unitaries application (lcu_apply), and the energy estimator built from the two
+(energy_expectation).  An estimator that takes an RngStream draws every
+classically random step (post-selection attempts, shot histograms) from it,
+modelling a finite-shot experiment; given None instead, it returns the
+analytic values read off the simulated amplitudes, with zero variance.
 
 All circuits place ancillas above the system register and remove them again by
 post-selection, so callers only ever see system-sized states.  The random
@@ -54,7 +52,6 @@ class OverlapEstimate:
 
     raw: float
     clamped: float
-    shots: int
     standard_error: float
 
 
@@ -65,13 +62,6 @@ class LcuResult:
     state: StateVector
     success_probability: float
     lam: float
-
-
-def check_mode(mode: str, rng: RngStream | None) -> None:
-    if mode not in ("exact", "sampled"):
-        raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    if mode == "sampled" and rng is None:
-        raise ValidationError("sampled mode requires an RngStream")
 
 
 def replay_post_selection(p_success: float, rng: RngStream) -> int:
@@ -100,21 +90,18 @@ class SwapStatistics:
     p0: float
     marginal: np.ndarray
 
-    def estimate(
-        self, shots: int, mode: str = "exact", rng: RngStream | None = None
-    ) -> OverlapEstimate:
-        """Overlap from p0 (exact) or from `shots` multinomial draws (sampled)."""
-        if mode == "exact":
+    def estimate(self, shots: int, rng: RngStream | None = None) -> OverlapEstimate:
+        """Overlap from p0 (no stream) or from `shots` multinomial draws on `rng`."""
+        if rng is None:
             raw = 2.0 * self.p0 - 1.0
-            return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=0, standard_error=0.0)
-        assert rng is not None
+            return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), standard_error=0.0)
         if shots < 1:
-            raise ValidationError("sampled mode requires shots >= 1")
+            raise ValidationError("a sampled SWAP test needs shots >= 1")
         k0 = int(rng.generator.multinomial(shots, self.marginal)[0])
         raw = 2.0 * k0 / shots - 1.0
         smoothed = (k0 + 1.0) / (shots + 2.0)
         se = 2.0 * float(np.sqrt(smoothed * (1.0 - smoothed) / shots))
-        return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), shots=shots, standard_error=se)
+        return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), standard_error=se)
 
 
 def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
@@ -139,22 +126,17 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
 
 
 def swap_test(
-    psi: StateVector,
-    phi: StateVector,
-    shots: int,
-    mode: str = "exact",
-    rng: RngStream | None = None,
+    psi: StateVector, phi: StateVector, shots: int, rng: RngStream | None = None
 ) -> OverlapEstimate:
     """Estimate |<psi|phi>|^2 via the SWAP test.
 
     The ancilla's |0> probability is (1 + |<psi|phi>|^2) / 2; the raw estimate
     2*p0 - 1 can leave [0, 1] at finite shots, so a clamped copy is reported
     alongside.  The standard error uses the add-one (Laplace) rate, keeping it
-    positive at extreme counts.  In exact mode shots is ignored and the error
+    positive at extreme counts.  With no stream, shots is ignored and the error
     is zero.
     """
-    check_mode(mode, rng)
-    return swap_statistics(psi, phi).estimate(shots, mode, rng)
+    return swap_statistics(psi, phi).estimate(shots, rng)
 
 
 def _prep_unitary(amps: np.ndarray) -> np.ndarray:
@@ -170,22 +152,17 @@ def _prep_unitary(amps: np.ndarray) -> np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
 
 
-def lcu_apply(
-    op: pl.PauliSum,
-    psi: StateVector,
-    mode: str = "exact",
-    rng: RngStream | None = None,
-) -> LcuResult:
+def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:
     """Apply a real-weighted Pauli sum as a linear combination of unitaries.
 
-    Prepare-select-unprepare over ceil(log2 k) ancillas: the prepare unitary
-    loads sqrt(|c_i| / lambda), the multiplexer applies sign(c_i) * P_i, and
-    post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
-    probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  The reported
-    probability is the exact circuit value; sampled mode only replays the
-    post-selection as Bernoulli attempts (see replay_post_selection).
+    Prepare-select-unprepare over max(1, ceil(log2 k)) ancillas: the prepare
+    unitary loads sqrt(|c_i| / lambda), the multiplexer applies
+    sign(c_i) * P_i, and post-selecting all ancillas on |0> leaves
+    A|psi>/||A|psi>|| with success probability ||A|psi>||^2 / lambda^2,
+    lambda = sum |c_i|.  The reported probability is that formula, with A|psi>
+    from pauli.apply; the product of the circuit's post-selection
+    probabilities is checked against it.
     """
-    check_mode(mode, rng)
     if op.nqubits != psi.nqubits:
         raise SizeError(f"operator on {op.nqubits} qubits, state on {psi.nqubits}")
     if not op.is_real_weighted():
@@ -199,17 +176,8 @@ def lcu_apply(
     p_success = nrm2 / lam**2
     if p_success < POSTSELECT_TOL:
         raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
-    if mode == "sampled":
-        assert rng is not None
-        replay_post_selection(p_success, rng)
     k = len(op.terms)
-    if k == 1:
-        # single unitary: no ancilla, success is certain up to rounding
-        term = op.terms[0]
-        u = term.matrix() / term.weight * np.sign(term.coefficient)
-        out = apply_unitary(psi, u, list(range(n)))
-        return LcuResult(state=out, success_probability=p_success, lam=lam)
-    na = (k - 1).bit_length()
+    na = max(1, (k - 1).bit_length())
     amps = np.zeros(2**na)
     amps[:k] = [np.sqrt(abs(t.coefficient) / lam) for t in op.terms]
     prep = _prep_unitary(amps)
@@ -236,24 +204,26 @@ class LcuOverlap:
     swap: SwapStatistics
 
     def factors(
-        self, shots: int, mode: str, rngs: Iterator[RngStream | None]
+        self, shots: int, rngs: Iterator[RngStream | None]
     ) -> tuple[float, OverlapEstimate]:
         """(success rate, overlap) as one repeat of the experiment measures them.
 
-        Sampled mode replays the LCU post-selection, shoots the SWAP test and
-        re-estimates the success rate from `shots` Bernoulli draws, each step
-        on the next stream of `rngs`; exact mode reads the analytic values.
+        If the first item of `rngs` is None, the analytic values.  Otherwise
+        that stream replays the LCU post-selection, the next shoots the SWAP
+        test and the one after re-estimates the success rate from `shots`
+        Bernoulli draws.
         """
-        if mode == "exact":
+        rng = next(rngs)
+        if rng is None:
             return self.p_success, self.swap.estimate(shots)
-        replay_post_selection(self.p_success, next(rngs))
-        overlap = self.swap.estimate(shots, mode, next(rngs))
+        replay_post_selection(self.p_success, rng)
+        overlap = self.swap.estimate(shots, next(rngs))
         hits = next(rngs).generator.binomial(shots, self.p_success)
         return hits / shots, overlap
 
-    def energy(self, shots: int, mode: str, rng: RngStream | None) -> float:
+    def energy(self, shots: int, rng: RngStream | None) -> float:
         """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
-        p_hat, overlap = self.factors(shots, mode, itertools.repeat(rng))
+        p_hat, overlap = self.factors(shots, itertools.repeat(rng))
         return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
 
 
@@ -264,18 +234,13 @@ def energy_statistics(op: pl.PauliSum, psi: StateVector) -> LcuOverlap:
 
 
 def energy_expectation(
-    op: pl.PauliSum,
-    psi: StateVector,
-    shots: int,
-    mode: str = "exact",
-    rng: RngStream | None = None,
+    op: pl.PauliSum, psi: StateVector, shots: int, rng: RngStream | None = None
 ) -> float:
     """|<psi|A|psi>| from the LCU success rate and a SWAP test.
 
     |<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>| with chi the LCU
-    output; in sampled mode the success rate is re-estimated from `shots`
+    output; given a stream, the success rate is re-estimated from `shots`
     Bernoulli draws so both factors carry shot noise.
     """
-    check_mode(mode, rng)
-    return energy_statistics(op, psi).energy(shots, mode, rng)
+    return energy_statistics(op, psi).energy(shots, rng)
 

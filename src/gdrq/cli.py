@@ -371,7 +371,7 @@ def _check_swap_identity() -> str:
     from .statevector import StateVector
 
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    est = swap_test(plus, plus, shots=0, mode="exact")
+    est = swap_test(plus, plus, shots=0)
     if abs(est.clamped - SELFTEST_GOLDENS["swap_identity"]) > 1e-12:
         raise AssertionError(f"overlap {est.clamped}")
     return "identical states overlap 1"
@@ -380,7 +380,7 @@ def _check_swap_identity() -> str:
 def _check_lcu_eigenstate() -> str:
     h4 = build_hamiltonian(BasisWindow(0, 3), 1.0)
     state = init_basis_state(4, "0100")
-    value = energy_expectation(h4, state, shots=0, mode="exact")
+    value = energy_expectation(h4, state, shots=0)
     if abs(value - SELFTEST_GOLDENS["lcu_eigenstate_energy"]) > 1e-9:
         raise AssertionError(f"energy {value}")
     return "shell N=2 energy 3.5"

@@ -18,6 +18,9 @@ from . import pauli as pl
 from .constants import HBARC_MEV_FM, NUCLEON_MASS_MEV, OSC_COEFF_MEV
 from .errors import CapacityError, ValidationError
 
+# largest energy grid a config may ask for; the shipped configs use 251 points
+MAX_GRID_POINTS = 100_000
+
 
 def hbar_omega(a: int) -> float:
     """Oscillator spacing 41 * A^(-1/3) MeV."""
@@ -103,6 +106,11 @@ class NucleusConfig:
             raise ValidationError("shots and runs must be >= 1")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
+        # energy_grid holds round(intervals) + 1 points; comparing the float ratio
+        # refuses an overflowing span here rather than in int()
+        intervals = self._grid_intervals()
+        if not intervals < MAX_GRID_POINTS - 0.5:
+            raise ValidationError(f"energy grid of {intervals + 1:.6g} points exceeds {MAX_GRID_POINTS}")
         if self.calibration <= 0:
             raise ValidationError("calibration must be positive")
 
@@ -110,9 +118,12 @@ class NucleusConfig:
     def n_neutrons(self) -> int:
         return self.A - self.Z
 
+    def _grid_intervals(self) -> float:
+        return (self.grid_max - self.grid_min) / self.grid_step
+
     def energy_grid(self) -> np.ndarray:
         """Uniform energy grid [grid_min, grid_max] in MeV (endpoint included)."""
-        count = int(round((self.grid_max - self.grid_min) / self.grid_step)) + 1
+        count = int(round(self._grid_intervals())) + 1
         return self.grid_min + self.grid_step * np.arange(count)
 
 

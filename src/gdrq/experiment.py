@@ -28,7 +28,6 @@ import numpy as np
 from .algorithms import (
     MAX_ATTEMPTS,
     LcuOverlap,
-    check_mode,
     energy_statistics,
     lcu_apply,
     swap_statistics,
@@ -60,14 +59,20 @@ _MIN_GAP_MEV = 1e-9
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One quantum run: measured poles, assembled spectrum, peak summary."""
+    """One quantum run: measured poles and the assembled spectrum."""
 
     run_index: int
     seed: int
     transitions: TransitionSet
     spectrum: ResponseSpectrum
-    peak_energy: float
-    width_fwhm: float
+
+    @property
+    def peak_energy(self) -> float:
+        return self.spectrum.peak_energy
+
+    @property
+    def width_fwhm(self) -> float:
+        return self.spectrum.width_fwhm
 
 
 @dataclass(frozen=True)
@@ -177,25 +182,23 @@ class _Energy:
     sign: float
     statistics: LcuOverlap
 
-    def measure(self, shots: int, mode: str, rng: RngStream | None) -> float:
-        return self.sign * self.statistics.energy(shots, mode, rng)
+    def measure(self, shots: int, rng: RngStream | None) -> float:
+        return self.sign * self.statistics.energy(shots, rng)
 
 
 @dataclass(frozen=True)
 class _Hop:
     """One dipole-reachable configuration: its energy and the transition statistics."""
 
-    excited: StateVector
     energy: _Energy
     strength: LcuOverlap
 
 
 @dataclass(frozen=True)
 class _SpeciesPlan:
-    """Reference configuration of one species and its hops; spawn_index keys its RNG."""
+    """Reference energy of one species and its hops; spawn_index keys its RNG."""
 
     spawn_index: int
-    reference: StateVector
     energy: _Energy
     hops: tuple[_Hop, ...]
 
@@ -247,10 +250,8 @@ class QuantumPlan:
                 ex_bits[q_from], ex_bits[q_to] = 0, 1
                 ex_state, ex_energy = configuration(ex_bits)
                 swap = swap_statistics(lcu.state, ex_state)
-                hops.append(
-                    _Hop(ex_state, ex_energy, LcuOverlap(lcu.lam, lcu.success_probability, swap))
-                )
-            species.append(_SpeciesPlan(sp_index, ref, ref_energy, tuple(hops)))
+                hops.append(_Hop(ex_energy, LcuOverlap(lcu.lam, lcu.success_probability, swap)))
+            species.append(_SpeciesPlan(sp_index, ref_energy, tuple(hops)))
         if not species:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
         return cls(config=config, length=b, species=tuple(species))
@@ -262,12 +263,13 @@ class QuantumPlan:
         dipole-reachable configuration (redrawing a measurement whose
         excitation energy comes out non-positive), then estimate each
         transition strength from the dipole LCU success rate and a SWAP
-        overlap.  In sampled mode every measurement step draws from the next
-        child of the species stream; the measured poles are dressed exactly
-        like the classical ones.
+        overlap.  A "sampled" run draws every measurement step from the next
+        child of the species stream, an "exact" run reads the analytic values;
+        the measured poles are dressed exactly like the classical ones.
         """
+        if mode not in ("exact", "sampled"):
+            raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
         rng = RngStream(seed)
-        check_mode(mode, rng)
         shots = self.config.shots
         b = self.length
         measured: list[tuple[float, float]] = []
@@ -276,25 +278,22 @@ class QuantumPlan:
                 streams = map(rng.child(sp.spawn_index).child, itertools.count())
             else:
                 streams = itertools.repeat(None)
-            e_ref = sp.energy.measure(shots, mode, next(streams))
+            e_ref = sp.energy.measure(shots, next(streams))
             for hop in sp.hops:
                 for _attempt in range(MAX_ATTEMPTS):
-                    delta = hop.energy.measure(shots, mode, next(streams)) - e_ref
+                    delta = hop.energy.measure(shots, next(streams)) - e_ref
                     if delta > _MIN_GAP_MEV:
                         break
                 else:
                     raise PreparationError("could not resolve a positive excitation energy")
-                p_hat, overlap = hop.strength.factors(shots, mode, streams)
+                p_hat, overlap = hop.strength.factors(shots, streams)
                 measured.append((delta, hop.strength.lam**2 * p_hat * overlap.clamped * b**2))
         transitions = quantum_transitions(measured)
-        spectrum = assemble_spectrum(self.config, transitions)
         return RunRecord(
             run_index=run_index,
             seed=int(seed),
             transitions=transitions,
-            spectrum=spectrum,
-            peak_energy=spectrum.peak_energy,
-            width_fwhm=spectrum.width_fwhm,
+            spectrum=assemble_spectrum(self.config, transitions),
         )
 
 
@@ -312,7 +311,6 @@ def collect_runs(
     config: NucleusConfig,
     master_seed: int,
     runs: int | None = None,
-    mode: str = "sampled",
 ) -> tuple[RunRecord, ...]:
     """Independent repeats of one plan with seeds derived from the master seed."""
     n_runs = config.runs if runs is None else int(runs)
@@ -320,7 +318,7 @@ def collect_runs(
         raise ValidationError("runs must be >= 1")
     plan = QuantumPlan.build(config)
     return tuple(
-        plan.run(derive_run_seed(master_seed, index), run_index=index, mode=mode)
+        plan.run(derive_run_seed(master_seed, index), run_index=index)
         for index in range(n_runs)
     )
 

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdrq.algorithms
 from gdrq import pauli as pl
-from gdrq.algorithms import energy_expectation, lcu_apply, swap_statistics, swap_test
+from gdrq.algorithms import (
+    MAX_ATTEMPTS,
+    energy_expectation,
+    lcu_apply,
+    replay_post_selection,
+    swap_statistics,
+    swap_test,
+)
 from gdrq.encoding import BasisWindow, build_hamiltonian
-from gdrq.errors import AnnihilatedStateError, SizeError, ValidationError
+from gdrq.errors import AnnihilatedStateError, PreparationError, SizeError, ValidationError
 from gdrq.statevector import (
     RngStream,
     StateVector,
@@ -64,11 +72,10 @@ class TestSwapTest:
     def test_sampled_mode_reports_error_bar(self):
         rng = np.random.default_rng(2)
         a, b = random_state(rng, 2), random_state(rng, 2)
-        est = swap_test(a, b, shots=4000, mode="sampled", rng=RngStream(2))
-        assert est.shots == 4000
+        est = swap_test(a, b, shots=4000, rng=RngStream(2))
         assert est.standard_error > 0.0
         assert 0.0 <= est.clamped <= 1.0
-        again = swap_test(a, b, shots=4000, mode="sampled", rng=RngStream(2))
+        again = swap_test(a, b, shots=4000, rng=RngStream(2))
         assert est.raw == again.raw
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -90,7 +97,7 @@ class TestSwapTest:
         with pytest.raises(SizeError):
             swap_test(a, init_basis_state(2, "00"), shots=0)
         with pytest.raises(ValidationError):
-            swap_test(a, a, shots=0, mode="sampled", rng=RngStream(1))
+            swap_test(a, a, shots=0, rng=RngStream(1))
 
 
 class TestLcuApply:
@@ -111,21 +118,22 @@ class TestLcuApply:
         assert result.success_probability == pytest.approx(norm**2 / lam**2, abs=1e-12)
         assert np.allclose(result.state.amplitudes, image / norm, atol=1e-9)
 
-    def test_single_term_shortcut(self):
+    def test_single_term_runs_on_one_ancilla(self, monkeypatch):
+        selected = []
+        original = gdrq.algorithms.post_select
+
+        def recorded(state, qubit, outcome):
+            selected.append(qubit)
+            return original(state, qubit, outcome)
+
+        monkeypatch.setattr(gdrq.algorithms, "post_select", recorded)
         op = pl.PauliSum(2, (pl.PauliTerm(-2.0, "XI"),))
         psi = init_basis_state(2, "00")
         result = lcu_apply(op, psi)
+        assert selected == [2]
         assert result.success_probability == pytest.approx(1.0)
         # -2 X0 |00> normalized = -|01>
         assert np.allclose(result.state.amplitudes, [0, -1, 0, 0])
-
-    def test_sampled_mode_replays_attempts(self):
-        op = pl.PauliSum(2, (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(1.0, "IX")))
-        psi = init_basis_state(2, "00")
-        exact = lcu_apply(op, psi)
-        sampled = lcu_apply(op, psi, mode="sampled", rng=RngStream(4))
-        assert np.allclose(sampled.state.amplitudes, exact.state.amplitudes)
-        assert sampled.success_probability == exact.success_probability
 
     def test_annihilating_operator_rejected(self):
         # (I - Z)/2 is the occupation of qubit 0; it kills |00>
@@ -167,7 +175,41 @@ class TestEnergyExpectation:
     def test_sampled_mode_is_deterministic_per_stream(self):
         h = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
         psi = init_basis_state(3, "011")
-        a = energy_expectation(h, psi, shots=2000, mode="sampled", rng=RngStream(9))
-        b = energy_expectation(h, psi, shots=2000, mode="sampled", rng=RngStream(9))
+        a = energy_expectation(h, psi, shots=2000, rng=RngStream(9))
+        b = energy_expectation(h, psi, shots=2000, rng=RngStream(9))
         assert a == b
+
+
+class _NeverBelow:
+    """Stand-in stream whose every draw is 1.0, so no attempt succeeds."""
+
+    def __init__(self):
+        self.generator = self
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 1.0
+
+
+class TestReplayPostSelection:
+    @pytest.mark.parametrize("p", [1.0, 0.5, 1 / 144])
+    def test_matches_scalar_bernoulli_loop(self, p):
+        for key in range(20):
+            stream, twin = RngStream(7, (key,)), RngStream(7, (key,))
+            attempts = replay_post_selection(p, stream)
+            expected = 1
+            while not twin.generator.random() < p:
+                expected += 1
+            assert attempts == expected
+            assert stream.generator.random() == twin.generator.random()
+
+    @pytest.mark.parametrize(
+        "p, budget", [(1.0, MAX_ATTEMPTS), (0.5, MAX_ATTEMPTS), (1 / 144, 3966)]
+    )
+    def test_budget_runs_out_after_documented_attempts(self, p, budget):
+        stream = _NeverBelow()
+        with pytest.raises(PreparationError, match=f"failed {budget} times"):
+            replay_post_selection(p, stream)
+        assert stream.draws == budget
 

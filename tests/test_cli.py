@@ -375,6 +375,24 @@ class TestMainErrors:
         assert code == 1
         assert err == f"error: {path}:9: unknown key 'beta2'\n"
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"grid_step": "1e-15"}, "energy grid of 2.5e+16 points exceeds 100000"),
+            ({"grid_min": "-1e308", "grid_max": "1e308"}, "energy grid of inf points exceeds 100000"),
+        ],
+    )
+    def test_oversized_grid_is_data_error(self, tmp_path, capsys, edits, message):
+        lines = (CONFIGS / "sn120.cfg").read_text().splitlines()
+        for key, value in edits.items():
+            lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+        path = tmp_path / "sn120.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["classical", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key", ["gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"]

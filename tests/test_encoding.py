@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gdrq import pauli as pl
 from gdrq.encoding import (
+    MAX_GRID_POINTS,
     BasisWindow,
     NucleusConfig,
     build_dipole,
@@ -96,6 +97,17 @@ class TestNucleusConfig:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValidationError, match=f"{field} must be finite"):
                     NucleusConfig(**{**good, field: bad})
+        with pytest.raises(ValidationError, match="points exceeds"):
+            NucleusConfig(**{**good, "grid_step": 1e-15})
+        with pytest.raises(ValidationError, match="inf points exceeds"):
+            NucleusConfig(**{**good, "grid_min": -1e308, "grid_max": 1e308})
+
+    def test_grid_point_bound_is_inclusive(self):
+        good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), grid_min=0.0, grid_step=1.0)
+        largest = NucleusConfig(**good, grid_max=MAX_GRID_POINTS - 1.0)
+        assert largest.energy_grid().size == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match=f"{MAX_GRID_POINTS + 1} points"):
+            NucleusConfig(**good, grid_max=float(MAX_GRID_POINTS))
 
     def test_energy_grid_includes_both_endpoints(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))

@@ -136,12 +136,20 @@ class TestCollectRuns:
         with pytest.raises(ValidationError):
             collect_runs(SN_QUANTUM, 5, runs=0)
 
-    @pytest.mark.parametrize("mode", ["sampled", "exact"])
-    def test_each_record_equals_its_single_run(self, mode):
-        records = collect_runs(SN_QUANTUM, 5, runs=4, mode=mode)
+    def test_each_record_equals_its_single_run(self):
+        records = collect_runs(SN_QUANTUM, 5, runs=4)
         for i, record in enumerate(records):
-            single = run_quantum(SN_QUANTUM, derive_run_seed(5, i), i, mode)
+            single = run_quantum(SN_QUANTUM, derive_run_seed(5, i), i)
             assert_same_record(record, single)
+
+    def test_peak_summary_is_read_from_the_spectrum(self):
+        record = run_quantum(SN_QUANTUM, 1, mode="exact")
+        assert record.peak_energy is record.spectrum.peak_energy
+        assert record.width_fwhm is record.spectrum.width_fwhm
+        with pytest.raises(AttributeError):
+            record.peak_energy = 0.0
+        with pytest.raises(TypeError, match="peak_energy"):
+            replace(record, peak_energy=0.0)
 
 
 def assert_same_record(a, b):

@@ -1,0 +1,43 @@
+"""Every name a module imports is used in that module.
+
+The repository has no linter; this stdlib-only check stands in for the
+unused-import rule on the package sources (except the re-exporting
+__init__.py) and on the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "gdrq").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")),
+    key=lambda p: p.relative_to(ROOT).as_posix(),
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no expression of the module reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
+    assert unused_imports("from a import b as c\nc()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
