@@ -1,7 +1,9 @@
 """Command line interface: config parsing, pipeline dispatch, CSV output.
 
 Subcommands: classical, quantum, basis-study, error-study, compare, selftest.
-Configs are flat `key = value` text files validated against a typed schema.
+Each takes only the flags it reads, and the parsed argparse namespace is the
+command its handler runs. Configs are flat `key = value` text files whose keys,
+types and required entries are the fields of `NucleusConfig`.
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage.
 """
 
@@ -10,7 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, fields, replace
 
 from . import __version__
 from .algorithms import energy_expectation, swap_test
@@ -62,35 +65,9 @@ def _windows(text: str) -> tuple[BasisWindow, ...]:
 
 TABLE_WINDOWS = _windows("0-10,2-8,3-6,4-6,4-5")
 
-_SCHEMA = {
-    "A": int,
-    "Z": int,
-    "kappa": float,
-    "basis": BasisWindow.parse,
-    "gamma_spread": float,
-    "shots": int,
-    "runs": int,
-    "grid_min": float,
-    "grid_max": float,
-    "grid_step": float,
-    "calibration": float,
-}
-_REQUIRED = ("A", "Z", "kappa", "basis")
-
-
-@dataclass(frozen=True)
-class CliCommand:
-    """Parsed invocation: one subcommand plus its validated options."""
-
-    subcommand: str
-    config_path: str | None
-    overrides: dict
-    output_dir: str
-    master_seed: int
-    exact: bool = False
-    bases: tuple[BasisWindow, ...] = TABLE_WINDOWS
-    experiment_path: str | None = None
-    mode: str = "classical"
+# config value parser per NucleusConfig field type
+_PARSE_AS = {int: int, float: float, BasisWindow: BasisWindow.parse}
+_SCHEMA = {key: _PARSE_AS[kind] for key, kind in typing.get_type_hints(NucleusConfig).items()}
 
 
 def load_config(path) -> NucleusConfig:
@@ -115,7 +92,8 @@ def load_config(path) -> NucleusConfig:
                 raise
             except ValueError as exc:
                 raise SchemaError(f"{path}:{line_no}: bad value for {key}: {val!r}") from exc
-    missing = [k for k in _REQUIRED if k not in values]
+    required = (f.name for f in fields(NucleusConfig) if f.default is MISSING)
+    missing = [key for key in required if key not in values]
     if missing:
         raise SchemaError(f"{path}: missing required key(s): {', '.join(missing)}")
     return NucleusConfig(**values)
@@ -128,6 +106,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _config_flags(p: argparse.ArgumentParser, window: bool = True) -> None:
+    """The config file, its overrides that every subcommand reads, and --out."""
+    p.add_argument("--config", required=True, help="path to a key = value config file")
+    p.add_argument("--kappa", type=float, help="override the residual strength")
+    p.add_argument("--gamma-spread", type=float, help="override the Lorentzian spread (MeV)")
+    if window:
+        p.add_argument("--basis", type=_window, help="override the shell window, e.g. 3-6")
+    p.add_argument("--out", default="out", help="output directory (default ./out)")
+
+
+def _sampling_flags(p: argparse.ArgumentParser, exact: bool = True) -> None:
+    """The master seed and the sampling overrides of the quantum pipeline."""
+    p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
+    p.add_argument("--shots", type=int, help="override shots per measurement")
+    p.add_argument("--runs", type=int, help="override the number of independent runs")
+    if exact:
+        p.add_argument("--exact", action="store_true", help="analytic probabilities, no sampling")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gdrq",
@@ -136,32 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gdrq {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        p.add_argument("--config", required=needs_config, help="path to a key = value config file")
-        p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
-        p.add_argument("--shots", type=int, help="override shots per measurement")
-        p.add_argument("--runs", type=int, help="override the number of independent runs")
-        p.add_argument("--kappa", type=float, help="override the residual strength")
-        p.add_argument("--gamma-spread", type=float, help="override the Lorentzian spread (MeV)")
-        p.add_argument("--basis", type=_window, help="override the shell window, e.g. 3-6")
-        p.add_argument(
-            "--exact", action="store_true", help="analytic probabilities, no sampling"
-        )
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
-
-    common(sub.add_parser("classical", help="deterministic linear-response baseline"))
-    common(sub.add_parser("quantum", help="sampled quantum pipeline, median over runs"))
+    _config_flags(sub.add_parser("classical", help="deterministic linear-response baseline"))
+    p_quantum = sub.add_parser("quantum", help="sampled quantum pipeline, median over runs")
+    _config_flags(p_quantum)
+    _sampling_flags(p_quantum)
     p_basis = sub.add_parser("basis-study", help="classical peak/width per shell window")
-    common(p_basis)
+    _config_flags(p_basis, window=False)
     p_basis.add_argument(
         "--bases",
         type=_windows,
         default=TABLE_WINDOWS,
         help=f"comma-separated windows (default {','.join(w.label for w in TABLE_WINDOWS)})",
     )
-    common(sub.add_parser("error-study", help="MAD of the peak energy versus run count"))
+    p_error = sub.add_parser("error-study", help="MAD of the peak energy versus run count")
+    _config_flags(p_error)
+    _sampling_flags(p_error, exact=False)
     p_cmp = sub.add_parser("compare", help="model spectrum against experimental data")
-    common(p_cmp)
+    _config_flags(p_cmp)
+    _sampling_flags(p_cmp)
     p_cmp.add_argument("--experiment", help="experimental CSV (default: bundled for the nucleus)")
     p_cmp.add_argument(
         "--mode",
@@ -173,68 +162,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> CliCommand:
-    args = build_parser().parse_args(argv)
-    if args.subcommand == "selftest":
-        return CliCommand(
-            subcommand="selftest", config_path=None, overrides={}, output_dir="out", master_seed=1
-        )
-    overrides: dict = {}
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.kappa is not None:
-        overrides["kappa"] = args.kappa
-    if args.gamma_spread is not None:
-        overrides["gamma_spread"] = args.gamma_spread
-    if args.basis is not None:
-        overrides["basis"] = args.basis
-    return CliCommand(
-        subcommand=args.subcommand,
-        config_path=args.config,
-        overrides=overrides,
-        output_dir=args.out,
-        master_seed=args.seed,
-        exact=args.exact,
-        bases=getattr(args, "bases", TABLE_WINDOWS),
-        experiment_path=getattr(args, "experiment", None),
-        mode=getattr(args, "mode", "classical"),
-    )
-
-
 class _UsageError(Exception):
     """A command-line value the config rejects: reported like a parser error."""
 
 
-def _configure(cmd: CliCommand) -> NucleusConfig:
+def _configure(args: argparse.Namespace) -> NucleusConfig:
     """Load the config file and apply the command-line overrides.
 
     A bad value in the file is a runtime error (exit 1); an override that the
     config checks reject, or error-study's --runs below two, is a usage error
     (exit 2).
     """
-    config = load_config(cmd.config_path)
+    config = load_config(args.config)
+    overrides = {
+        key: value
+        for key in ("shots", "runs", "kappa", "gamma_spread", "basis")
+        if (value := getattr(args, key, None)) is not None
+    }
     try:
-        config = replace(config, **cmd.overrides)
-        if cmd.subcommand == "error-study" and "runs" in cmd.overrides:
+        config = replace(config, **overrides)
+        if args.subcommand == "error-study" and "runs" in overrides:
             check_mad_runs(config.runs)
     except ValidationError as exc:
-        raise _UsageError(f"gdrq {cmd.subcommand}: error: {exc}") from exc
+        raise _UsageError(f"gdrq {args.subcommand}: error: {exc}") from exc
     return config
 
 
-def _quantum_records(config: NucleusConfig, cmd: CliCommand):
-    if cmd.exact:
-        return (run_quantum(config, cmd.master_seed, run_index=0, mode="exact"),)
-    return collect_runs(config, cmd.master_seed)
+def _quantum_records(config: NucleusConfig, args: argparse.Namespace):
+    if args.exact:
+        return (run_quantum(config, args.seed, run_index=0, mode="exact"),)
+    return collect_runs(config, args.seed)
 
 
-def _cmd_classical(cmd: CliCommand) -> int:
-    config = _configure(cmd)
+def _cmd_classical(args: argparse.Namespace) -> int:
+    config = _configure(args)
     spectrum = run_classical(config)
-    os.makedirs(cmd.output_dir, exist_ok=True)
-    out = os.path.join(cmd.output_dir, "spectrum.csv")
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "spectrum.csv")
     write_spectrum_csv(out, spectrum)
     print(
         f"classical A={config.A} Z={config.Z} window {config.basis.label}: "
@@ -244,16 +208,16 @@ def _cmd_classical(cmd: CliCommand) -> int:
     return 0
 
 
-def _cmd_quantum(cmd: CliCommand) -> int:
-    config = _configure(cmd)
-    records = _quantum_records(config, cmd)
+def _cmd_quantum(args: argparse.Namespace) -> int:
+    config = _configure(args)
+    records = _quantum_records(config, args)
     spectrum = median_spectrum(records)
-    os.makedirs(cmd.output_dir, exist_ok=True)
-    runs_path = os.path.join(cmd.output_dir, "runs.csv")
-    spectrum_path = os.path.join(cmd.output_dir, "spectrum.csv")
+    os.makedirs(args.out, exist_ok=True)
+    runs_path = os.path.join(args.out, "runs.csv")
+    spectrum_path = os.path.join(args.out, "spectrum.csv")
     write_runs_csv(runs_path, records)
     write_spectrum_csv(spectrum_path, spectrum)
-    label = "exact run" if cmd.exact else f"median of {len(records)} runs"
+    label = "exact run" if args.exact else f"median of {len(records)} runs"
     print(
         f"quantum A={config.A} Z={config.Z} window {config.basis.label} ({label}): "
         f"E0 = {spectrum.peak_energy:.4f} MeV, FWHM = {spectrum.width_fwhm:.4f} MeV"
@@ -263,11 +227,11 @@ def _cmd_quantum(cmd: CliCommand) -> int:
     return 0
 
 
-def _cmd_basis_study(cmd: CliCommand) -> int:
-    config = _configure(cmd)
-    rows = basis_study(config, cmd.bases)
-    os.makedirs(cmd.output_dir, exist_ok=True)
-    out = os.path.join(cmd.output_dir, "basis_study.csv")
+def _cmd_basis_study(args: argparse.Namespace) -> int:
+    config = _configure(args)
+    rows = basis_study(config, args.bases)
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "basis_study.csv")
     write_basis_csv(out, rows)
     for row in rows:
         print(f"window {row.label}: E0 = {row.peak_energy:.4f} MeV, FWHM = {row.width_fwhm:.4f} MeV")
@@ -275,13 +239,13 @@ def _cmd_basis_study(cmd: CliCommand) -> int:
     return 0
 
 
-def _cmd_error_study(cmd: CliCommand) -> int:
-    config = _configure(cmd)
-    records = collect_runs(config, cmd.master_seed)
+def _cmd_error_study(args: argparse.Namespace) -> int:
+    config = _configure(args)
+    records = collect_runs(config, args.seed)
     series = mad_series(records)
-    os.makedirs(cmd.output_dir, exist_ok=True)
-    runs_path = os.path.join(cmd.output_dir, "runs.csv")
-    mad_path = os.path.join(cmd.output_dir, "mad_series.csv")
+    os.makedirs(args.out, exist_ok=True)
+    runs_path = os.path.join(args.out, "runs.csv")
+    mad_path = os.path.join(args.out, "mad_series.csv")
     write_runs_csv(runs_path, records)
     write_mad_csv(mad_path, series)
     print(
@@ -296,14 +260,14 @@ def _cmd_error_study(cmd: CliCommand) -> int:
 _BUNDLED_BY_NUCLEUS = {(120, 50): "sn120", (208, 82): "pb208"}
 
 
-def _cmd_compare(cmd: CliCommand) -> int:
-    config = _configure(cmd)
-    if cmd.mode == "quantum":
-        spectrum = median_spectrum(_quantum_records(config, cmd))
+def _cmd_compare(args: argparse.Namespace) -> int:
+    config = _configure(args)
+    if args.mode == "quantum":
+        spectrum = median_spectrum(_quantum_records(config, args))
     else:
         spectrum = run_classical(config)
-    if cmd.experiment_path is not None:
-        experiment = load_experimental_csv(cmd.experiment_path)
+    if args.experiment is not None:
+        experiment = load_experimental_csv(args.experiment)
     else:
         key = _BUNDLED_BY_NUCLEUS.get((config.A, config.Z))
         if key is None:
@@ -312,11 +276,11 @@ def _cmd_compare(cmd: CliCommand) -> int:
             )
         experiment = bundled_experiment(key)
     report = compare_with_experiment(spectrum, experiment)
-    os.makedirs(cmd.output_dir, exist_ok=True)
-    out = os.path.join(cmd.output_dir, "comparison.csv")
+    os.makedirs(args.out, exist_ok=True)
+    out = os.path.join(args.out, "comparison.csv")
     write_comparison_csv(out, report)
     print(
-        f"{cmd.mode} model E0 = {report.model_peak:.4f} MeV vs experiment {report.experiment_peak:.4f} MeV: "
+        f"{args.mode} model E0 = {report.model_peak:.4f} MeV vs experiment {report.experiment_peak:.4f} MeV: "
         f"offset = {report.peak_offset:+.4f} MeV, height ratio = {report.height_ratio:.4f}"
     )
     print(f"wrote {out}")
@@ -429,13 +393,13 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        cmd = parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if cmd.subcommand == "selftest":
+    if args.subcommand == "selftest":
         return selftest()
     try:
-        return _HANDLERS[cmd.subcommand](cmd)
+        return _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

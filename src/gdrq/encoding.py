@@ -106,10 +106,10 @@ class NucleusConfig:
             raise ValidationError("shots and runs must be >= 1")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
-        # energy_grid holds round(intervals) + 1 points; comparing the float ratio
-        # refuses an overflowing span here rather than in int()
+        # energy_grid holds floor(intervals) + 1 points; comparing the float ratio
+        # refuses an overflowing span here rather than in math.floor()
         intervals = self._grid_intervals()
-        if not intervals < MAX_GRID_POINTS - 0.5:
+        if not intervals < MAX_GRID_POINTS:
             raise ValidationError(f"energy grid of {intervals + 1:.6g} points exceeds {MAX_GRID_POINTS}")
         if self.calibration <= 0:
             raise ValidationError("calibration must be positive")
@@ -119,11 +119,15 @@ class NucleusConfig:
         return self.A - self.Z
 
     def _grid_intervals(self) -> float:
-        return (self.grid_max - self.grid_min) / self.grid_step
+        """Steps that fit in the span, plus slack for the rounding error of the ratio."""
+        return (self.grid_max - self.grid_min) / self.grid_step + 1e-9
 
     def energy_grid(self) -> np.ndarray:
-        """Uniform energy grid [grid_min, grid_max] in MeV (endpoint included)."""
-        count = int(round(self._grid_intervals())) + 1
+        """Uniform energy grid in MeV from grid_min up to grid_max, never past it.
+
+        grid_max itself is the last point when grid_step divides the span.
+        """
+        count = math.floor(self._grid_intervals()) + 1
         return self.grid_min + self.grid_step * np.arange(count)
 
 

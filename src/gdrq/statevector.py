@@ -59,26 +59,12 @@ class StateVector:
             raise SizeError(f"expected {2**self.nqubits} amplitudes, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm < POSTSELECT_TOL:
-            raise ValidationError("cannot normalize a (numerically) zero state")
-        return StateVector(self.nqubits, self.amplitudes / nrm)
-
     def tensor(self, other: "StateVector") -> "StateVector":
         """Join registers; `other` occupies the new high qubit indices."""
         n = self.nqubits + other.nqubits
         if n > MAX_QUBITS:
             raise SizeError(f"register size must be in [1, {MAX_QUBITS}]")
         return StateVector(n, np.kron(other.amplitudes, self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.nqubits != other.nqubits:
-            raise SizeError("overlap requires equal register sizes")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)

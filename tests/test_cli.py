@@ -1,9 +1,12 @@
 """Unit tests for config parsing, argument handling, and CLI entry points."""
 
+import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -143,18 +146,26 @@ class TestLoadConfig:
         assert float(parsed["gamma_spread"]) == gamma_spread
 
 
+def parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
 class TestParseArgs:
     def test_defaults(self):
-        cmd = cli.parse_args(["classical", "--config", "x.cfg"])
-        assert cmd.subcommand == "classical"
-        assert cmd.config_path == "x.cfg"
-        assert cmd.master_seed == 1
-        assert cmd.output_dir == "out"
-        assert cmd.overrides == {}
-        assert not cmd.exact
+        args = parse(["classical", "--config", "x.cfg"])
+        assert args.subcommand == "classical"
+        assert args.config == "x.cfg"
+        assert args.out == "out"
+        assert (args.kappa, args.gamma_spread, args.basis) == (None, None, None)
 
-    def test_overrides_collected_only_when_given(self):
-        cmd = cli.parse_args(
+    def test_sampling_defaults(self):
+        args = parse(["quantum", "--config", "x.cfg"])
+        assert args.seed == 1
+        assert (args.shots, args.runs) == (None, None)
+        assert not args.exact
+
+    def test_overrides_parsed_to_config_types(self):
+        args = parse(
             [
                 "quantum",
                 "--config",
@@ -174,31 +185,124 @@ class TestParseArgs:
                 "99",
             ]
         )
-        assert cmd.overrides == {
-            "shots": 500,
-            "runs": 7,
-            "kappa": 0.6,
-            "gamma_spread": 1.5,
-            "basis": BasisWindow(2, 5),
-        }
-        assert cmd.exact
-        assert cmd.master_seed == 99
+        assert (args.shots, args.runs, args.kappa, args.gamma_spread) == (500, 7, 0.6, 1.5)
+        assert args.basis == BasisWindow(2, 5)
+        assert args.exact
+        assert args.seed == 99
 
     def test_basis_study_bases_default(self):
-        cmd = cli.parse_args(["basis-study", "--config", "x.cfg"])
-        assert cmd.bases == cli.TABLE_WINDOWS
+        args = parse(["basis-study", "--config", "x.cfg"])
+        assert args.bases == cli.TABLE_WINDOWS
 
     def test_compare_mode_and_experiment(self):
-        cmd = cli.parse_args(
-            ["compare", "--config", "x.cfg", "--mode", "quantum", "--experiment", "e.csv"]
-        )
-        assert cmd.mode == "quantum"
-        assert cmd.experiment_path == "e.csv"
+        args = parse(["compare", "--config", "x.cfg", "--mode", "quantum", "--experiment", "e.csv"])
+        assert args.mode == "quantum"
+        assert args.experiment == "e.csv"
 
     def test_selftest_needs_no_config(self):
-        cmd = cli.parse_args(["selftest"])
-        assert cmd.subcommand == "selftest"
-        assert cmd.config_path is None
+        assert vars(parse(["selftest"])) == {"subcommand": "selftest"}
+
+
+def subcommand_flags(name):
+    """Every option string that one subcommand's parser accepts, --help aside."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[name]._actions for opt in action.option_strings} - {
+        "-h",
+        "--help",
+    }
+
+
+CONFIG_FLAGS = {"--config", "--kappa", "--gamma-spread", "--out"}
+SAMPLING_FLAGS = {"--seed", "--shots", "--runs"}
+FLAG_TABLE = {
+    "classical": CONFIG_FLAGS | {"--basis"},
+    "basis-study": CONFIG_FLAGS | {"--bases"},
+    "quantum": CONFIG_FLAGS | {"--basis", "--exact"} | SAMPLING_FLAGS,
+    "error-study": CONFIG_FLAGS | {"--basis"} | SAMPLING_FLAGS,
+    "compare": CONFIG_FLAGS | {"--basis", "--exact", "--mode", "--experiment"} | SAMPLING_FLAGS,
+}
+# argv that sets a flag to a value other than its default (or the base argv's)
+FLAG_VARIANTS = {
+    "--kappa": ["--kappa", "0.6"],
+    "--gamma-spread": ["--gamma-spread", "1.5"],
+    "--basis": ["--basis", "4-6"],
+    "--bases": ["--bases", "0-10,4-5"],
+    "--seed": ["--seed", "2"],
+    "--shots": ["--shots", "500"],
+    "--runs": ["--runs", "4"],
+    "--exact": ["--exact"],
+    "--mode": ["--mode", "classical"],
+    "--experiment": ["--experiment", "EXPERIMENT"],
+}
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags it reads."""
+
+    def test_flag_table(self):
+        assert {name: subcommand_flags(name) for name in FLAG_TABLE} == FLAG_TABLE
+        assert subcommand_flags("selftest") == set()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (name, flag)
+            for name in FLAG_TABLE
+            for flag in sorted(subcommand_flags(name) - {"--config", "--out"})
+        ],
+    )
+    def test_every_flag_changes_an_output_byte(self, tmp_path, capsys, command, flag):
+        cfg = small_quantum_config(tmp_path)
+        exp = tmp_path / "exp.csv"
+        exp.write_text(
+            "energy_mev,sigma_mb\n"
+            + "".join(f"{e},{100.0 / (1.0 + ((e - 15.0) / 2.5) ** 2)}\n" for e in range(8, 23))
+        )
+        base = [command, "--config", str(cfg)]
+        if command == "compare":
+            base += ["--mode", "quantum"]
+        variant = [str(exp) if token == "EXPERIMENT" else token for token in FLAG_VARIANTS[flag]]
+        outputs = []
+        for argv in (base, base + variant):
+            out = tmp_path / f"out{len(outputs)}"
+            assert cli.main([*argv, "--out", str(out)]) == 0, argv
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert outputs[0] != outputs[1], f"{command} {flag} changed no output byte"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+
+
+class TestDocumentedCommandLines:
+    def test_readme_gdrq_lines_parse(self):
+        blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+        lines = [
+            line.split()[1:]
+            for block in blocks
+            for line in block.splitlines()
+            if line.startswith("gdrq ")
+        ]
+        assert len(lines) >= 7
+        for argv in lines:
+            cli.build_parser().parse_args(argv)
+
+    def test_reproduce_all_argv_parse(self, monkeypatch, tmp_path, capsys):
+        # the script puts its src/ on sys.path; the copy keeps that out of other tests
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        recorded = []
+        monkeypatch.setattr(script, "run", lambda step, argv: recorded.append(argv))
+        script_argv = ["reproduce_all.py", "--out", str(tmp_path), "--runs", "3"]
+        monkeypatch.setattr(sys, "argv", script_argv)
+        assert script.main() == 0
+        capsys.readouterr()
+        assert len(recorded) == 10
+        for argv in recorded:
+            cli.build_parser().parse_args(argv)
 
 
 class TestMainSubcommands:
@@ -350,6 +454,9 @@ class TestMainErrors:
             ["error-study", "--runs", "1"],
             ["quantum", "--seed", "-1"],
             ["quantum", "--seed", "-1", "--exact"],
+            ["classical", "--seed", "3"],
+            ["basis-study", "--basis", "3-6"],
+            ["error-study", "--exact"],
         ],
     )
     def test_bad_window_is_one_line_usage_error(self, tmp_path, capsys, argv):
@@ -435,18 +542,23 @@ def _non_finite(text):
         return False
 
 
+def _fuzz_case(command):
+    """(command, options) with options drawn from the flags the subcommand takes."""
+    flags = sorted(set(_FUZZ_OPTIONS) & subcommand_flags(command[0]))
+    options = st.sets(st.sampled_from(flags)).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _FUZZ_OPTIONS[k] for k in sorted(keys)})
+    )
+    return st.tuples(st.just(command), options)
+
+
 class TestArgvFuzz:
     @settings(max_examples=60, deadline=None)
-    @example(command=["classical"], options={"--gamma-spread": "nan"})
-    @example(command=["classical"], options={"--gamma-spread": "inf"})
-    @example(command=["quantum", "--exact"], options={"--gamma-spread": "-inf"})
-    @given(
-        command=st.sampled_from([["classical"], ["quantum", "--exact"]]),
-        options=st.sets(st.sampled_from(sorted(_FUZZ_OPTIONS))).flatmap(
-            lambda keys: st.fixed_dictionaries({k: _FUZZ_OPTIONS[k] for k in sorted(keys)})
-        ),
-    )
-    def test_exit_code_documented_and_no_traceback(self, tmp_path_factory, command, options):
+    @example(case=(["classical"], {"--gamma-spread": "nan"}))
+    @example(case=(["classical"], {"--gamma-spread": "inf"}))
+    @example(case=(["quantum", "--exact"], {"--gamma-spread": "-inf"}))
+    @given(case=st.sampled_from([["classical"], ["quantum", "--exact"]]).flatmap(_fuzz_case))
+    def test_exit_code_documented_and_no_traceback(self, tmp_path_factory, case):
+        command, options = case
         out = tmp_path_factory.mktemp("fuzz")
         argv = [*command, "--config", str(CONFIGS / "sn120.cfg"), "--out", str(out)]
         for flag, value in options.items():

@@ -117,6 +117,13 @@ class TestNucleusConfig:
         assert grid.size == 251
         assert np.allclose(np.diff(grid), 0.1)
 
+    def test_energy_grid_stops_before_max_when_step_does_not_divide_span(self):
+        c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), grid_step=0.6)
+        grid = c.energy_grid()
+        assert grid.size == 42
+        assert grid[-1] == pytest.approx(29.6)
+        assert grid[-1] <= c.grid_max
+
 
 def last_occupied(occ):
     """Index of the highest shell that holds any particle (the Fermi level)."""
