@@ -7,16 +7,28 @@ The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
 script runs them, and at each config's own window and kappa) and the 120Sn
 basis study pin the classical path the same way; those commands take no --seed,
 so seed 1 in their keys only names the entry.
+
+Below the CSVs, two digests pin raw float64 bits: every array and number of
+the records of a 50-run collect_runs ensemble per config, and the terms of the
+window Hamiltonian and both dipole operators on every window the benchmark's
+exact scan visits.
 """
 
+import ast
 import hashlib
+import struct
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gdrq import cli
+from gdrq.encoding import BasisWindow, build_dipole, build_hamiltonian, hbar_omega
+from gdrq.experiment import collect_runs
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 GOLDEN = {
     ("sn120", 1, "quantum"): {
@@ -93,3 +105,54 @@ def test_artifact_digests(tmp_path, capsys, nucleus, seed, command):
         for name in GOLDEN[nucleus, seed, command]
     }
     assert digests == GOLDEN[nucleus, seed, command]
+
+
+def exact_windows() -> dict[str, tuple[str, ...]]:
+    """EXACT_WINDOWS of bench/workloads.py, read as a literal (no benchmark import)."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["EXACT_WINDOWS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("EXACT_WINDOWS not found in bench/workloads.py")
+
+
+def _floats(digest, *values) -> None:
+    for value in values:
+        digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
+
+ENSEMBLE_SEED = 20260823
+ENSEMBLE_DIGEST = "4f6a8a5990f6bd4f23eb020d1dac083ac84db732196f74ebad65304b9452f70c"
+OPERATOR_DIGEST = "dea024eca5d81c407fb663de3fa0f78975be687b93d7d357f95f08303b74ed70"
+
+
+def test_ensemble_record_bits():
+    """Every float64 of a 50-run ensemble per config: poles, spectra and peak summaries."""
+    digest = hashlib.sha256()
+    for nucleus in ("sn120", "pb208"):
+        for record in collect_runs(cli.load_config(CONFIGS / f"{nucleus}.cfg"), ENSEMBLE_SEED, runs=50):
+            for t in record.transitions.entries:
+                _floats(digest, t.energy, t.strength, t.weight)
+            s = record.spectrum
+            _floats(digest, s.energies, s.r0.view(float), s.r_dressed.view(float), s.sigma_raw, s.sigma)
+            _floats(digest, s.peak_energy, s.peak_height, s.width_fwhm)
+    assert digest.hexdigest() == ENSEMBLE_DIGEST, digest.hexdigest()
+
+
+def test_operator_term_bits():
+    """Axes, coefficient bits and phase of H and both dipoles on every exact-scan window."""
+    digest = hashlib.sha256()
+    for nucleus, windows in sorted(exact_windows().items()):
+        config = cli.load_config(CONFIGS / f"{nucleus}.cfg")
+        for label in windows:
+            window = BasisWindow.parse(label)
+            operators = [build_hamiltonian(window, hbar_omega(config.A))]
+            operators += [
+                build_dipole(window, replace(config, basis=window), species)
+                for species in ("proton", "neutron")
+            ]
+            for op in operators:
+                for t in op.terms:
+                    digest.update(t.axes.encode())
+                    digest.update(struct.pack("<ddd", t.coefficient, t.phase.real, t.phase.imag))
+    assert digest.hexdigest() == OPERATOR_DIGEST, digest.hexdigest()
