@@ -64,18 +64,35 @@ class LcuResult:
     lam: float
 
 
+def _replay_block(p_success: float, budget: int) -> int:
+    """Draws per block of a replay: two expected waits, at least 16, at most 4096."""
+    return min(budget, 4096, max(16, math.ceil(2.0 / p_success)))
+
+
 def replay_post_selection(p_success: float, rng: RngStream) -> int:
     """Bernoulli post-selection attempts up to and including the first success.
 
     The budget is at least MAX_ATTEMPTS and grows like 1/p_success, so that
-    running out has probability below 1e-12 per call.
+    running out has probability below 1e-12 per call.  Attempts are drawn in
+    blocks; `random(n)` gives the same doubles as n scalar draws, and the
+    stream is wound back to just after the first success, so it ends where a
+    draw-by-draw loop would and the next draw on it is the same.
     """
     budget = MAX_ATTEMPTS
     if p_success < 1.0:
         budget = max(budget, math.ceil(math.log(_EXHAUST_PROBABILITY) / math.log1p(-p_success)))
-    for attempts in range(1, budget + 1):
-        if rng.generator.random() < p_success:
-            return attempts
+    generator = rng.generator
+    block = _replay_block(p_success, budget)
+    drawn = 0
+    while drawn < budget:
+        size = min(block, budget - drawn)
+        below = generator.random(size) < p_success
+        k = int(below.argmax())
+        if below[k]:
+            if k + 1 < size:
+                generator.bit_generator.advance(k + 1 - size)
+            return drawn + k + 1
+        drawn += size
     raise PreparationError(f"LCU post-selection failed {budget} times (p = {p_success:.3e})")
 
 

@@ -1,8 +1,9 @@
 """Command line interface: config parsing, pipeline dispatch, CSV output.
 
 Subcommands: classical, quantum, basis-study, error-study, compare, selftest.
-Each takes only the flags it reads, and the parsed argparse namespace is the
-command its handler runs. Configs are flat `key = value` text files whose keys,
+Each takes only the flags it reads, a sampling flag that the chosen mode does
+not read is refused, and the parsed argparse namespace is the command its
+handler runs. Configs are flat `key = value` text files whose keys,
 types and required entries are the fields of `NucleusConfig`.
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage.
 """
@@ -10,6 +11,7 @@ Exit codes: 0 success, 1 runtime or I/O failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import typing
@@ -116,16 +118,25 @@ def _config_flags(p: argparse.ArgumentParser, window: bool = True) -> None:
     p.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
+DEFAULT_SEED = 1
+
+
 def _sampling_flags(p: argparse.ArgumentParser, exact: bool = True) -> None:
-    """The master seed and the sampling overrides of the quantum pipeline."""
-    p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
+    """The master seed and the sampling overrides of the quantum pipeline.
+
+    --seed parses to None when absent, so that a mode that reads no seed can
+    tell it was not given; main then sets DEFAULT_SEED.
+    """
+    p.add_argument("--seed", type=_seed, help=f"master seed (default {DEFAULT_SEED})")
     p.add_argument("--shots", type=int, help="override shots per measurement")
     p.add_argument("--runs", type=int, help="override the number of independent runs")
     if exact:
         p.add_argument("--exact", action="store_true", help="analytic probabilities, no sampling")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="gdrq",
         description="Dipole response of closed-shell nuclei on a simulated quantum register.",
@@ -164,6 +175,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _UsageError(Exception):
     """A command-line value the config rejects: reported like a parser error."""
+
+
+def _check_sampling_flags(args: argparse.Namespace) -> None:
+    """Refuse sampling flags that the chosen mode does not read, then default the seed.
+
+    `compare --mode classical` reads none of --seed --shots --runs --exact; an
+    exact run reads no --shots or --runs, and `compare --exact` no --seed
+    either (`quantum --exact` writes the seed into runs.csv).
+    """
+    if not hasattr(args, "seed"):
+        return
+    unread, reason = (), ""
+    if args.subcommand == "compare" and args.mode == "classical":
+        unread, reason = ("seed", "shots", "runs", "exact"), "--mode classical"
+    elif getattr(args, "exact", False):
+        unread = ("seed", "shots", "runs") if args.subcommand == "compare" else ("shots", "runs")
+        reason = "--exact"
+    given = [
+        f"--{name}"
+        for name in unread
+        if (value := getattr(args, name)) is not None and value is not False
+    ]
+    if given:
+        raise _UsageError(
+            f"gdrq {args.subcommand}: error: {' '.join(given)} not read with {reason}"
+        )
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
 
 
 def _configure(args: argparse.Namespace) -> NucleusConfig:
@@ -399,6 +438,7 @@ def main(argv=None) -> int:
     if args.subcommand == "selftest":
         return selftest()
     try:
+        _check_sampling_flags(args)
         return _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -3,8 +3,10 @@
 One qubit per major oscillator shell N inside a chosen window; qubit q of the
 window [n_min, n_max] is shell N = n_min + q.  An occupied shell is |1>, so a
 Z eigenvalue of -1 marks occupation.  Ladder operators follow the standard
-fermionic chain ordering (Z string on lower qubits); for the nearest-neighbor
-hops used here the strings cancel and everything stays 2-local.
+fermionic chain ordering (Z string on lower qubits); for the number operators
+and nearest-neighbor hops used here the strings cancel, so the operators are
+built from their closed 1- and 2-local forms, with the ladder products as the
+oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -197,20 +199,50 @@ def jw_annihilation(mode: int, nqubits: int) -> pl.PauliSum:
     )
 
 
+def _axes(nqubits: int, letters: dict[int, str]) -> str:
+    return "".join(letters.get(k, "I") for k in range(nqubits))
+
+
+def number_operator(mode: int, nqubits: int) -> pl.PauliSum:
+    """a^dag_q a_q in closed form: the Z strings cancel, leaving (I - Z_q)/2."""
+    if not 0 <= mode < nqubits:
+        raise ValidationError(f"mode {mode} out of range for {nqubits} qubits")
+    return pl.PauliSum(
+        nqubits,
+        (pl.PauliTerm(0.5, _axes(nqubits, {})), pl.PauliTerm(-0.5, _axes(nqubits, {mode: "Z"}))),
+    )
+
+
+def hop_operator(mode: int, nqubits: int) -> pl.PauliSum:
+    """a^dag_{q+1} a_q + a^dag_q a_{q+1} in closed form: (X_q X_{q+1} + Y_q Y_{q+1})/2.
+
+    The strings below q cancel, and the imaginary X_q Y_{q+1} and Y_q X_{q+1}
+    parts of the two orderings cancel each other.
+    """
+    if not 0 <= mode < nqubits - 1:
+        raise ValidationError(f"hop from mode {mode} out of range for {nqubits} qubits")
+    return pl.PauliSum(
+        nqubits,
+        tuple(
+            pl.PauliTerm(0.5, _axes(nqubits, {mode: letter, mode + 1: letter}))
+            for letter in "XY"
+        ),
+    )
+
+
 def build_hamiltonian(basis: BasisWindow, homega: float) -> pl.PauliSum:
     """Window Hamiltonian sum_N (N + 3/2) hbar*omega a^dag_N a_N.
 
-    Composed from the ladder operators, which contracts each number operator
-    to (I - Z)/2; all coefficients are exact binary fractions of hbar*omega.
+    Each number operator is (I - Z)/2, so all coefficients are exact binary
+    fractions of hbar*omega; the identity parts add up in shell order.
     """
     if homega <= 0:
         raise ValidationError("hbar*omega must be positive")
     n = basis.nqubits
-    total = pl.PauliSum(n)
+    terms = []
     for q, shell in enumerate(basis.shells()):
-        number_op = pl.multiply_sums(jw_creation(q, n), jw_annihilation(q, n))
-        total = pl.add(total, number_op * ((shell + 1.5) * homega))
-    return total
+        terms += (number_operator(q, n) * ((shell + 1.5) * homega)).terms
+    return pl.PauliSum(n, tuple(terms))
 
 
 def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.PauliSum:
@@ -229,12 +261,8 @@ def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.
         raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
     n = basis.nqubits
     b = oscillator_length(config.A)
-    total = pl.PauliSum(n)
+    terms = []
     for q, shell in enumerate(list(basis.shells())[:-1]):
-        hop = pl.add(
-            pl.multiply_sums(jw_creation(q + 1, n), jw_annihilation(q, n)),
-            pl.multiply_sums(jw_creation(q, n), jw_annihilation(q + 1, n)),
-        )
         amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-        total = pl.add(total, hop * amplitude)
-    return total
+        terms += (hop_operator(q, n) * amplitude).terms
+    return pl.PauliSum(n, tuple(terms))

@@ -11,7 +11,8 @@ A QuantumPlan builds the operators and simulates every circuit of a config
 once; a run then only draws the classically random steps (post-selection
 replays, shot counts, success-rate estimates) from spawn-keyed RngStream
 children of its seed.  Runs are therefore reproducible bit for bit, and
-independent of how many runs share a plan or in which order they are drawn.
+independent of how many runs share a plan or in which order they are drawn;
+an ensemble assembles the spectra of all its runs in one batch.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .errors import PreparationError, SchemaError, ValidationError
 from .response import (
     ResponseSpectrum,
     TransitionSet,
+    assemble_spectra,
     assemble_spectrum,
     classical_transitions,
     find_peak,
@@ -256,16 +258,15 @@ class QuantumPlan:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
         return cls(config=config, length=b, species=tuple(species))
 
-    def run(self, seed: int, run_index: int = 0, mode: str = "sampled") -> RunRecord:
-        """One full quantum experiment at a given seed.
+    def transitions(self, seed: int, mode: str = "sampled") -> TransitionSet:
+        """The poles one quantum experiment measures at a given seed.
 
         Per species: measure the reference energy and the energy of every
         dipole-reachable configuration (redrawing a measurement whose
         excitation energy comes out non-positive), then estimate each
         transition strength from the dipole LCU success rate and a SWAP
         overlap.  A "sampled" run draws every measurement step from the next
-        child of the species stream, an "exact" run reads the analytic values;
-        the measured poles are dressed exactly like the classical ones.
+        child of the species stream, an "exact" run reads the analytic values.
         """
         if mode not in ("exact", "sampled"):
             raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
@@ -288,7 +289,12 @@ class QuantumPlan:
                     raise PreparationError("could not resolve a positive excitation energy")
                 p_hat, overlap = hop.strength.factors(shots, streams)
                 measured.append((delta, hop.strength.lam**2 * p_hat * overlap.clamped * b**2))
-        transitions = quantum_transitions(measured)
+        return quantum_transitions(measured)
+
+    def run(self, seed: int, run_index: int = 0, mode: str = "sampled") -> RunRecord:
+        """One full quantum experiment at a given seed: the measured poles
+        (see `transitions`), dressed exactly like the classical ones."""
+        transitions = self.transitions(seed, mode)
         return RunRecord(
             run_index=run_index,
             seed=int(seed),
@@ -312,14 +318,21 @@ def collect_runs(
     master_seed: int,
     runs: int | None = None,
 ) -> tuple[RunRecord, ...]:
-    """Independent repeats of one plan with seeds derived from the master seed."""
+    """Independent repeats of one plan with seeds derived from the master seed.
+
+    Every run's poles are drawn first; their spectra are then assembled as one
+    batch, each record equal to plan.run at its own seed.
+    """
     n_runs = config.runs if runs is None else int(runs)
     if n_runs < 1:
         raise ValidationError("runs must be >= 1")
     plan = QuantumPlan.build(config)
+    seeds = [derive_run_seed(master_seed, index) for index in range(n_runs)]
+    poles = [plan.transitions(seed) for seed in seeds]
+    spectra = assemble_spectra(config, poles)
     return tuple(
-        plan.run(derive_run_seed(master_seed, index), run_index=index)
-        for index in range(n_runs)
+        RunRecord(run_index=index, seed=seed, transitions=transitions, spectrum=spectrum)
+        for index, (seed, transitions, spectrum) in enumerate(zip(seeds, poles, spectra))
     )
 
 

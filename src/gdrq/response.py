@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -111,12 +111,27 @@ def bare_response(
     transitions: TransitionSet, grid: np.ndarray, gamma_spread: float
 ) -> np.ndarray:
     """Free response R0(E) = sum_i S_i w_i / (E - dE_i + i Gamma) on the grid."""
+    return bare_responses((transitions,), grid, gamma_spread)[0]
+
+
+def bare_responses(
+    transition_sets: Sequence[TransitionSet], grid: np.ndarray, gamma_spread: float
+) -> np.ndarray:
+    """R0 of several equally long pole lists, one row each.
+
+    The poles are added in list order, each as one division over rows x grid,
+    so every row holds the bits of its own list's sum.
+    """
     if gamma_spread <= 0:
         raise ValidationError("gamma_spread must be positive")
+    if len({len(ts.entries) for ts in transition_sets}) != 1:
+        raise ValidationError("batched transition sets must be non-empty and equally long")
     grid = np.asarray(grid, dtype=float)
-    out = np.zeros(grid.size, dtype=complex)
-    for t in transitions.entries:
-        out += t.strength * t.weight / (grid - t.energy + 1j * gamma_spread)
+    weighted = np.array([[t.strength * t.weight for t in ts.entries] for ts in transition_sets])
+    energies = np.array([[t.energy for t in ts.entries] for ts in transition_sets])
+    out = np.zeros((len(transition_sets), grid.size), dtype=complex)
+    for j in range(weighted.shape[1]):
+        out += weighted[:, j, None] / (grid - energies[:, j, None] + 1j * gamma_spread)
     return out
 
 
@@ -213,19 +228,32 @@ class ResponseSpectrum:
 
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
     """Full response pipeline: bare poles -> dressing -> calibrated cross section."""
+    return assemble_spectra(config, (transitions,))[0]
+
+
+def assemble_spectra(
+    config: NucleusConfig, transition_sets: Sequence[TransitionSet]
+) -> tuple[ResponseSpectrum, ...]:
+    """assemble_spectrum of equally long pole lists: R0 for all of them in one
+    batch, then dressing, cross section and peak row by row."""
     grid = config.energy_grid()
-    r0 = bare_response(transitions, grid, config.gamma_spread)
-    r_dressed = dress_response(r0, coupling(config), grid)
-    sigma_raw = cross_section(grid, r_dressed)
-    sigma = config.calibration * sigma_raw
-    e0, height, width = find_peak(grid, sigma)
-    return ResponseSpectrum(
-        energies=grid,
-        r0=r0,
-        r_dressed=r_dressed,
-        sigma_raw=sigma_raw,
-        sigma=sigma,
-        peak_energy=e0,
-        peak_height=height,
-        width_fwhm=width,
-    )
+    kappa_c = coupling(config)
+    spectra = []
+    for r0 in bare_responses(transition_sets, grid, config.gamma_spread):
+        r_dressed = dress_response(r0, kappa_c, grid)
+        sigma_raw = cross_section(grid, r_dressed)
+        sigma = config.calibration * sigma_raw
+        e0, height, width = find_peak(grid, sigma)
+        spectra.append(
+            ResponseSpectrum(
+                energies=grid,
+                r0=r0,
+                r_dressed=r_dressed,
+                sigma_raw=sigma_raw,
+                sigma=sigma,
+                peak_energy=e0,
+                peak_height=height,
+                width_fwhm=width,
+            )
+        )
+    return tuple(spectra)

@@ -13,6 +13,7 @@ experiment can be re-derived independently of evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,15 +27,22 @@ POSTSELECT_TOL = 1e-14
 
 
 class RngStream:
-    """Deterministic PCG64 stream addressed by (seed, spawn_key)."""
+    """Deterministic PCG64 stream addressed by (seed, spawn_key).
+
+    The generator is built on first use: a stream that only parents children
+    never hashes its seed sequence.
+    """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()) -> None:
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         if self.seed < 0 or any(k < 0 for k in self.spawn_key):
             raise ValidationError("seed and spawn key entries must be non-negative")
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
-        self.generator = np.random.Generator(np.random.PCG64(seq))
+        return np.random.Generator(np.random.PCG64(seq))
 
     def child(self, index: int) -> "RngStream":
         """Independent stream with `index` appended to the spawn key."""
@@ -64,7 +72,8 @@ class StateVector:
         n = self.nqubits + other.nqubits
         if n > MAX_QUBITS:
             raise SizeError(f"register size must be in [1, {MAX_QUBITS}]")
-        return StateVector(n, np.kron(other.amplitudes, self.amplitudes))
+        # the Kronecker product of two vectors is their flattened outer product
+        return StateVector(n, np.outer(other.amplitudes, self.amplitudes).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -114,11 +123,27 @@ def _check_unitary(u: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
-def _front_axes(n: int, qubits: Sequence[int]) -> list[int]:
-    """Axes of `qubits` (qubit q is axis n-1-q), ordered so that the C-order
-    flatten of them reads the list little-endian."""
-    k = len(qubits)
-    return [n - 1 - qubits[k - 1 - i] for i in range(k)]
+@functools.cache
+def _front_permutation(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation that moves `qubits` to the front, and its inverse.
+
+    Qubit q is axis n-1-q; the front axes are ordered so that the C-order
+    flatten of them reads the list little-endian, and the other axes keep
+    their order.
+    """
+    front = [n - 1 - q for q in reversed(qubits)]
+    perm = (*front, *(axis for axis in range(n) if axis not in front))
+    return perm, tuple(int(i) for i in np.argsort(perm))
+
+
+def _to_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """View of an n-axis array with the axes of `qubits` first."""
+    return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[0])
+
+
+def _from_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """Flat amplitudes of an array laid out by _to_front."""
+    return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[1]).reshape(-1)
 
 
 def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
@@ -127,12 +152,9 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> 
     k = len(targets)
     u = _check_unitary(u, k)
     n = state.nqubits
-    arr = state.amplitudes.reshape([2] * n)
-    front = _front_axes(n, targets)
-    moved = np.moveaxis(arr, front, range(k))
-    out = (u @ moved.reshape(2**k, -1)).reshape([2] * n)
-    out = np.moveaxis(out, range(k), front)
-    return StateVector(n, out.reshape(-1))
+    moved = _to_front(state.amplitudes, n, targets)
+    out = u @ moved.reshape(2**k, -1)
+    return StateVector(n, _from_front(out, n, targets))
 
 
 def apply_multiplexed(
@@ -156,16 +178,12 @@ def apply_multiplexed(
     qubits = _check_targets(state, [*targets, *controls])
     blocks = [_check_unitary(u, kt) for u in unitaries]
     n = state.nqubits
-    k = kc + kt
     # the flatten reads the control pattern, then the target index
-    front = _front_axes(n, qubits)
-    moved = np.moveaxis(state.amplitudes.reshape([2] * n), front, range(k))
-    slices = moved.reshape(2**kc, 2**kt, -1)
+    slices = _to_front(state.amplitudes, n, qubits).reshape(2**kc, 2**kt, -1)
     out = slices.copy()
     for i, u in enumerate(blocks):
         out[i] = u @ slices[i]
-    out = np.moveaxis(out.reshape([2] * n), range(k), front)
-    return StateVector(n, out.reshape(-1))
+    return StateVector(n, _from_front(out, n, qubits))
 
 
 def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
@@ -199,12 +217,8 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVect
 def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     """Normalized distribution of the 2^k outcomes on `qubits` (little endian in the list)."""
     qubits = _check_targets(state, qubits)
-    k = len(qubits)
-    n = state.nqubits
-    arr = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
-    front = _front_axes(n, qubits)
-    moved = np.moveaxis(arr, front, range(k))
-    probs = moved.reshape(2**k, -1).sum(axis=1)
+    moved = _to_front(np.abs(state.amplitudes) ** 2, state.nqubits, qubits)
+    probs = moved.reshape(2 ** len(qubits), -1).sum(axis=1)
     return probs / probs.sum()
 
 

@@ -10,6 +10,7 @@ import gdrq.algorithms
 from gdrq import pauli as pl
 from gdrq.algorithms import (
     MAX_ATTEMPTS,
+    _replay_block,
     energy_expectation,
     lcu_apply,
     replay_post_selection,
@@ -187,22 +188,45 @@ class _NeverBelow:
         self.generator = self
         self.draws = 0
 
-    def random(self):
-        self.draws += 1
-        return 1.0
+    def random(self, size=None):
+        self.draws += 1 if size is None else size
+        return 1.0 if size is None else np.ones(size)
+
+
+# p = 1/144, 1e-3 and 0.05 each have a key among the 20 whose first success
+# falls past the first block (see test_some_success_falls_past_the_first_block)
+REPLAY_PS = [1.0, 0.5, 1 / 144, 1e-3, 0.05]
+
+
+def scalar_attempts(p, twin):
+    """The draw-by-draw Bernoulli loop the block replay must equal."""
+    expected = 1
+    while not twin.generator.random() < p:
+        expected += 1
+    return expected
 
 
 class TestReplayPostSelection:
-    @pytest.mark.parametrize("p", [1.0, 0.5, 1 / 144])
+    @pytest.mark.parametrize("p", REPLAY_PS)
     def test_matches_scalar_bernoulli_loop(self, p):
+        """Same attempts, and the stream goes on alike: LcuOverlap.energy draws the
+        replay, the SWAP multinomial and the success-rate binomial from one stream."""
+        probs = [0.25, 0.5, 0.25]
         for key in range(20):
             stream, twin = RngStream(7, (key,)), RngStream(7, (key,))
             attempts = replay_post_selection(p, stream)
-            expected = 1
-            while not twin.generator.random() < p:
-                expected += 1
-            assert attempts == expected
+            assert attempts == scalar_attempts(p, twin)
             assert stream.generator.random() == twin.generator.random()
+            np.testing.assert_array_equal(
+                stream.generator.multinomial(8000, probs), twin.generator.multinomial(8000, probs)
+            )
+            assert stream.generator.binomial(8000, p) == twin.generator.binomial(8000, p)
+
+    @pytest.mark.parametrize("p", [1 / 144, 1e-3, 0.05])
+    def test_some_success_falls_past_the_first_block(self, p):
+        block = _replay_block(p, budget=10**9)
+        attempts = [scalar_attempts(p, RngStream(7, (key,))) for key in range(20)]
+        assert max(attempts) > block
 
     @pytest.mark.parametrize(
         "p, budget", [(1.0, MAX_ATTEMPTS), (0.5, MAX_ATTEMPTS), (1 / 144, 3966)]
@@ -213,3 +237,20 @@ class TestReplayPostSelection:
             replay_post_selection(p, stream)
         assert stream.draws == budget
 
+
+class TestLazyStreams:
+    def test_unused_parent_builds_no_seed_sequence(self, monkeypatch):
+        built = []
+        original = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["spawn_key"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        measurement = RngStream(5).child(1).child(0)
+        assert built == []
+        value = measurement.generator.random()
+        assert built == [(1, 0)]
+        eager = np.random.Generator(np.random.PCG64(original(entropy=5, spawn_key=(1, 0))))
+        assert value == eager.random()

@@ -4,7 +4,8 @@ bench/workloads.py checks every record it times against its own reference
 model, reading `transitions.entries`, `Transition.alpha` and `spectrum.sigma`
 among others.  A refactor that drops one of them would only show up as a
 failed benchmark run, so this test loads the module by file path and runs one
-round of the exact scan, whose checks then must find no problem.
+round of the exact scan and one of the ensemble (whose records come from the
+batched collect_runs), whose checks then must find no problem.
 """
 
 import importlib.util
@@ -16,7 +17,8 @@ import gdrq.encoding
 import gdrq.errors
 import gdrq.experiment
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def load_workloads(monkeypatch):
@@ -27,12 +29,23 @@ def load_workloads(monkeypatch):
     return module
 
 
+PACKAGE = types.SimpleNamespace(
+    cli=gdrq.cli, encoding=gdrq.encoding, errors=gdrq.errors, experiment=gdrq.experiment
+)
+
+
 def test_exact_scan_round_finds_no_problem(monkeypatch):
     workloads = load_workloads(monkeypatch)
-    package = types.SimpleNamespace(
-        cli=gdrq.cli, encoding=gdrq.encoding, errors=gdrq.errors, experiment=gdrq.experiment
-    )
-    scan = workloads.ExactScan(package, seed=11)
+    scan = workloads.ExactScan(PACKAGE, seed=11)
     attempted, failed = scan.round(0, workloads.Clock())
     assert (attempted, failed) == (scan.round_size(), 0)
     assert scan.problems == []
+
+
+def test_ensemble_round_finds_no_problem(monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    monkeypatch.chdir(ROOT)  # the workload reads configs/ from the working directory
+    ensemble = workloads.Ensemble(PACKAGE, seed=11)
+    attempted, failed = ensemble.round(0, workloads.Clock())
+    assert (attempted, failed) == (ensemble.round_size(), 0)
+    assert ensemble.problems == []

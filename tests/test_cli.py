@@ -160,7 +160,8 @@ class TestParseArgs:
 
     def test_sampling_defaults(self):
         args = parse(["quantum", "--config", "x.cfg"])
-        assert args.seed == 1
+        # an absent --seed parses to None; main sets the default seed 1
+        assert args.seed is None and cli.DEFAULT_SEED == 1
         assert (args.shots, args.runs) == (None, None)
         assert not args.exact
 
@@ -405,6 +406,74 @@ class TestMainSubcommands:
             )
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [["quantum"], ["quantum", "--exact"], ["error-study"]])
+    def test_default_seed_is_one(self, tmp_path, capsys, command):
+        cfg = small_quantum_config(tmp_path)
+        outputs = []
+        for seed in ([], ["--seed", "1"]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert cli.main([*command, "--config", str(cfg), *seed, "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+    def test_repeated_main_calls_share_one_parser(self, tmp_path, capsys):
+        """The parser is built once; erroring argvs between calls change nothing."""
+        cfg = small_quantum_config(tmp_path)
+        good = ["quantum", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path / "out")]
+        unknown_flag = ["quantum", "--config", str(cfg), "--bases", "0-10"]
+        unread_flag = ["quantum", "--config", str(cfg), "--exact", "--runs", "4"]
+        results = []
+        for argv in (good, unknown_flag, good, unread_flag, good):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, (tmp_path / "out" / "runs.csv").read_bytes()))
+        assert results[0] == results[2] == results[4]
+        assert results[0][0] == 0 and results[1][0] == results[3][0] == 2
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestUnreadSamplingFlags:
+    """A sampling flag that the chosen mode does not read is a one-line usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, flags, reason",
+        [
+            (["quantum", "--exact", "--shots", "500"], "--shots", "--exact"),
+            (["quantum", "--exact", "--runs", "4"], "--runs", "--exact"),
+            (["quantum", "--runs", "4", "--exact", "--shots", "500"], "--shots --runs", "--exact"),
+            (["compare", "--seed", "1"], "--seed", "--mode classical"),
+            (["compare", "--seed", "0", "--shots", "0"], "--seed --shots", "--mode classical"),
+            (["compare", "--mode", "classical", "--seed", "3"], "--seed", "--mode classical"),
+            (["compare", "--mode", "classical", "--shots", "500"], "--shots", "--mode classical"),
+            (["compare", "--mode", "classical", "--runs", "4"], "--runs", "--mode classical"),
+            (["compare", "--mode", "classical", "--exact"], "--exact", "--mode classical"),
+            (["compare", "--mode", "quantum", "--exact", "--seed", "3"], "--seed", "--exact"),
+            (["compare", "--mode", "quantum", "--exact", "--runs", "4"], "--runs", "--exact"),
+        ],
+    )
+    def test_refused_before_any_work(self, tmp_path, capsys, argv, flags, reason):
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--config", str(CONFIGS / "sn120.cfg"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"gdrq {argv[0]}: error: {flags} not read with {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quantum", "--exact", "--seed", "3"],
+            ["compare", "--mode", "quantum", "--seed", "3", "--shots", "500", "--runs", "3"],
+            ["compare", "--mode", "quantum", "--exact"],
+            ["compare", "--mode", "classical"],
+        ],
+    )
+    def test_read_flags_still_accepted(self, tmp_path, capsys, argv):
+        cfg = small_quantum_config(tmp_path)
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
 
 
 class TestMainErrors:

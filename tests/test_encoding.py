@@ -1,6 +1,7 @@
 """Unit tests for shell windows, occupations, and qubit encodings."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from gdrq.encoding import (
     build_hamiltonian,
     fill_occupations,
     hbar_omega,
+    hop_operator,
     jw_annihilation,
     jw_creation,
+    number_operator,
     oscillator_length,
     shell_capacity,
 )
 from gdrq.constants import HBARC_MEV_FM, NUCLEON_MASS_MEV
 from gdrq.errors import CapacityError, ValidationError
+from test_golden import exact_windows
 
 
 class TestOscillator:
@@ -278,3 +282,74 @@ class TestDipole:
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
         with pytest.raises(ValidationError):
             build_dipole(c.basis, c, "electron")
+
+
+def term_bits(op):
+    """Each term's axes, coefficient bits and phase: equal only if bit-identical."""
+    return [(t.axes, struct.pack("<d", t.coefficient), t.phase) for t in op.terms]
+
+
+def ladder_number(q, n):
+    return pl.multiply_sums(jw_creation(q, n), jw_annihilation(q, n))
+
+
+def ladder_hop(q, n):
+    return pl.add(
+        pl.multiply_sums(jw_creation(q + 1, n), jw_annihilation(q, n)),
+        pl.multiply_sums(jw_creation(q, n), jw_annihilation(q + 1, n)),
+    )
+
+
+def ladder_hamiltonian(basis, homega):
+    """The window Hamiltonian composed from ladder products, one shell at a time."""
+    total = pl.PauliSum(basis.nqubits)
+    for q, shell in enumerate(basis.shells()):
+        total = pl.add(total, ladder_number(q, basis.nqubits) * ((shell + 1.5) * homega))
+    return total
+
+
+def ladder_dipole(config, species):
+    """One species' dipole composed from ladder products, one hop at a time."""
+    basis = config.basis
+    charge = -config.n_neutrons / config.A if species == "proton" else config.Z / config.A
+    b = oscillator_length(config.A)
+    total = pl.PauliSum(basis.nqubits)
+    for q, shell in enumerate(list(basis.shells())[:-1]):
+        amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
+        total = pl.add(total, ladder_hop(q, basis.nqubits) * amplitude)
+    return total
+
+
+NUCLEI = {"sn120": (120, 50), "pb208": (208, 82)}
+WINDOWS = [(nucleus, label) for nucleus, labels in sorted(exact_windows().items()) for label in labels]
+
+
+class TestClosedForms:
+    """The closed-form number and hop operators are the ladder products, bit for bit."""
+
+    @pytest.mark.parametrize("nucleus, label", WINDOWS)
+    def test_equal_ladder_products_on_exact_scan_windows(self, nucleus, label):
+        a, z = NUCLEI[nucleus]
+        basis = BasisWindow.parse(label)
+        config = NucleusConfig(A=a, Z=z, kappa=0.5, basis=basis)
+        n = basis.nqubits
+        for q in range(n):
+            assert term_bits(number_operator(q, n)) == term_bits(ladder_number(q, n))
+        for q in range(n - 1):
+            assert term_bits(hop_operator(q, n)) == term_bits(ladder_hop(q, n))
+        homega = hbar_omega(a)
+        assert term_bits(build_hamiltonian(basis, homega)) == term_bits(
+            ladder_hamiltonian(basis, homega)
+        )
+        for species in ("proton", "neutron"):
+            assert term_bits(build_dipole(basis, config, species)) == term_bits(
+                ladder_dipole(config, species)
+            )
+
+    def test_mode_range_validated(self):
+        with pytest.raises(ValidationError):
+            number_operator(3, 3)
+        with pytest.raises(ValidationError):
+            hop_operator(2, 3)
+        with pytest.raises(ValidationError):
+            hop_operator(-1, 3)
