@@ -2,10 +2,11 @@
 
 Three building blocks: the SWAP test (swap_test), linear-combination-of-
 unitaries application (lcu_apply), and the energy estimator built from the two
-(energy_expectation).  An estimator that takes an RngStream draws every
-classically random step (post-selection attempts, shot histograms) from it,
-modelling a finite-shot experiment; given None instead, it returns the
-analytic values read off the simulated amplitudes, with zero variance.
+(energy_expectation).  An estimator that takes a stream (an RngStream or a
+SeededStream) draws every classically random step (post-selection attempts,
+shot histograms) from it, modelling a finite-shot experiment; given None
+instead, it returns the analytic values read off the simulated amplitudes,
+with zero variance.
 
 All circuits place ancillas above the system register and remove them again by
 post-selection, so callers only ever see system-sized states.  The random
@@ -29,8 +30,8 @@ from . import pauli as pl
 from .errors import AnnihilatedStateError, PreparationError, SizeError, ValidationError
 from .statevector import (
     POSTSELECT_TOL,
-    RngStream,
     StateVector,
+    Stream,
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
@@ -40,6 +41,8 @@ from .statevector import (
 )
 
 MAX_ATTEMPTS = 1000
+# streams one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
+FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
 
@@ -69,7 +72,7 @@ def _replay_block(p_success: float, budget: int) -> int:
     return min(budget, 4096, max(16, math.ceil(2.0 / p_success)))
 
 
-def replay_post_selection(p_success: float, rng: RngStream) -> int:
+def replay_post_selection(p_success: float, rng: Stream) -> int:
     """Bernoulli post-selection attempts up to and including the first success.
 
     The budget is at least MAX_ATTEMPTS and grows like 1/p_success, so that
@@ -107,7 +110,7 @@ class SwapStatistics:
     p0: float
     marginal: np.ndarray
 
-    def estimate(self, shots: int, rng: RngStream | None = None) -> OverlapEstimate:
+    def estimate(self, shots: int, rng: Stream | None = None) -> OverlapEstimate:
         """Overlap from p0 (no stream) or from `shots` multinomial draws on `rng`."""
         if rng is None:
             raw = 2.0 * self.p0 - 1.0
@@ -143,7 +146,7 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
 
 
 def swap_test(
-    psi: StateVector, phi: StateVector, shots: int, rng: RngStream | None = None
+    psi: StateVector, phi: StateVector, shots: int, rng: Stream | None = None
 ) -> OverlapEstimate:
     """Estimate |<psi|phi>|^2 via the SWAP test.
 
@@ -221,7 +224,7 @@ class LcuOverlap:
     swap: SwapStatistics
 
     def factors(
-        self, shots: int, rngs: Iterator[RngStream | None]
+        self, shots: int, rngs: Iterator[Stream | None]
     ) -> tuple[float, OverlapEstimate]:
         """(success rate, overlap) as one repeat of the experiment measures them.
 
@@ -238,7 +241,7 @@ class LcuOverlap:
         hits = next(rngs).generator.binomial(shots, self.p_success)
         return hits / shots, overlap
 
-    def energy(self, shots: int, rng: RngStream | None) -> float:
+    def energy(self, shots: int, rng: Stream | None) -> float:
         """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
         p_hat, overlap = self.factors(shots, itertools.repeat(rng))
         return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
@@ -251,7 +254,7 @@ def energy_statistics(op: pl.PauliSum, psi: StateVector) -> LcuOverlap:
 
 
 def energy_expectation(
-    op: pl.PauliSum, psi: StateVector, shots: int, rng: RngStream | None = None
+    op: pl.PauliSum, psi: StateVector, shots: int, rng: Stream | None = None
 ) -> float:
     """|<psi|A|psi>| from the LCU success rate and a SWAP test.
 

@@ -9,10 +9,11 @@ overlap with the target configuration.
 
 A QuantumPlan builds the operators and simulates every circuit of a config
 once; a run then only draws the classically random steps (post-selection
-replays, shot counts, success-rate estimates) from spawn-keyed RngStream
-children of its seed.  Runs are therefore reproducible bit for bit, and
-independent of how many runs share a plan or in which order they are drawn;
-an ensemble assembles the spectra of all its runs in one batch.
+replays, shot counts, success-rate estimates) from spawn-keyed streams of its
+seed.  Runs are therefore reproducible bit for bit, and independent of how
+many runs share a plan or in which order they are drawn; an ensemble hashes
+the seed sequences of all its runs' streams in one pass and assembles the
+spectra of all its runs in one batch.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ import itertools
 import statistics
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .algorithms import (
+    FACTOR_STREAMS,
     MAX_ATTEMPTS,
     LcuOverlap,
     energy_statistics,
@@ -52,7 +54,15 @@ from .response import (
     find_peak,
     quantum_transitions,
 )
-from .statevector import RngStream, StateVector, init_basis_state
+from .statevector import (
+    STREAM_WORDS,
+    SeededStream,
+    StateVector,
+    Stream,
+    init_basis_state,
+    non_negative_int,
+    seed_states,
+)
 
 _SPECIES = ("proton", "neutron")
 _FULL_TOL = 1e-12
@@ -167,10 +177,16 @@ def _shifted_sign(bits: Sequence[int], window: BasisWindow, homega: float, offse
     return -1.0 if energy < offset else 1.0
 
 
+def _run_seeds(master_seed: int, run_indices: Sequence[int]) -> np.ndarray:
+    """Seeds of the given runs, word 0 of each
+    SeedSequence(master_seed, spawn_key=(i,)).generate_state(1, np.uint64)."""
+    master_seed = non_negative_int(master_seed, "master seed")
+    return seed_states(master_seed, np.reshape(run_indices, (-1, 1)), 1)[:, 0]
+
+
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Per-run seed from the master seed (spawn-key derivation, order free)."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(run_index),))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return int(_run_seeds(master_seed, [run_index])[0])
 
 
 @dataclass(frozen=True)
@@ -184,7 +200,7 @@ class _Energy:
     sign: float
     statistics: LcuOverlap
 
-    def measure(self, shots: int, rng: RngStream | None) -> float:
+    def measure(self, shots: int, rng: Stream | None) -> float:
         return self.sign * self.statistics.energy(shots, rng)
 
 
@@ -203,6 +219,27 @@ class _SpeciesPlan:
     spawn_index: int
     energy: _Energy
     hops: tuple[_Hop, ...]
+
+    @property
+    def planned_streams(self) -> int:
+        """Streams a sampled run draws for the species when no energy is redrawn:
+        the reference energy, then per hop its energy and the strength factors."""
+        return 1 + len(self.hops) * (1 + FACTOR_STREAMS)
+
+
+def _species_streams(seed: int, states: np.ndarray, spawn_index: int) -> Iterator[SeededStream]:
+    """Measurement streams of one species in one run, in draw order.
+
+    Stream k is RngStream(seed, (spawn_index, k)).  The planned ones start
+    from their precomputed `states` rows; one past them, drawn only after an
+    energy redraw, hashes its own row.
+    """
+    planned = map(SeededStream, states)
+    further = (
+        SeededStream(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
+        for k in itertools.count(len(states))
+    )
+    return itertools.chain(planned, further)
 
 
 @dataclass(frozen=True)
@@ -258,27 +295,20 @@ class QuantumPlan:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
         return cls(config=config, length=b, species=tuple(species))
 
-    def transitions(self, seed: int, mode: str = "sampled") -> TransitionSet:
-        """The poles one quantum experiment measures at a given seed.
+    def _measure(self, streams: Sequence[Iterator[Stream | None]]) -> TransitionSet:
+        """The poles one quantum experiment measures.
 
         Per species: measure the reference energy and the energy of every
         dipole-reachable configuration (redrawing a measurement whose
         excitation energy comes out non-positive), then estimate each
         transition strength from the dipole LCU success rate and a SWAP
-        overlap.  A "sampled" run draws every measurement step from the next
-        child of the species stream, an "exact" run reads the analytic values.
+        overlap.  Every measurement step draws from the next item of its
+        species' streams; an item None reads the analytic value instead.
         """
-        if mode not in ("exact", "sampled"):
-            raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        rng = RngStream(seed)
         shots = self.config.shots
         b = self.length
         measured: list[tuple[float, float]] = []
-        for sp in self.species:
-            if mode == "sampled":
-                streams = map(rng.child(sp.spawn_index).child, itertools.count())
-            else:
-                streams = itertools.repeat(None)
+        for sp, streams in zip(self.species, streams):
             e_ref = sp.energy.measure(shots, next(streams))
             for hop in sp.hops:
                 for _attempt in range(MAX_ATTEMPTS):
@@ -291,13 +321,44 @@ class QuantumPlan:
                 measured.append((delta, hop.strength.lam**2 * p_hat * overlap.clamped * b**2))
         return quantum_transitions(measured)
 
+    def transitions(self, seeds: Sequence[int]) -> list[TransitionSet]:
+        """The poles that sampled experiments at the given seeds measure.
+
+        Measurement k of species s at seed x draws from the stream
+        RngStream(x, (s, k)).  The seed sequences of every planned stream of
+        the batch are hashed in one seed_states pass, and each run starts its
+        generators only when it is drawn.
+        """
+        counts = [sp.planned_streams for sp in self.species]
+        keys = [(sp.spawn_index, k) for sp, n in zip(self.species, counts) for k in range(n)]
+        runs = len(seeds)
+        states = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (runs, 1)), STREAM_WORDS)
+        states = states.reshape(runs, len(keys), STREAM_WORDS)
+        by_species = np.split(states, np.cumsum(counts)[:-1], axis=1)
+        return [
+            self._measure(
+                [
+                    _species_streams(seed, rows[run], sp.spawn_index)
+                    for sp, rows in zip(self.species, by_species)
+                ]
+            )
+            for run, seed in enumerate(seeds)
+        ]
+
     def run(self, seed: int, run_index: int = 0, mode: str = "sampled") -> RunRecord:
         """One full quantum experiment at a given seed: the measured poles
-        (see `transitions`), dressed exactly like the classical ones."""
-        transitions = self.transitions(seed, mode)
+        (see `transitions`), dressed exactly like the classical ones.  An
+        "exact" run reads the analytic values and draws nothing."""
+        if mode not in ("exact", "sampled"):
+            raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+        seed = non_negative_int(seed, "seed")
+        if mode == "exact":
+            transitions = self._measure([itertools.repeat(None)] * len(self.species))
+        else:
+            (transitions,) = self.transitions([seed])
         return RunRecord(
             run_index=run_index,
-            seed=int(seed),
+            seed=seed,
             transitions=transitions,
             spectrum=assemble_spectrum(self.config, transitions),
         )
@@ -320,18 +381,19 @@ def collect_runs(
 ) -> tuple[RunRecord, ...]:
     """Independent repeats of one plan with seeds derived from the master seed.
 
-    Every run's poles are drawn first; their spectra are then assembled as one
-    batch, each record equal to plan.run at its own seed.
+    Every run's poles are drawn first, their streams hashed in one pass; their
+    spectra are then assembled as one batch, each record equal to plan.run at
+    its own seed.
     """
-    n_runs = config.runs if runs is None else int(runs)
+    n_runs = config.runs if runs is None else non_negative_int(runs, "runs")
     if n_runs < 1:
         raise ValidationError("runs must be >= 1")
+    seeds = _run_seeds(master_seed, np.arange(n_runs))
     plan = QuantumPlan.build(config)
-    seeds = [derive_run_seed(master_seed, index) for index in range(n_runs)]
-    poles = [plan.transitions(seed) for seed in seeds]
+    poles = plan.transitions(seeds)
     spectra = assemble_spectra(config, poles)
     return tuple(
-        RunRecord(run_index=index, seed=seed, transitions=transitions, spectrum=spectrum)
+        RunRecord(run_index=index, seed=int(seed), transitions=transitions, spectrum=spectrum)
         for index, (seed, transitions, spectrum) in enumerate(zip(seeds, poles, spectra))
     )
 

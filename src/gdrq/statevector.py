@@ -8,12 +8,16 @@ excitation on qubit 1.
 
 Randomness comes only through RngStream, a PCG64 generator addressed by
 (seed, spawn_key); child streams extend the spawn key, so any part of an
-experiment can be re-derived independently of evaluation order.
+experiment can be re-derived independently of evaluation order.  Many streams
+at once are cheaper through seed_states, which hashes the seed sequences of a
+whole batch of addresses in one numpy pass, and SeededStream, which starts a
+PCG64 from one row of that hash and draws what RngStream draws.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,6 +30,32 @@ UNITARY_TOL = 1e-10
 POSTSELECT_TOL = 1e-14
 
 
+# numpy's SeedSequence hash; NEP 19 keeps the streams it seeds stable
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# uint64 words of seed state that PCG64 reads, one seed_states row per SeededStream
+STREAM_WORDS = 4
+# the pool words each pool word is mixed into, in numpy's order
+_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE))
+
+
+def non_negative_int(value, name: str) -> int:
+    """`value` as an int when it is a non-negative integer (a bool is not one)."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a non-negative integer, got {value!r}") from None
+    if number < 0:
+        raise ValidationError(f"{name} must be a non-negative integer, got {number}")
+    return number
+
+
 class RngStream:
     """Deterministic PCG64 stream addressed by (seed, spawn_key).
 
@@ -34,10 +64,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()) -> None:
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
-        if self.seed < 0 or any(k < 0 for k in self.spawn_key):
-            raise ValidationError("seed and spawn key entries must be non-negative")
+        self.seed = non_negative_int(seed, "seed")
+        self.spawn_key = tuple(non_negative_int(k, "spawn key entry") for k in spawn_key)
 
     @functools.cached_property
     def generator(self) -> np.random.Generator:
@@ -50,6 +78,156 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
+
+
+def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian 32-bit words of non-negative integers, as SeedSequence splits them.
+
+    Returns the words, word index first and zero above each value's top word,
+    and each value's word count (zero is one word).
+    """
+    if values.dtype.kind in "iu" and not (values < 0).any():
+        wide = values.astype(np.uint64)
+        words = np.array([wide & _MASK32, wide >> 32], np.uint32)
+    else:
+        ints = [non_negative_int(v, "seed sequence entry") for v in values.ravel().tolist()]
+        width = max([1, *(-(-v.bit_length() // 32) for v in ints)])
+        words = np.array([[v >> 32 * w & _MASK32 for v in ints] for w in range(width)], "<u4")
+        words = words.reshape(width, *values.shape)
+    nonzero = words != 0
+    counts = np.where(nonzero.any(axis=0), len(words) - nonzero[::-1].argmax(axis=0), 1)
+    return words[: counts.max(initial=1)], counts
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before each of `steps` steps and after the last, as a read-only column."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """numpy's hashmix, given the hash constant before and after the step (uint32 wraps)."""
+    value = (value ^ before) * after
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> _SHIFT)
+
+
+def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's entropy pool of each column of assembled words, (length, rows) -> (4, rows).
+
+    numpy's loops run in the same order; the steps that read one source word
+    into several pool words use consecutive hash constants and are applied
+    together.
+    """
+    length, rows = entropy.shape
+    steps = _POOL_SIZE**2 + _POOL_SIZE * max(0, length - _POOL_SIZE)
+    const = _hash_constants(_INIT_A, _MULT_A, steps)
+    done = 0
+
+    def hashmix(value: np.ndarray, steps: int) -> np.ndarray:
+        nonlocal done
+        done += steps
+        return _hashmix(value, const[done - steps : done], const[done - steps + 1 : done + 1])
+
+    pool = np.zeros((_POOL_SIZE, rows), np.uint32)
+    pool[: min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, hashmix(word, _POOL_SIZE))
+    return pool
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, np.uint64) of each pool column, (rows, n_words)."""
+    const = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    words = _hashmix(pool[np.arange(2 * n_words) % _POOL_SIZE], const[:-1], const[1:])
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def seed_states(entropy, spawn_keys, n_words: int) -> np.ndarray:
+    """`SeedSequence(entropy, spawn_key=key).generate_state(n_words, np.uint64)` of many rows.
+
+    `spawn_keys` is a (rows, key length) array of non-negative integers and
+    `entropy` one non-negative integer for every row, or one per row.  Returns
+    (rows, n_words) uint64 words, bit for bit numpy's: each row's entropy and
+    key are split into 32-bit words, the entropy is padded with zeros to the
+    pool size, and numpy's hash runs over all rows of one assembled length at
+    once.
+    """
+    keys = np.asarray(spawn_keys)
+    if keys.ndim != 2:
+        raise ValidationError(f"spawn keys must be a (rows, key length) array, not {keys.shape}")
+    rows, key_length = keys.shape
+    out = np.empty((rows, n_words), np.uint64)
+    if rows == 0:
+        return out
+    e_words, e_counts = _uint32_words(np.asarray(entropy).reshape(-1))
+    k_words, k_counts = _uint32_words(keys.T)
+    # numpy pads the entropy with zero words to the pool size when a spawn key
+    # follows; with none, the pool words it lacks start from zero all the same
+    e_counts = np.maximum(e_counts, _POOL_SIZE)
+    e_width = int(e_counts.max())
+    # assembled words of every row, word position first, and which of them it has
+    words = np.zeros((e_width + key_length * len(k_words), rows), np.uint32)
+    valid = np.empty(words.shape, bool)
+    words[: len(e_words)] = e_words
+    words[e_width:] = k_words.transpose(1, 0, 2).reshape(-1, rows)
+    valid[:e_width] = np.arange(e_width)[:, None] < e_counts
+    valid[e_width:] = (np.arange(len(k_words))[:, None] < k_counts[:, None]).reshape(-1, rows)
+    lengths = valid.sum(axis=0)
+    for length in sorted(set(lengths.tolist())):
+        group = lengths == length
+        assembled = words[:, group].T[valid[:, group].T].reshape(-1, length)
+        out[group] = _generate_state(_mix_entropy(np.ascontiguousarray(assembled.T)), n_words)
+    return out
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """A seed sequence that hands a bit generator precomputed generate_state words.
+
+    The class is made on first use: importing numpy.random costs ~13 ms and
+    ~6 MB, which a run that draws nothing does not need.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise ValidationError(f"holds {len(self.words)} uint64 words, not {n_words} {dtype}")
+            return self.words
+
+    return StateWords
+
+
+class SeededStream:
+    """A PCG64 stream started from one row of seed_states(..., STREAM_WORDS).
+
+    The row of (seed, spawn_key) makes it draw exactly what
+    RngStream(seed, spawn_key) draws; PCG64 runs its own seeding on the words.
+    """
+
+    __slots__ = ("generator",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.generator = np.random.Generator(np.random.PCG64(_state_words_type()(state)))
+
+
+Stream = RngStream | SeededStream
 
 
 @dataclass(frozen=True)
@@ -222,7 +400,7 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample(state: StateVector, qubits: Sequence[int], shots: int, rng: RngStream) -> ShotHistogram:
+def sample(state: StateVector, qubits: Sequence[int], shots: int, rng: Stream) -> ShotHistogram:
     """Multinomial shot counts of the marginal distribution on `qubits`."""
     probs = marginal(state, qubits)
     if shots < 1:

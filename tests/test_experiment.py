@@ -1,5 +1,6 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
+import itertools
 import statistics
 import sys
 from collections import Counter
@@ -33,6 +34,7 @@ from gdrq.experiment import (
     write_spectrum_csv,
 )
 from gdrq.response import ResponseSpectrum, bare_response, classical_transitions, cross_section
+from gdrq.statevector import RngStream
 
 SN_CLASSICAL = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
 PB_CLASSICAL = NucleusConfig(A=208, Z=82, kappa=0.4, basis=BasisWindow(0, 10))
@@ -203,6 +205,115 @@ class TestQuantumPlan:
             plan.run(1, mode="bogus")
         with pytest.raises(ValidationError):
             plan.run(-1)
+
+
+def count_seed_sequences(monkeypatch):
+    """Spawn keys of every np.random.SeedSequence built from now on."""
+    built = []
+    original = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key", ()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    return built
+
+
+def stream_by_stream(plan, seed):
+    """The poles at `seed` with every measurement stream built as its own RngStream."""
+    root = RngStream(seed)
+    return plan._measure(
+        [map(root.child(sp.spawn_index).child, itertools.count()) for sp in plan.species]
+    )
+
+
+# few shots make energy redraws common: seed 3 redraws five times in its first species
+REDRAWING = replace(SN_QUANTUM, shots=20)
+
+
+class TestBatchedStreams:
+    def test_collect_runs_builds_no_seed_sequence(self, monkeypatch):
+        built = count_seed_sequences(monkeypatch)
+        records = collect_runs(SN_QUANTUM, 5, runs=4)
+        assert built == []
+        assert [r.seed for r in records] == [
+            int(np.random.SeedSequence(5, spawn_key=(i,)).generate_state(1, np.uint64)[0])
+            for i in range(4)
+        ]
+
+    def test_exact_run_hashes_nothing(self, monkeypatch):
+        built = count_seed_sequences(monkeypatch)
+        counts = count_calls(monkeypatch, [(gdrq.statevector, "seed_states")])
+        run_quantum(SN_QUANTUM, 1, mode="exact")
+        assert built == [] and counts["seed_states"] == 0
+        run_quantum(SN_QUANTUM, 1)
+        assert built == [] and counts["seed_states"] == 1
+
+    @pytest.mark.parametrize(
+        "config, seed", [(SN_QUANTUM, 5), (SN_QUANTUM, 2**64 + 1), (HE4_QUANTUM, 0)]
+    )
+    def test_batch_equals_one_rng_stream_per_measurement(self, config, seed):
+        plan = QuantumPlan.build(config)
+        assert plan.transitions([seed]) == [stream_by_stream(plan, seed)]
+
+    def test_streams_past_the_planned_ones_are_hashed_alike(self, monkeypatch):
+        plan = QuantumPlan.build(REDRAWING)
+        counts = count_calls(monkeypatch, [(gdrq.statevector, "seed_states")])
+        (transitions,) = plan.transitions([3])
+        # one pass for the planned streams, one row for each stream past them
+        assert counts["seed_states"] == 1 + 5
+        assert transitions == stream_by_stream(plan, 3)
+
+    def test_run_seeds_follow_numpy_seed_sequence(self):
+        for master in (0, 5, 2**32, 2**64 + 3, 2**130):
+            records = collect_runs(SN_QUANTUM, master, runs=3)
+            for i, record in enumerate(records):
+                expected = np.random.SeedSequence(master, spawn_key=(i,))
+                word = int(expected.generate_state(1, np.uint64)[0])
+                assert record.seed == derive_run_seed(master, i) == word
+
+    def test_records_are_a_prefix_of_a_longer_ensemble(self):
+        short = collect_runs(SN_QUANTUM, 11, runs=7)
+        long = collect_runs(SN_QUANTUM, 11, runs=20)
+        for a, b in zip(short, long[:7], strict=True):
+            assert_same_record(a, b)
+
+
+class TestSeedAndRunValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: collect_runs(SN_QUANTUM, -1),
+            lambda: collect_runs(SN_QUANTUM, 1.5),
+            lambda: collect_runs(SN_QUANTUM, True),
+            lambda: collect_runs(SN_QUANTUM, 5, runs=2.7),
+            lambda: collect_runs(SN_QUANTUM, 5, runs=True),
+            lambda: collect_runs(SN_QUANTUM, 5, runs=-3),
+            lambda: QuantumPlan.build(SN_QUANTUM).run(1.5),
+            lambda: QuantumPlan.build(SN_QUANTUM).run(True, mode="exact"),
+            lambda: run_quantum(SN_QUANTUM, -2, mode="exact"),
+            lambda: derive_run_seed(-1, 0),
+            lambda: derive_run_seed(5, 0.5),
+        ],
+        ids=[
+            "master-negative",
+            "master-float",
+            "master-bool",
+            "runs-float",
+            "runs-bool",
+            "runs-negative",
+            "plan-seed-float",
+            "plan-exact-seed-bool",
+            "run-quantum-exact-negative",
+            "derive-master-negative",
+            "derive-index-float",
+        ],
+    )
+    def test_non_integer_or_negative_refused_in_one_line(self, call):
+        with pytest.raises(ValidationError, match="must be a non-negative integer") as info:
+            call()
+        assert "\n" not in str(info.value)
 
 
 class TestMedianSpectrum:

@@ -14,6 +14,7 @@ from gdrq.errors import (
 from gdrq import statevector
 from gdrq.statevector import (
     RngStream,
+    SeededStream,
     ShotHistogram,
     StateVector,
     apply_multiplexed,
@@ -22,6 +23,7 @@ from gdrq.statevector import (
     measure_probability,
     post_select,
     sample,
+    seed_states,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -119,6 +121,112 @@ class TestRngStream:
 
     def test_repr_mentions_address(self):
         assert "spawn_key=(5,)" in repr(RngStream(1, (5,)))
+
+    @pytest.mark.parametrize("seed, key", [(1.5, ()), (True, ()), (1, (0.5,)), (1, (False,))])
+    def test_non_integer_address_rejected(self, seed, key):
+        with pytest.raises(ValidationError, match="must be a non-negative integer"):
+            RngStream(seed, key)
+
+
+def numpy_states(entropy, key, n_words):
+    """The reference: numpy's own SeedSequence."""
+    return np.random.SeedSequence(entropy, spawn_key=tuple(key)).generate_state(n_words, np.uint64)
+
+
+def random_ints(rng, count, max_bits):
+    """Non-negative Python ints whose bit lengths spread evenly over 0..max_bits."""
+    n_bytes = max_bits // 8 + 1
+    return [
+        int.from_bytes(rng.bytes(n_bytes), "little") >> (8 * n_bytes - int(bits))
+        for bits in rng.integers(0, max_bits + 1, count)
+    ]
+
+
+EDGE_ENTROPIES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1, 2**200]
+EDGE_KEYS = [(), (0,), (2**32 - 1,), (2**32,), (0, 2**32 - 1, 2**32)]
+
+
+def key_rows(key, rows):
+    """`rows` copies of a spawn key as a (rows, key length) array, the empty key included."""
+    return np.array([key] * rows, dtype=np.int64).reshape(rows, len(key))
+
+
+class TestSeedStates:
+    @pytest.mark.parametrize("n_words", [1, 4])
+    def test_random_rows_match_numpy(self, n_words):
+        rng = np.random.default_rng(20261018 + n_words)
+        checked = 0
+        for key_length in range(4):
+            entropy = random_ints(rng, 300, 200)
+            shape = (300, key_length)
+            keys = rng.integers(0, 2**40, shape) >> rng.integers(0, 41, shape)
+            got = seed_states(np.array(entropy, dtype=object), keys, n_words)
+            for row, e, key in zip(got, entropy, keys.tolist()):
+                np.testing.assert_array_equal(row, numpy_states(e, key, n_words))
+                checked += 1
+            # the fast path: a uint64 column, as the run seeds of an ensemble
+            seeds = rng.integers(0, 2**64, 50, dtype=np.uint64)
+            got = seed_states(seeds, keys[:50], n_words)
+            for row, e, key in zip(got, seeds.tolist(), keys.tolist()):
+                np.testing.assert_array_equal(row, numpy_states(e, key, n_words))
+                checked += 1
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("n_words", [1, 4])
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_edge_entropies_and_keys_match_numpy(self, key, n_words):
+        column = seed_states(np.array(EDGE_ENTROPIES, dtype=object), key_rows(key, 7), n_words)
+        for row, e in zip(column, EDGE_ENTROPIES):
+            expected = numpy_states(e, key, n_words)
+            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_equal(seed_states(e, key_rows(key, 1), n_words)[0], expected)
+
+    @pytest.mark.parametrize(
+        "seed, key", [(7, (1, 2)), (0, ()), (2**64 + 5, (0, 3)), (2**200, (2**32,))]
+    )
+    def test_seeded_stream_draws_like_rng_stream(self, seed, key):
+        batch = SeededStream(seed_states(seed, key_rows(key, 1), 4)[0]).generator
+        oracle = RngStream(seed, key).generator
+        assert batch.random() == oracle.random()
+        np.testing.assert_array_equal(batch.random(64), oracle.random(64))
+        batch.bit_generator.advance(-40)
+        oracle.bit_generator.advance(-40)
+        assert batch.random() == oracle.random()
+        probs = [0.25, 0.5, 0.25]
+        np.testing.assert_array_equal(
+            batch.multinomial(8000, probs), oracle.multinomial(8000, probs)
+        )
+        assert batch.binomial(8000, 1 / 144) == oracle.binomial(8000, 1 / 144)
+
+    def test_every_row_of_a_batch_seeds_its_own_stream(self):
+        seeds = np.random.default_rng(3).integers(0, 2**64, 40, dtype=np.uint64)
+        keys = np.array([(species, k) for species in (0, 1) for k in range(5)])
+        rows = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (len(seeds), 1)), 4)
+        addresses = [(int(s), tuple(k)) for s in seeds for k in keys.tolist()]
+        for row, (seed, key) in zip(rows, addresses):
+            assert SeededStream(row).generator.random() == RngStream(seed, key).generator.random()
+
+    @pytest.mark.parametrize(
+        "entropy, keys",
+        [
+            (-1, [(0,)]),
+            ([3, -1], [(0,), (1,)]),
+            (1.5, [(0,)]),
+            (True, [(0,)]),
+            (1, [(0,), (-1,)]),
+            (1, [0, 1]),
+        ],
+    )
+    def test_bad_rows_rejected(self, entropy, keys):
+        with pytest.raises(ValidationError):
+            seed_states(entropy, keys, 4)
+
+    def test_state_words_serve_only_their_own_request(self):
+        words = statevector._state_words_type()(seed_states(1, [(0,)], 4)[0])
+        with pytest.raises(ValidationError):
+            words.generate_state(2, np.uint64)
+        with pytest.raises(ValidationError):
+            words.generate_state(8, np.uint32)
 
 
 class TestStateVector:
