@@ -1,12 +1,12 @@
 """Circuit-level estimation primitives.
 
 Three building blocks: the SWAP test (swap_test), linear-combination-of-
-unitaries application (lcu_apply), and the energy estimator built from the two
-(energy_expectation).  An estimator that takes a stream (an RngStream or a
-SeededStream) draws every classically random step (post-selection attempts,
-shot histograms) from it, modelling a finite-shot experiment; given None
-instead, it returns the analytic values read off the simulated amplitudes,
-with zero variance.
+unitaries application (LcuCircuit, lcu_apply), and the energy estimator built
+from the two (energy_expectation).  An estimator that takes a stream (an
+RngStream or a SeededStream) draws every classically random step
+(post-selection attempts, shot histograms) from it, modelling a finite-shot
+experiment; given None instead, it returns the analytic values read off the
+simulated amplitudes, with zero variance.
 
 All circuits place ancillas above the system register and remove them again by
 post-selection, so callers only ever see system-sized states.  The random
@@ -14,7 +14,9 @@ steps read a circuit only through numbers it yields once (a success
 probability, an ancilla distribution).  replay_post_selection, SwapStatistics
 and LcuOverlap draw from those numbers; the primitives below use them on a
 fresh circuit, and a caller that repeats a circuit under many seeds simulates
-it once and keeps them.
+it once and keeps them.  Likewise an LcuCircuit depends only on its
+operator: it is built and its matrices checked once, then applied to as many
+states as needed.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .statevector import (
     POSTSELECT_TOL,
     StateVector,
     Stream,
-    apply_multiplexed,
-    apply_unitary,
+    apply_checked_multiplexed,
+    apply_checked_unitary,
+    checked_unitaries,
+    checked_unitary,
     init_basis_state,
     marginal,
     measure_probability,
@@ -46,7 +50,7 @@ FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_HADAMARD = checked_unitary(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), 1)
 
 
 @dataclass(frozen=True)
@@ -137,11 +141,11 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
     n = psi.nqubits
     anc = 2 * n
     full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
-    full = apply_unitary(full, _HADAMARD, [anc])
+    full = apply_checked_unitary(full, _HADAMARD, [anc])
     # axes (ancilla, phi register, psi register)
     halves = full.amplitudes.reshape(2, 2**n, 2**n)
     laddered = np.stack([halves[0], halves[1].T]).reshape(-1)
-    full = apply_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
+    full = apply_checked_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
     return SwapStatistics(p0=measure_probability(full, anc, 0), marginal=marginal(full, [anc]))
 
 
@@ -172,47 +176,72 @@ def _prep_unitary(amps: np.ndarray) -> np.ndarray:
     return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
 
 
-def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:
-    """Apply a real-weighted Pauli sum as a linear combination of unitaries.
+class LcuCircuit:
+    """Prepare-select-unprepare circuit of a real-weighted Pauli sum A.
 
-    Prepare-select-unprepare over max(1, ceil(log2 k)) ancillas: the prepare
-    unitary loads sqrt(|c_i| / lambda), the multiplexer applies
-    sign(c_i) * P_i, and post-selecting all ancillas on |0> leaves
-    A|psi>/||A|psi>|| with success probability ||A|psi>||^2 / lambda^2,
-    lambda = sum |c_i|.  The reported probability is that formula, with A|psi>
-    from pauli.apply; the product of the circuit's post-selection
-    probabilities is checked against it.
+    Over max(1, ceil(log2 k)) ancillas for k terms: the prepare unitary loads
+    sqrt(|c_i| / lambda), the multiplexer applies sign(c_i) * P_i, and
+    post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
+    probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  None of this
+    depends on the state, so the prepare unitary, its adjoint and the stack
+    of selected blocks are built and checked once, and kept read-only.
     """
-    if op.nqubits != psi.nqubits:
-        raise SizeError(f"operator on {op.nqubits} qubits, state on {psi.nqubits}")
-    if not op.is_real_weighted():
-        raise ValidationError("LCU needs a real-weighted (Hermitian-combination) Pauli sum")
-    if len(op.terms) == 0:
-        raise AnnihilatedStateError("empty operator annihilates every state")
-    n = psi.nqubits
-    lam = float(sum(abs(t.coefficient) for t in op.terms))
-    image = pl.apply(op, psi)
-    nrm2 = float(np.vdot(image.amplitudes, image.amplitudes).real)
-    p_success = nrm2 / lam**2
-    if p_success < POSTSELECT_TOL:
-        raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
-    k = len(op.terms)
-    na = max(1, (k - 1).bit_length())
-    amps = np.zeros(2**na)
-    amps[:k] = [np.sqrt(abs(t.coefficient) / lam) for t in op.terms]
-    prep = _prep_unitary(amps)
-    full = psi.tensor(init_basis_state(na, "0" * na))
-    ancillas = list(range(n, n + na))
-    full = apply_unitary(full, prep, ancillas)
-    selected = [t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms]
-    full = apply_multiplexed(full, selected, controls=ancillas, targets=list(range(n)))
-    full = apply_unitary(full, prep.conj().T, ancillas)
-    total = 1.0
-    for anc in reversed(ancillas):
-        full, prob = post_select(full, anc, 0)
-        total *= prob
-    assert abs(total - p_success) < 1e-9
-    return LcuResult(state=full, success_probability=p_success, lam=lam)
+
+    __slots__ = ("op", "lam", "n_ancillas", "prepare", "unprepare", "selected")
+
+    def __init__(self, op: pl.PauliSum) -> None:
+        if not op.is_real_weighted():
+            raise ValidationError("LCU needs a real-weighted (Hermitian-combination) Pauli sum")
+        if len(op.terms) == 0:
+            raise AnnihilatedStateError("empty operator annihilates every state")
+        self.op = op
+        self.lam = float(sum(abs(t.coefficient) for t in op.terms))
+        k = len(op.terms)
+        na = self.n_ancillas = max(1, (k - 1).bit_length())
+        amps = np.zeros(2**na)
+        amps[:k] = [np.sqrt(abs(t.coefficient) / self.lam) for t in op.terms]
+        prep = _prep_unitary(amps)
+        self.prepare = checked_unitary(prep, na)
+        self.unprepare = checked_unitary(prep.conj().T, na)
+        selected = [t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms]
+        self.selected = checked_unitaries(selected, op.nqubits)
+
+    def apply(self, psi: StateVector) -> LcuResult:
+        """Run the circuit on psi and post-select every ancilla on |0>.
+
+        The reported probability is ||A|psi>||^2 / lambda^2, with A|psi> from
+        pauli.apply; the product of the circuit's post-selection
+        probabilities is checked against it.
+        """
+        if self.op.nqubits != psi.nqubits:
+            raise SizeError(f"operator on {self.op.nqubits} qubits, state on {psi.nqubits}")
+        image = pl.apply(self.op, psi)
+        nrm2 = float(np.vdot(image.amplitudes, image.amplitudes).real)
+        p_success = nrm2 / self.lam**2
+        if p_success < POSTSELECT_TOL:
+            raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
+        n, na = psi.nqubits, self.n_ancillas
+        full = psi.tensor(init_basis_state(na, "0" * na))
+        ancillas = list(range(n, n + na))
+        full = apply_checked_unitary(full, self.prepare, ancillas)
+        full = apply_checked_multiplexed(full, self.selected, ancillas, list(range(n)))
+        full = apply_checked_unitary(full, self.unprepare, ancillas)
+        total = 1.0
+        for anc in reversed(ancillas):
+            full, prob = post_select(full, anc, 0)
+            total *= prob
+        assert abs(total - p_success) < 1e-9
+        return LcuResult(state=full, success_probability=p_success, lam=self.lam)
+
+    def energy_statistics(self, psi: StateVector) -> "LcuOverlap":
+        """Simulate the circuits of an energy measurement once: A|psi>, then SWAP with psi."""
+        result = self.apply(psi)
+        return LcuOverlap(result.lam, result.success_probability, swap_statistics(psi, result.state))
+
+
+def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:
+    """Apply a real-weighted Pauli sum to psi as a linear combination of unitaries."""
+    return LcuCircuit(op).apply(psi)
 
 
 @dataclass(frozen=True)
@@ -249,8 +278,7 @@ class LcuOverlap:
 
 def energy_statistics(op: pl.PauliSum, psi: StateVector) -> LcuOverlap:
     """Simulate the circuits of an energy measurement once: A|psi>, then SWAP with psi."""
-    result = lcu_apply(op, psi)
-    return LcuOverlap(result.lam, result.success_probability, swap_statistics(psi, result.state))
+    return LcuCircuit(op).energy_statistics(psi)
 
 
 def energy_expectation(
@@ -263,4 +291,3 @@ def energy_expectation(
     Bernoulli draws so both factors carry shot noise.
     """
     return energy_statistics(op, psi).energy(shots, rng)
-

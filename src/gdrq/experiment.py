@@ -30,9 +30,8 @@ import numpy as np
 from .algorithms import (
     FACTOR_STREAMS,
     MAX_ATTEMPTS,
+    LcuCircuit,
     LcuOverlap,
-    energy_statistics,
-    lcu_apply,
     swap_statistics,
 )
 from .encoding import (
@@ -267,12 +266,13 @@ class QuantumPlan:
         b = oscillator_length(config.A)
         hamiltonian = build_hamiltonian(basis, homega)
         offset = hamiltonian.identity_coefficient()
-        hz = hamiltonian.without_identity()
+        # one circuit of the shifted Hamiltonian serves every configuration of both species
+        hz = LcuCircuit(hamiltonian.without_identity())
 
         def configuration(bits: Sequence[int]) -> tuple[StateVector, _Energy]:
             state = init_basis_state(basis.nqubits, _bitstring(bits))
             sign = _shifted_sign(bits, basis, homega, offset)
-            return state, _Energy(sign, energy_statistics(hz, state))
+            return state, _Energy(sign, hz.energy_statistics(state))
 
         species = []
         for sp_index, name in enumerate(_SPECIES):
@@ -282,7 +282,7 @@ class QuantumPlan:
                 continue
             ref, ref_energy = configuration(bits)
             dipole = build_dipole(basis, config, name) * (1.0 / b)
-            lcu = lcu_apply(dipole, ref)
+            lcu = LcuCircuit(dipole).apply(ref)
             hops = []
             for q_from, q_to in moves:
                 ex_bits = list(bits)

@@ -16,6 +16,7 @@ zero-weight terms dropped, terms ordered by (qubit support, axes letters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
 
@@ -176,12 +177,28 @@ class PauliSum:
         return add(self, other)
 
     def __mul__(self, factor: float) -> "PauliSum":
+        """The sum scaled by a finite real factor.
+
+        Scaling changes no axes and no phase, so the canonical order holds and
+        nothing needs merging; only a term whose product is exactly zero (a
+        zero factor, or underflow) is dropped.
+        """
         if isinstance(factor, complex):
             raise ValidationError("scalar factors must be real")
-        return PauliSum(
-            self.nqubits,
-            tuple(PauliTerm(t.coefficient * float(factor), t.axes, t.phase) for t in self.terms),
-        )
+        factor = float(factor)
+        if not math.isfinite(factor):
+            raise ValidationError(f"scalar factors must be finite, got {factor}")
+        terms = []
+        for t in self.terms:
+            coefficient = t.coefficient * factor
+            if math.isinf(coefficient):
+                raise ValidationError(f"scaling {t.label()} by {factor} overflows")
+            if coefficient != 0.0:
+                terms.append(PauliTerm(coefficient, t.axes, t.phase))
+        scaled = object.__new__(PauliSum)
+        object.__setattr__(scaled, "nqubits", self.nqubits)
+        object.__setattr__(scaled, "terms", tuple(terms))
+        return scaled
 
     __rmul__ = __mul__
 

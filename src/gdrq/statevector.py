@@ -74,7 +74,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Independent stream with `index` appended to the spawn key."""
-        return RngStream(self.seed, self.spawn_key + (int(index),))
+        return RngStream(self.seed, self.spawn_key + (non_negative_int(index, "child index"),))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -301,6 +301,31 @@ def _check_unitary(u: np.ndarray, k: int) -> np.ndarray:
     return u
 
 
+def _read_only(u: np.ndarray) -> np.ndarray:
+    """A read-only view: same memory and layout, so products with it keep their bits."""
+    view = u.view()
+    view.flags.writeable = False
+    return view
+
+
+def checked_unitary(u: np.ndarray, k: int) -> np.ndarray:
+    """u checked as apply_unitary checks it, as a read-only view for the kernels."""
+    return _read_only(_check_unitary(u, k))
+
+
+def checked_unitaries(blocks: np.ndarray, k: int) -> np.ndarray:
+    """A stack of 2^k x 2^k unitaries, all checked in one batched product u^H u - I
+    with the tolerance of a single check, as a read-only view for the kernels."""
+    blocks = np.asarray(blocks, dtype=complex)
+    dim = 2**k
+    if blocks.ndim != 3 or blocks.shape[1:] != (dim, dim):
+        raise ValidationError(f"expected a stack of {dim}x{dim} matrices, got shape {blocks.shape}")
+    defect = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(dim)), initial=0.0)
+    if defect > UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
+    return _read_only(blocks)
+
+
 @functools.cache
 def _front_permutation(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Axis permutation that moves `qubits` to the front, and its inverse.
@@ -324,15 +349,48 @@ def _from_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[1]).reshape(-1)
 
 
+def apply_checked_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
+    """apply_unitary for a matrix that checked_unitary has already checked."""
+    targets = _check_targets(state, targets)
+    n = state.nqubits
+    moved = _to_front(state.amplitudes, n, targets)
+    out = u @ moved.reshape(2 ** len(targets), -1)
+    return StateVector(n, _from_front(out, n, targets))
+
+
 def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply a 2^k x 2^k unitary; u row/col index bit m belongs to targets[m]."""
     targets = _check_targets(state, targets)
-    k = len(targets)
-    u = _check_unitary(u, k)
+    return apply_checked_unitary(state, _check_unitary(u, len(targets)), targets)
+
+
+def _multiplexed_qubits(
+    state: StateVector, n_blocks: int, controls: Sequence[int], targets: Sequence[int]
+) -> list[int]:
+    """Targets, then controls, once n_blocks blocks are known to fit the control patterns."""
+    if len(controls) < 1 or len(targets) < 1:
+        raise SizeError("multiplexing needs at least one control and one target")
+    if n_blocks > 2 ** len(controls):
+        raise ValidationError(f"{n_blocks} unitaries exceed {2 ** len(controls)} control patterns")
+    return _check_targets(state, [*targets, *controls])
+
+
+def apply_checked_multiplexed(
+    state: StateVector,
+    blocks: Sequence[np.ndarray],
+    controls: Sequence[int],
+    targets: Sequence[int],
+) -> StateVector:
+    """apply_multiplexed for blocks that have already been checked."""
+    qubits = _multiplexed_qubits(state, len(blocks), controls, targets)
     n = state.nqubits
-    moved = _to_front(state.amplitudes, n, targets)
-    out = u @ moved.reshape(2**k, -1)
-    return StateVector(n, _from_front(out, n, targets))
+    # the flatten reads the control pattern, then the target index
+    slices = _to_front(state.amplitudes, n, qubits).reshape(2 ** len(controls), 2 ** len(targets), -1)
+    out = slices.copy()
+    if len(blocks):
+        # one stacked product: the same matrix-vector product per block as a loop
+        out[: len(blocks)] = np.matmul(blocks, slices[: len(blocks)])
+    return StateVector(n, _from_front(out, n, qubits))
 
 
 def apply_multiplexed(
@@ -347,21 +405,9 @@ def apply_multiplexed(
     len(unitaries) act as the identity.  Each block is checked once and applied
     to its own control pattern's slice, so no block-diagonal matrix is built.
     """
-    kc = len(controls)
-    kt = len(targets)
-    if kc < 1 or kt < 1:
-        raise SizeError("multiplexing needs at least one control and one target")
-    if len(unitaries) > 2**kc:
-        raise ValidationError(f"{len(unitaries)} unitaries exceed {2**kc} control patterns")
-    qubits = _check_targets(state, [*targets, *controls])
-    blocks = [_check_unitary(u, kt) for u in unitaries]
-    n = state.nqubits
-    # the flatten reads the control pattern, then the target index
-    slices = _to_front(state.amplitudes, n, qubits).reshape(2**kc, 2**kt, -1)
-    out = slices.copy()
-    for i, u in enumerate(blocks):
-        out[i] = u @ slices[i]
-    return StateVector(n, _from_front(out, n, qubits))
+    _multiplexed_qubits(state, len(unitaries), controls, targets)
+    blocks = [_check_unitary(u, len(targets)) for u in unitaries]
+    return apply_checked_multiplexed(state, blocks, controls, targets)
 
 
 def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:

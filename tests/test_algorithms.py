@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import gdrq.algorithms
 from gdrq import pauli as pl
 from gdrq.algorithms import (
+    _HADAMARD,
     MAX_ATTEMPTS,
+    LcuCircuit,
     _replay_block,
     energy_expectation,
     lcu_apply,
@@ -22,8 +24,10 @@ from gdrq.errors import AnnihilatedStateError, PreparationError, SizeError, Vali
 from gdrq.statevector import (
     RngStream,
     StateVector,
+    _check_unitary,
     apply_multiplexed,
     apply_unitary,
+    checked_unitaries,
     init_basis_state,
     marginal,
     measure_probability,
@@ -153,6 +157,112 @@ class TestLcuApply:
         op = pl.PauliSum(2, (pl.PauliTerm(1.0, "XI"),))
         with pytest.raises(SizeError):
             lcu_apply(op, init_basis_state(1, "0"))
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLcuCircuit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_circuit_serves_many_states(self, seed):
+        """A circuit reused over states gives, bit for bit, what a fresh one per state gives."""
+        rng = np.random.default_rng(seed)
+        nqubits = int(rng.integers(1, 5))
+        op = random_hermitian_sum(rng, nqubits, 9)
+        states = [random_state(rng, nqubits) for _ in range(5)]
+        states += [init_basis_state(nqubits, format(i, f"0{nqubits}b")) for i in range(2**nqubits)]
+        circuit = LcuCircuit(op)
+        for psi in states:
+            try:
+                fresh = LcuCircuit(op).apply(psi)
+            except AnnihilatedStateError:
+                with pytest.raises(AnnihilatedStateError):
+                    circuit.apply(psi)
+                continue
+            reused = circuit.apply(psi)
+            assert np.array_equal(reused.state.amplitudes, fresh.state.amplitudes)
+            assert reused.success_probability == fresh.success_probability
+            assert reused.lam == fresh.lam
+
+    def test_hamiltonian_circuit_serves_every_configuration(self):
+        h = build_hamiltonian(BasisWindow(3, 6), 1.0).without_identity()
+        circuit = LcuCircuit(h)
+        compared = 0
+        for i in range(16):
+            psi = init_basis_state(4, format(i, "04b"))
+            try:
+                fresh = gdrq.algorithms.energy_statistics(h, psi)
+            except AnnihilatedStateError:
+                continue
+            reused = circuit.energy_statistics(psi)
+            compared += 1
+            assert (reused.lam, reused.p_success, reused.swap.p0) == (
+                fresh.lam,
+                fresh.p_success,
+                fresh.swap.p0,
+            )
+            assert np.array_equal(reused.swap.marginal, fresh.swap.marginal)
+        assert compared >= 8
+
+    def test_non_unitary_block_rejected_at_build(self, monkeypatch):
+        terms = (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(-0.5, "ZZ"), pl.PauliTerm(2.0, "IY"))
+        op = pl.PauliSum(2, terms)
+        matrix = pl.PauliTerm.matrix
+
+        def one_bad_block(term):
+            return matrix(term) * (1.0 + 1e-6 * (term.axes == "ZZ"))
+
+        monkeypatch.setattr(pl.PauliTerm, "matrix", one_bad_block)
+        with pytest.raises(ValidationError, match="not unitary"):
+            LcuCircuit(op)
+
+    def test_checked_matrices_are_read_only(self):
+        circuit = LcuCircuit(build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity())
+        for matrix in (circuit.prepare, circuit.unprepare, circuit.selected, _HADAMARD):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
+
+class TestBatchedUnitaryCheck:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_agrees_with_single_check(self, k):
+        """Random unitaries, perturbed on a log scale across the tolerance, are
+        accepted or rejected alike by the batched and the single check."""
+        rng = np.random.default_rng(k)
+        dim = 2**k
+        cases = [random_unitary(rng, dim) for _ in range(10)]
+        for scale in np.logspace(-14, -6, 33):
+            u = random_unitary(rng, dim)
+            cases.append(u + scale * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)))
+        verdicts = []
+        for u in cases:
+            try:
+                _check_unitary(u, k)
+                single = True
+            except ValidationError:
+                single = False
+            try:
+                checked_unitaries(u[None], k)
+                batched = True
+            except ValidationError:
+                batched = False
+            assert single == batched
+            verdicts.append(single)
+        assert True in verdicts and False in verdicts
+        ok = [u for u, v in zip(cases, verdicts) if v]
+        assert np.array_equal(checked_unitaries(ok, k), ok)
+        for bad in (u for u, v in zip(cases, verdicts) if not v):
+            with pytest.raises(ValidationError):
+                checked_unitaries([*ok[:3], bad, *ok[3:6]], k)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValidationError):
+            checked_unitaries(np.eye(2), 1)
+        with pytest.raises(ValidationError):
+            checked_unitaries([np.eye(4)], 1)
 
 
 class TestEnergyExpectation:

@@ -12,9 +12,19 @@ import pytest
 
 import gdrq.algorithms
 import gdrq.encoding
+import gdrq.pauli
 import gdrq.statevector
+from gdrq.algorithms import LcuCircuit
 from gdrq.cli import load_config
-from gdrq.encoding import BasisWindow, NucleusConfig, fill_occupations
+from gdrq.encoding import (
+    BasisWindow,
+    NucleusConfig,
+    build_dipole,
+    build_hamiltonian,
+    fill_occupations,
+    hbar_omega,
+    oscillator_length,
+)
 from gdrq.errors import SchemaError, ValidationError
 from gdrq.experiment import (
     QuantumPlan,
@@ -181,6 +191,15 @@ def count_calls(monkeypatch, targets):
 
 class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
+        """One Hamiltonian circuit per plan and one dipole circuit per species; each
+        block is built once and checked in one batched check, the prepare unitary
+        and its adjoint once each, and more runs add no circuit work."""
+        basis = SN_QUANTUM.basis
+        hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
+        dipoles = [
+            build_dipole(basis, SN_QUANTUM, name) * (1.0 / oscillator_length(SN_QUANTUM.A))
+            for name in ("proton", "neutron")
+        ]
         counts = count_calls(
             monkeypatch,
             [
@@ -188,16 +207,45 @@ class TestQuantumPlan:
                 (gdrq.encoding, "build_dipole"),
                 (gdrq.algorithms, "lcu_apply"),
                 (gdrq.statevector, "apply_unitary"),
+                (gdrq.statevector, "apply_multiplexed"),
             ],
         )
+        work = {"circuits": [], "stacks": [], "singles": [], "matrices": 0}
+        init = LcuCircuit.__init__
+        stack_check = gdrq.statevector.checked_unitaries
+        single_check = gdrq.statevector._check_unitary
+        matrix = gdrq.pauli.PauliTerm.matrix
+
+        def counted_matrix(term):
+            work["matrices"] += 1
+            return matrix(term)
+
+        monkeypatch.setattr(
+            LcuCircuit, "__init__", lambda c, op: work["circuits"].append(op) or init(c, op)
+        )
+        monkeypatch.setattr(
+            gdrq.algorithms,
+            "checked_unitaries",
+            lambda blocks, k: work["stacks"].append(len(blocks)) or stack_check(blocks, k),
+        )
+        monkeypatch.setattr(
+            gdrq.statevector,
+            "_check_unitary",
+            lambda u, k: work["singles"].append(k) or single_check(u, k),
+        )
+        monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
-        one_run = dict(counts)
+        one_run = {**counts, **work}
         counts.clear()
+        work.update(circuits=[], stacks=[], singles=[], matrices=0)
         collect_runs(SN_QUANTUM, 5, runs=10)
-        assert dict(counts) == one_run
-        assert one_run["build_hamiltonian"] == 1
-        assert one_run["build_dipole"] == 2
-        assert one_run["apply_unitary"] > 0
+        assert {**counts, **work} == one_run
+        assert counts == {"build_hamiltonian": 1, "build_dipole": 2}
+        assert work["circuits"] == [hz, *dipoles]
+        assert work["stacks"] == [len(op) for op in work["circuits"]]
+        assert work["matrices"] == sum(work["stacks"])
+        ancillas = [max(1, (len(op) - 1).bit_length()) for op in work["circuits"]]
+        assert work["singles"] == [k for k in ancillas for _ in ("prepare", "adjoint")]
 
     def test_bad_mode_and_seed_rejected(self):
         plan = QuantumPlan.build(SN_QUANTUM)

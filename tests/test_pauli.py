@@ -1,6 +1,7 @@
 """Unit tests for the exact Pauli-string algebra."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,56 @@ class TestPauliSum:
         assert (0.5 * s).terms[0].coefficient == 1.0
         with pytest.raises(ValidationError):
             s * 1j
+
+    @pytest.mark.parametrize("factor", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_factor_rejected(self, factor):
+        s = pl.PauliSum(1, (pl.PauliTerm(2.0, "Z"),))
+        with pytest.raises(ValidationError, match="must be finite") as err:
+            s * factor
+        assert "\n" not in str(err.value)
+
+    def test_overflowing_product_rejected(self):
+        s = pl.PauliSum(1, (pl.PauliTerm(1e300, "Z"),))
+        with pytest.raises(ValidationError, match="overflows"):
+            s * 1e10
+        with pytest.raises(ValidationError):
+            pl.PauliSum(1, (pl.PauliTerm(1e300 * 1e10, "Z"),))
+
+    @pytest.mark.parametrize("factor", [0.0, -0.0, 1e-400])
+    def test_zero_products_give_the_empty_sum(self, factor):
+        s = pl.PauliSum(2, (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(0.5, "ZZ", 1j)))
+        assert (s * factor).terms == ()
+        assert s * factor == pl.PauliSum(2)
+
+    def test_subnormal_products_are_kept(self):
+        s = pl.PauliSum(2, (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(-0.5, "ZZ", 1j)))
+        scaled = s * 1e-320
+        assert [t.coefficient for t in scaled.terms] == [1e-320, -0.5 * 1e-320]
+        assert 0.0 < abs(scaled.terms[1].coefficient) < np.finfo(float).tiny
+
+    @given(
+        st.dictionaries(
+            st.text(alphabet="IXYZ", min_size=3, max_size=3),
+            st.tuples(coefficients, st.sampled_from([1 + 0j, 1j])),
+            max_size=8,
+        ),
+        st.sampled_from([2.5, -1.0, 1 / 3, -7e-5, 1e-310, 3e-322, 1e200, 5e-324]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_equals_merged_sum(self, raw, factor):
+        """Scaling keeps the canonical order: it equals the merge of the scaled terms."""
+        s = pl.PauliSum(3, tuple(pl.PauliTerm(c, axes, ph) for axes, (c, ph) in raw.items()))
+        scaled = s * factor
+        merged = pl.PauliSum(
+            3, tuple(pl.PauliTerm(t.coefficient * factor, t.axes, t.phase) for t in s.terms)
+        )
+        assert scaled == merged
+        assert [(t.coefficient, t.axes, t.phase) for t in scaled.terms] == [
+            (t.coefficient, t.axes, t.phase) for t in merged.terms
+        ]
+        assert [math.copysign(1.0, t.coefficient) for t in scaled.terms] == [
+            math.copysign(1.0, t.coefficient) for t in merged.terms
+        ]
 
     def test_identity_helpers(self):
         s = pl.PauliSum(2, (pl.PauliTerm(3.0, "II"), pl.PauliTerm(1.0, "ZI")))

@@ -17,8 +17,10 @@ from gdrq.statevector import (
     SeededStream,
     ShotHistogram,
     StateVector,
+    apply_checked_multiplexed,
     apply_multiplexed,
     apply_unitary,
+    checked_unitaries,
     init_basis_state,
     measure_probability,
     post_select,
@@ -112,6 +114,12 @@ class TestRngStream:
         assert not np.array_equal(
             parent.child(0).generator.random(8), parent.child(1).generator.random(8)
         )
+
+    @pytest.mark.parametrize("index", [1.5, True, -1])
+    def test_bad_child_index_rejected(self, index):
+        with pytest.raises(ValidationError, match="child index must be a non-negative") as err:
+            RngStream(3).child(index)
+        assert "\n" not in str(err.value)
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValidationError):
@@ -352,6 +360,30 @@ class TestControlledAndMultiplexed:
         unitaries = [random_unitary(rng, 2) for _ in range(2 ** len(controls))]
         apply_multiplexed(state, unitaries, controls, targets)
         assert np.array_equal(state.amplitudes, before)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(2, 9), st.integers(1, 4), st.integers(1, 5)).filter(
+            lambda shape: shape[1] + shape[2] <= shape[0]
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_product_equals_block_loop(self, seed, shape):
+        """The kernel multiplies every block in one stacked product; that equals, bit
+        for bit, a loop that multiplies each block into its control pattern's slice."""
+        state, unitaries, controls, targets = multiplexer_case(seed, *shape, random_unitary)
+        n, qubits = state.nqubits, [*targets, *controls]
+        slices = statevector._to_front(state.amplitudes, n, qubits).reshape(
+            2 ** len(controls), 2 ** len(targets), -1
+        )
+        out = slices.copy()
+        for i, u in enumerate(unitaries):
+            out[i] = u @ slices[i]
+        want = statevector._from_front(out, n, qubits)
+        stack = checked_unitaries(unitaries, len(targets))
+        got = apply_checked_multiplexed(state, stack, controls, targets).amplitudes
+        assert np.array_equal(got, want)
+        assert np.array_equal(apply_multiplexed(state, unitaries, controls, targets).amplitudes, want)
 
     def test_each_block_checked_once(self, monkeypatch):
         checked = []
