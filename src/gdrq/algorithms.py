@@ -34,10 +34,9 @@ from .statevector import (
     POSTSELECT_TOL,
     StateVector,
     Stream,
-    apply_checked_multiplexed,
-    apply_checked_unitary,
-    checked_unitaries,
-    checked_unitary,
+    Unitaries,
+    apply_multiplexed,
+    apply_unitary,
     init_basis_state,
     marginal,
     measure_probability,
@@ -50,7 +49,7 @@ FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
 
-_HADAMARD = checked_unitary(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), 1)
+_HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,11 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
     n = psi.nqubits
     anc = 2 * n
     full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
-    full = apply_checked_unitary(full, _HADAMARD, [anc])
+    full = apply_unitary(full, _HADAMARD, [anc])
     # axes (ancilla, phi register, psi register)
     halves = full.amplitudes.reshape(2, 2**n, 2**n)
     laddered = np.stack([halves[0], halves[1].T]).reshape(-1)
-    full = apply_checked_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
+    full = apply_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
     return SwapStatistics(p0=measure_probability(full, anc, 0), marginal=marginal(full, [anc]))
 
 
@@ -201,10 +200,10 @@ class LcuCircuit:
         amps = np.zeros(2**na)
         amps[:k] = [np.sqrt(abs(t.coefficient) / self.lam) for t in op.terms]
         prep = _prep_unitary(amps)
-        self.prepare = checked_unitary(prep, na)
-        self.unprepare = checked_unitary(prep.conj().T, na)
+        self.prepare = Unitaries(prep[None])
+        self.unprepare = Unitaries(prep.conj().T[None])
         selected = [t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms]
-        self.selected = checked_unitaries(selected, op.nqubits)
+        self.selected = Unitaries(selected)
 
     def apply(self, psi: StateVector) -> LcuResult:
         """Run the circuit on psi and post-select every ancilla on |0>.
@@ -223,9 +222,9 @@ class LcuCircuit:
         n, na = psi.nqubits, self.n_ancillas
         full = psi.tensor(init_basis_state(na, "0" * na))
         ancillas = list(range(n, n + na))
-        full = apply_checked_unitary(full, self.prepare, ancillas)
-        full = apply_checked_multiplexed(full, self.selected, ancillas, list(range(n)))
-        full = apply_checked_unitary(full, self.unprepare, ancillas)
+        full = apply_unitary(full, self.prepare, ancillas)
+        full = apply_multiplexed(full, self.selected, ancillas, list(range(n)))
+        full = apply_unitary(full, self.unprepare, ancillas)
         total = 1.0
         for anc in reversed(ancillas):
             full, prob = post_select(full, anc, 0)
@@ -276,11 +275,6 @@ class LcuOverlap:
         return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
 
 
-def energy_statistics(op: pl.PauliSum, psi: StateVector) -> LcuOverlap:
-    """Simulate the circuits of an energy measurement once: A|psi>, then SWAP with psi."""
-    return LcuCircuit(op).energy_statistics(psi)
-
-
 def energy_expectation(
     op: pl.PauliSum, psi: StateVector, shots: int, rng: Stream | None = None
 ) -> float:
@@ -290,4 +284,4 @@ def energy_expectation(
     output; given a stream, the success rate is re-estimated from `shots`
     Bernoulli draws so both factors carry shot noise.
     """
-    return energy_statistics(op, psi).energy(shots, rng)
+    return LcuCircuit(op).energy_statistics(psi).energy(shots, rng)

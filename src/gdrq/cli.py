@@ -30,6 +30,7 @@ from .experiment import (
     load_experimental_csv,
     mad_series,
     median_spectrum,
+    read_lines,
     run_classical,
     run_quantum,
     write_basis_csv,
@@ -61,8 +62,11 @@ def _seed(text: str) -> int:
 
 
 def _windows(text: str) -> tuple[BasisWindow, ...]:
-    """argparse type for a comma-separated list of shell windows."""
-    return tuple(_window(token) for token in text.split(",") if token.strip())
+    """argparse type for a non-empty comma-separated list of shell windows."""
+    windows = tuple(_window(token) for token in text.split(",") if token.strip())
+    if not windows:
+        raise argparse.ArgumentTypeError(f"expected at least one shell window, got {text!r}")
+    return windows
 
 
 TABLE_WINDOWS = _windows("0-10,2-8,3-6,4-6,4-5")
@@ -75,25 +79,24 @@ _SCHEMA = {key: _PARSE_AS[kind] for key, kind in typing.get_type_hints(NucleusCo
 def load_config(path) -> NucleusConfig:
     """Parse a flat key = value config file ('#' starts a comment)."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or not key or not val:
-                raise SchemaError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
-            if key not in _SCHEMA:
-                raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in values:
-                raise SchemaError(f"{path}:{line_no}: duplicate key {key!r}")
-            try:
-                values[key] = _SCHEMA[key](val)
-            except GdrqError:
-                raise
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: bad value for {key}: {val!r}") from exc
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or not key or not val:
+            raise SchemaError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
+        if key not in _SCHEMA:
+            raise SchemaError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in values:
+            raise SchemaError(f"{path}:{line_no}: duplicate key {key!r}")
+        try:
+            values[key] = _SCHEMA[key](val)
+        except GdrqError:
+            raise
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{line_no}: bad value for {key}: {val!r}") from exc
     required = (f.name for f in fields(NucleusConfig) if f.default is MISSING)
     missing = [key for key in required if key not in values]
     if missing:

@@ -462,31 +462,42 @@ def basis_study(config: NucleusConfig, windows: Sequence[BasisWindow]) -> tuple[
     return tuple(rows)
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that do not decode are a SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_experimental_csv(path) -> ExperimentalSpectrum:
     """Read an energy_mev,sigma_mb table; '#' lines hold the provenance."""
     comments: list[str] = []
     rows: list[tuple[float, float]] = []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line.lstrip("#").strip())
-                continue
-            if not header_seen:
-                if line != "energy_mev,sigma_mb":
-                    raise SchemaError(f"{path}: expected header 'energy_mev,sigma_mb', got {line!r}")
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise SchemaError(f"{path}:{line_no}: expected 2 columns, got {len(cells)}")
-            try:
-                rows.append((float(cells[0]), float(cells[1])))
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line_no}: non-numeric cell") from exc
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line.lstrip("#").strip())
+            continue
+        if not header_seen:
+            if line != "energy_mev,sigma_mb":
+                raise SchemaError(f"{path}: expected header 'energy_mev,sigma_mb', got {line!r}")
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise SchemaError(f"{path}:{line_no}: expected 2 columns, got {len(cells)}")
+        try:
+            row = (float(cells[0]), float(cells[1]))
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{line_no}: non-numeric cell") from exc
+        if not np.isfinite(row).all():
+            raise SchemaError(f"{path}:{line_no}: non-finite cell")
+        rows.append(row)
     if not header_seen:
         raise SchemaError(f"{path}: missing header line")
     if len(rows) < 3:

@@ -290,40 +290,37 @@ def _check_targets(state: StateVector, targets: Sequence[int]) -> list[int]:
     return targets
 
 
-def _check_unitary(u: np.ndarray, k: int) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    dim = 2**k
-    if u.shape != (dim, dim):
-        raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {u.shape}")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if defect > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
-    return u
+class Unitaries:
+    """A stack of unitaries, checked once when built.
+
+    `blocks` is an (s, d, d) stack; all s blocks are checked in one batched
+    product u^H u - I against UNITARY_TOL.  It is kept as a read-only view of
+    the same memory and layout, so products with it keep their bits.  A single
+    matrix u is Unitaries(u[None]).  The gates apply nothing else.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks) -> None:
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+            raise ValidationError(f"expected a stack of square matrices, got shape {blocks.shape}")
+        eye = np.eye(blocks.shape[1])
+        defect = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - eye), initial=0.0)
+        if defect > UNITARY_TOL:
+            raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
+        self.blocks = blocks.view()
+        self.blocks.flags.writeable = False
 
 
-def _read_only(u: np.ndarray) -> np.ndarray:
-    """A read-only view: same memory and layout, so products with it keep their bits."""
-    view = u.view()
-    view.flags.writeable = False
-    return view
-
-
-def checked_unitary(u: np.ndarray, k: int) -> np.ndarray:
-    """u checked as apply_unitary checks it, as a read-only view for the kernels."""
-    return _read_only(_check_unitary(u, k))
-
-
-def checked_unitaries(blocks: np.ndarray, k: int) -> np.ndarray:
-    """A stack of 2^k x 2^k unitaries, all checked in one batched product u^H u - I
-    with the tolerance of a single check, as a read-only view for the kernels."""
-    blocks = np.asarray(blocks, dtype=complex)
-    dim = 2**k
-    if blocks.ndim != 3 or blocks.shape[1:] != (dim, dim):
-        raise ValidationError(f"expected a stack of {dim}x{dim} matrices, got shape {blocks.shape}")
-    defect = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(dim)), initial=0.0)
-    if defect > UNITARY_TOL:
-        raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
-    return _read_only(blocks)
+def _blocks_on(unitaries: Unitaries, k: int) -> np.ndarray:
+    """The blocks of a Unitaries, once they are known to be 2^k x 2^k."""
+    if not isinstance(unitaries, Unitaries):
+        raise ValidationError(f"gates apply Unitaries, not {type(unitaries).__name__}")
+    blocks, dim = unitaries.blocks, 2**k
+    if blocks.shape[1] != dim:
+        raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {blocks.shape[1:]}")
+    return blocks
 
 
 @functools.cache
@@ -349,40 +346,36 @@ def _from_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[1]).reshape(-1)
 
 
-def apply_checked_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
-    """apply_unitary for a matrix that checked_unitary has already checked."""
+def apply_unitary(state: StateVector, u: Unitaries, targets: Sequence[int]) -> StateVector:
+    """Apply the one 2^k x 2^k matrix of u; its row/col index bit m belongs to targets[m]."""
     targets = _check_targets(state, targets)
+    blocks = _blocks_on(u, len(targets))
+    if len(blocks) != 1:
+        raise ValidationError(f"apply_unitary applies one matrix, got {len(blocks)}")
     n = state.nqubits
     moved = _to_front(state.amplitudes, n, targets)
-    out = u @ moved.reshape(2 ** len(targets), -1)
+    out = blocks[0] @ moved.reshape(2 ** len(targets), -1)
     return StateVector(n, _from_front(out, n, targets))
 
 
-def apply_unitary(state: StateVector, u: np.ndarray, targets: Sequence[int]) -> StateVector:
-    """Apply a 2^k x 2^k unitary; u row/col index bit m belongs to targets[m]."""
-    targets = _check_targets(state, targets)
-    return apply_checked_unitary(state, _check_unitary(u, len(targets)), targets)
-
-
-def _multiplexed_qubits(
-    state: StateVector, n_blocks: int, controls: Sequence[int], targets: Sequence[int]
-) -> list[int]:
-    """Targets, then controls, once n_blocks blocks are known to fit the control patterns."""
-    if len(controls) < 1 or len(targets) < 1:
-        raise SizeError("multiplexing needs at least one control and one target")
-    if n_blocks > 2 ** len(controls):
-        raise ValidationError(f"{n_blocks} unitaries exceed {2 ** len(controls)} control patterns")
-    return _check_targets(state, [*targets, *controls])
-
-
-def apply_checked_multiplexed(
+def apply_multiplexed(
     state: StateVector,
-    blocks: Sequence[np.ndarray],
+    unitaries: Unitaries,
     controls: Sequence[int],
     targets: Sequence[int],
 ) -> StateVector:
-    """apply_multiplexed for blocks that have already been checked."""
-    qubits = _multiplexed_qubits(state, len(blocks), controls, targets)
+    """Apply block i of `unitaries` on targets when the control register reads i.
+
+    Control patterns are little endian in the listed controls; patterns beyond
+    the stack act as the identity.  Each block is applied to its own control
+    pattern's slice, so no block-diagonal matrix is built.
+    """
+    if len(controls) < 1 or len(targets) < 1:
+        raise SizeError("multiplexing needs at least one control and one target")
+    blocks = _blocks_on(unitaries, len(targets))
+    if len(blocks) > 2 ** len(controls):
+        raise ValidationError(f"{len(blocks)} unitaries exceed {2 ** len(controls)} control patterns")
+    qubits = _check_targets(state, [*targets, *controls])
     n = state.nqubits
     # the flatten reads the control pattern, then the target index
     slices = _to_front(state.amplitudes, n, qubits).reshape(2 ** len(controls), 2 ** len(targets), -1)
@@ -391,23 +384,6 @@ def apply_checked_multiplexed(
         # one stacked product: the same matrix-vector product per block as a loop
         out[: len(blocks)] = np.matmul(blocks, slices[: len(blocks)])
     return StateVector(n, _from_front(out, n, qubits))
-
-
-def apply_multiplexed(
-    state: StateVector,
-    unitaries: Sequence[np.ndarray],
-    controls: Sequence[int],
-    targets: Sequence[int],
-) -> StateVector:
-    """Apply unitaries[i] on targets when the control register reads i.
-
-    Control patterns are little endian in the listed controls; patterns beyond
-    len(unitaries) act as the identity.  Each block is checked once and applied
-    to its own control pattern's slice, so no block-diagonal matrix is built.
-    """
-    _multiplexed_qubits(state, len(unitaries), controls, targets)
-    blocks = [_check_unitary(u, len(targets)) for u in unitaries]
-    return apply_checked_multiplexed(state, blocks, controls, targets)
 
 
 def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:

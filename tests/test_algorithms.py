@@ -22,19 +22,19 @@ from gdrq.algorithms import (
 from gdrq.encoding import BasisWindow, build_hamiltonian
 from gdrq.errors import AnnihilatedStateError, PreparationError, SizeError, ValidationError
 from gdrq.statevector import (
+    UNITARY_TOL,
     RngStream,
     StateVector,
-    _check_unitary,
+    Unitaries,
     apply_multiplexed,
     apply_unitary,
-    checked_unitaries,
     init_basis_state,
     marginal,
     measure_probability,
 )
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
+CONTROLLED_SWAP = Unitaries([np.eye(4), np.eye(4, dtype=complex)[[0, 2, 1, 3]]])
 
 
 def random_state(rng: np.random.Generator, nqubits: int) -> StateVector:
@@ -91,7 +91,7 @@ class TestSwapTest:
         anc = 2 * n
         full = apply_unitary(psi.tensor(phi).tensor(init_basis_state(1, "0")), HADAMARD, [anc])
         for j in range(n):
-            full = apply_multiplexed(full, [np.eye(4), SWAP], [anc], [j, n + j])
+            full = apply_multiplexed(full, CONTROLLED_SWAP, [anc], [j, n + j])
         full = apply_unitary(full, HADAMARD, [anc])
         stats = swap_statistics(psi, phi)
         assert stats.p0 == measure_probability(full, anc, 0)
@@ -193,7 +193,7 @@ class TestLcuCircuit:
         for i in range(16):
             psi = init_basis_state(4, format(i, "04b"))
             try:
-                fresh = gdrq.algorithms.energy_statistics(h, psi)
+                fresh = LcuCircuit(h).energy_statistics(psi)
             except AnnihilatedStateError:
                 continue
             reused = circuit.energy_statistics(psi)
@@ -220,17 +220,18 @@ class TestLcuCircuit:
 
     def test_checked_matrices_are_read_only(self):
         circuit = LcuCircuit(build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity())
-        for matrix in (circuit.prepare, circuit.unprepare, circuit.selected, _HADAMARD):
-            assert not matrix.flags.writeable
+        for stack in (circuit.prepare, circuit.unprepare, circuit.selected, _HADAMARD):
+            assert not stack.blocks.flags.writeable
             with pytest.raises(ValueError):
-                matrix[0, 0] = 2.0
+                stack.blocks[0, 0, 0] = 2.0
 
 
 class TestBatchedUnitaryCheck:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_agrees_with_single_check(self, k):
         """Random unitaries, perturbed on a log scale across the tolerance, are
-        accepted or rejected alike by the batched and the single check."""
+        accepted or rejected alike by the batched check and a check of the one
+        matrix, max|u^H u - I| > UNITARY_TOL."""
         rng = np.random.default_rng(k)
         dim = 2**k
         cases = [random_unitary(rng, dim) for _ in range(10)]
@@ -239,13 +240,9 @@ class TestBatchedUnitaryCheck:
             cases.append(u + scale * (rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)))
         verdicts = []
         for u in cases:
+            single = not np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_TOL
             try:
-                _check_unitary(u, k)
-                single = True
-            except ValidationError:
-                single = False
-            try:
-                checked_unitaries(u[None], k)
+                Unitaries(u[None])
                 batched = True
             except ValidationError:
                 batched = False
@@ -253,16 +250,10 @@ class TestBatchedUnitaryCheck:
             verdicts.append(single)
         assert True in verdicts and False in verdicts
         ok = [u for u, v in zip(cases, verdicts) if v]
-        assert np.array_equal(checked_unitaries(ok, k), ok)
+        assert np.array_equal(Unitaries(ok).blocks, ok)
         for bad in (u for u, v in zip(cases, verdicts) if not v):
             with pytest.raises(ValidationError):
-                checked_unitaries([*ok[:3], bad, *ok[3:6]], k)
-
-    def test_shape_checked(self):
-        with pytest.raises(ValidationError):
-            checked_unitaries(np.eye(2), 1)
-        with pytest.raises(ValidationError):
-            checked_unitaries([np.eye(4)], 1)
+                Unitaries([*ok[:3], bad, *ok[3:6]])
 
 
 class TestEnergyExpectation:

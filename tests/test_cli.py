@@ -516,6 +516,8 @@ class TestMainErrors:
             ["classical", "--basis", "6-3"],
             ["classical", "--basis", "x"],
             ["basis-study", "--bases", "0-10,x"],
+            ["basis-study", "--bases", ","],
+            ["basis-study", "--bases", ""],
             ["quantum", "--shots", "0"],
             ["quantum", "--runs", "0"],
             ["classical", "--kappa", "5"],
@@ -535,6 +537,23 @@ class TestMainErrors:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert "error:" in err
+
+    def test_undecodable_config_is_one_line_data_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + SN_TEXT.encode("utf-16-le"))
+        code = cli.main(["classical", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_undecodable_experiment_is_one_line_data_error(self, sn_config, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("# Berman & Fultz, \u00e9d.\nenergy_mev,sigma_mb\n".encode("latin-1"))
+        argv = ["compare", "--config", str(sn_config), "--experiment", str(path)]
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {path}: not UTF-8 text (invalid continuation byte)\n"
 
     def test_out_of_range_file_value_stays_runtime_error(self, tmp_path, capsys):
         # the value --runs 1 rejects as usage is a data error when the file holds it

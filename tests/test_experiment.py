@@ -1,6 +1,7 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
 import itertools
+import re
 import statistics
 import sys
 from collections import Counter
@@ -191,9 +192,10 @@ def count_calls(monkeypatch, targets):
 
 class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
-        """One Hamiltonian circuit per plan and one dipole circuit per species; each
-        block is built once and checked in one batched check, the prepare unitary
-        and its adjoint once each, and more runs add no circuit work."""
+        """One Hamiltonian circuit per plan and one dipole circuit per species.  Each
+        circuit builds and checks three Unitaries: the prepare unitary, its adjoint
+        and one stack of all selected blocks, each block built once; more runs add
+        no circuit work and apply the same gates."""
         basis = SN_QUANTUM.basis
         hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
         dipoles = [
@@ -210,10 +212,9 @@ class TestQuantumPlan:
                 (gdrq.statevector, "apply_multiplexed"),
             ],
         )
-        work = {"circuits": [], "stacks": [], "singles": [], "matrices": 0}
+        work = {"circuits": [], "unitaries": [], "matrices": 0}
         init = LcuCircuit.__init__
-        stack_check = gdrq.statevector.checked_unitaries
-        single_check = gdrq.statevector._check_unitary
+        build = gdrq.statevector.Unitaries.__init__
         matrix = gdrq.pauli.PauliTerm.matrix
 
         def counted_matrix(term):
@@ -224,28 +225,28 @@ class TestQuantumPlan:
             LcuCircuit, "__init__", lambda c, op: work["circuits"].append(op) or init(c, op)
         )
         monkeypatch.setattr(
-            gdrq.algorithms,
-            "checked_unitaries",
-            lambda blocks, k: work["stacks"].append(len(blocks)) or stack_check(blocks, k),
-        )
-        monkeypatch.setattr(
-            gdrq.statevector,
-            "_check_unitary",
-            lambda u, k: work["singles"].append(k) or single_check(u, k),
+            gdrq.statevector.Unitaries,
+            "__init__",
+            lambda u, blocks: work["unitaries"].append(np.shape(blocks)) or build(u, blocks),
         )
         monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
         one_run = {**counts, **work}
         counts.clear()
-        work.update(circuits=[], stacks=[], singles=[], matrices=0)
+        work.update(circuits=[], unitaries=[], matrices=0)
         collect_runs(SN_QUANTUM, 5, runs=10)
         assert {**counts, **work} == one_run
+        # an LCU application is prepare, select, unprepare; its SWAP test two Hadamards
+        gates = counts.pop("apply_unitary"), counts.pop("apply_multiplexed")
+        assert gates[0] == 4 * gates[1] > 0
         assert counts == {"build_hamiltonian": 1, "build_dipole": 2}
         assert work["circuits"] == [hz, *dipoles]
-        assert work["stacks"] == [len(op) for op in work["circuits"]]
-        assert work["matrices"] == sum(work["stacks"])
-        ancillas = [max(1, (len(op) - 1).bit_length()) for op in work["circuits"]]
-        assert work["singles"] == [k for k in ancillas for _ in ("prepare", "adjoint")]
+        expected = []
+        for op in work["circuits"]:
+            prepare = 2 ** max(1, (len(op) - 1).bit_length())
+            expected += [(1, prepare, prepare)] * 2 + [(len(op), 2**op.nqubits, 2**op.nqubits)]
+        assert work["unitaries"] == expected
+        assert work["matrices"] == sum(len(op) for op in work["circuits"])
 
     def test_bad_mode_and_seed_rejected(self):
         plan = QuantumPlan.build(SN_QUANTUM)
@@ -489,6 +490,16 @@ class TestExperimentalData:
         path = tmp_path / "bad.csv"
         path.write_text(body)
         with pytest.raises(SchemaError):
+            load_experimental_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_cell_refused(self, tmp_path, column, value):
+        cells = ["12", "3"]
+        cells[column] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(f"energy_mev,sigma_mb\n10,1\n11,2\n{','.join(cells)}\n13,4\n")
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}:4: non-finite cell$"):
             load_experimental_csv(path)
 
 

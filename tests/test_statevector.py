@@ -17,10 +17,9 @@ from gdrq.statevector import (
     SeededStream,
     ShotHistogram,
     StateVector,
-    apply_checked_multiplexed,
+    Unitaries,
     apply_multiplexed,
     apply_unitary,
-    checked_unitaries,
     init_basis_state,
     measure_probability,
     post_select,
@@ -30,6 +29,7 @@ from gdrq.statevector import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+X_GATE, H_GATE, I_GATE = (Unitaries(u[None]) for u in (X, H, np.eye(2)))
 
 
 def random_state(rng: np.random.Generator, nqubits: int) -> StateVector:
@@ -271,11 +271,11 @@ class TestStateVector:
 
 class TestApplyUnitary:
     def test_x_on_qubit_zero(self):
-        out = apply_unitary(init_basis_state(2, "00"), X, [0])
+        out = apply_unitary(init_basis_state(2, "00"), X_GATE, [0])
         assert np.argmax(np.abs(out.amplitudes)) == 1
 
     def test_x_on_qubit_one(self):
-        out = apply_unitary(init_basis_state(2, "00"), X, [1])
+        out = apply_unitary(init_basis_state(2, "00"), X_GATE, [1])
         assert np.argmax(np.abs(out.amplitudes)) == 2
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 2))
@@ -286,7 +286,7 @@ class TestApplyUnitary:
         targets = [int(t) for t in targets]
         u = random_unitary(rng, 2 ** len(targets))
         state = random_state(rng, nqubits)
-        got = apply_unitary(state, u, targets).amplitudes
+        got = apply_unitary(state, Unitaries(u[None]), targets).amplitudes
         want = embed_oracle(u, targets, nqubits) @ state.amplitudes
         assert np.allclose(got, want, atol=1e-10)
 
@@ -296,26 +296,35 @@ class TestApplyUnitary:
         rng = np.random.default_rng(seed)
         state = random_state(rng, 3)
         u = random_unitary(rng, 4)
-        out = apply_unitary(state, u, [0, 2])
+        out = apply_unitary(state, Unitaries(u[None]), [0, 2])
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_targets_raise_index_error(self):
         s = init_basis_state(2, "00")
         with pytest.raises(TargetError):
-            apply_unitary(s, X, [2])
+            apply_unitary(s, X_GATE, [2])
         with pytest.raises(IndexError):
-            apply_unitary(s, np.eye(4), [0, 0])
+            apply_unitary(s, Unitaries(np.eye(4)[None]), [0, 0])
 
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_unitary(init_basis_state(1, "0"), np.array([[1.0, 0.0], [0.0, 2.0]]), [0])
-        with pytest.raises(ValidationError):
-            apply_unitary(init_basis_state(2, "00"), X, [0, 1])
+    def test_targets_checked_once(self, monkeypatch):
+        checked = []
+        real = statevector._check_targets
+        monkeypatch.setattr(
+            statevector, "_check_targets", lambda s, t: checked.append(list(t)) or real(s, t)
+        )
+        apply_unitary(init_basis_state(2, "00"), X_GATE, [1])
+        assert checked == [[1]]
+
+    def test_block_size_and_count_checked(self):
+        with pytest.raises(ValidationError, match="expected a 4x4 matrix"):
+            apply_unitary(init_basis_state(2, "00"), X_GATE, [0, 1])
+        with pytest.raises(ValidationError, match="one matrix, got 2"):
+            apply_unitary(init_basis_state(2, "00"), Unitaries([X, H]), [0])
 
 
 class TestControlledAndMultiplexed:
     def test_multiplexed_pattern_selection(self):
-        u_list = [np.eye(2, dtype=complex), X]
+        u_list = Unitaries([np.eye(2, dtype=complex), X])
         # control 0 -> identity
         out = apply_multiplexed(init_basis_state(2, "00"), u_list, [1], [0])
         assert np.argmax(np.abs(out.amplitudes)) == 0
@@ -327,19 +336,19 @@ class TestControlledAndMultiplexed:
         flips = [np.eye(2, dtype=complex)] * 4
         flips[2] = X  # pattern 2 = controls read (c0, c1) = (0, 1)
         state = init_basis_state(3, "100")  # qubit 2 set
-        out = apply_multiplexed(state, flips, controls=[1, 2], targets=[0])
+        out = apply_multiplexed(state, Unitaries(flips), controls=[1, 2], targets=[0])
         assert np.argmax(np.abs(out.amplitudes)) == 0b101
 
     def test_patterns_beyond_list_are_identity(self):
         state = init_basis_state(2, "10")
-        out = apply_multiplexed(state, [X], [1], [0])
+        out = apply_multiplexed(state, X_GATE, [1], [0])
         assert np.argmax(np.abs(out.amplitudes)) == 2
 
     @given(st.integers(0, 2**32 - 1), multiplexer_shapes)
     @settings(max_examples=40, deadline=None)
     def test_signed_permutations_match_oracle_exactly(self, seed, shape):
         state, unitaries, controls, targets = multiplexer_case(seed, *shape, signed_permutation)
-        got = apply_multiplexed(state, unitaries, controls, targets).amplitudes
+        got = apply_multiplexed(state, Unitaries(unitaries), controls, targets).amplitudes
         want = multiplexer_oracle(unitaries, controls, targets, state.nqubits) @ state.amplitudes
         assert np.array_equal(got, want)
 
@@ -347,7 +356,7 @@ class TestControlledAndMultiplexed:
     @settings(max_examples=40, deadline=None)
     def test_random_unitaries_match_oracle(self, seed, shape):
         state, unitaries, controls, targets = multiplexer_case(seed, *shape, random_unitary)
-        got = apply_multiplexed(state, unitaries, controls, targets).amplitudes
+        got = apply_multiplexed(state, Unitaries(unitaries), controls, targets).amplitudes
         want = multiplexer_oracle(unitaries, controls, targets, state.nqubits) @ state.amplitudes
         assert np.allclose(got, want, atol=1e-12)
 
@@ -357,7 +366,7 @@ class TestControlledAndMultiplexed:
         rng = np.random.default_rng(5)
         state = random_state(rng, 3)
         before = state.amplitudes.copy()
-        unitaries = [random_unitary(rng, 2) for _ in range(2 ** len(controls))]
+        unitaries = Unitaries([random_unitary(rng, 2) for _ in range(2 ** len(controls))])
         apply_multiplexed(state, unitaries, controls, targets)
         assert np.array_equal(state.amplitudes, before)
 
@@ -369,8 +378,8 @@ class TestControlledAndMultiplexed:
     )
     @settings(max_examples=40, deadline=None)
     def test_stacked_product_equals_block_loop(self, seed, shape):
-        """The kernel multiplies every block in one stacked product; that equals, bit
-        for bit, a loop that multiplies each block into its control pattern's slice."""
+        """apply_multiplexed multiplies every block in one stacked product; that equals,
+        bit for bit, a loop that multiplies each block into its control pattern's slice."""
         state, unitaries, controls, targets = multiplexer_case(seed, *shape, random_unitary)
         n, qubits = state.nqubits, [*targets, *controls]
         slices = statevector._to_front(state.amplitudes, n, qubits).reshape(
@@ -380,30 +389,70 @@ class TestControlledAndMultiplexed:
         for i, u in enumerate(unitaries):
             out[i] = u @ slices[i]
         want = statevector._from_front(out, n, qubits)
-        stack = checked_unitaries(unitaries, len(targets))
-        got = apply_checked_multiplexed(state, stack, controls, targets).amplitudes
+        got = apply_multiplexed(state, Unitaries(unitaries), controls, targets).amplitudes
         assert np.array_equal(got, want)
-        assert np.array_equal(apply_multiplexed(state, unitaries, controls, targets).amplitudes, want)
-
-    def test_each_block_checked_once(self, monkeypatch):
-        checked = []
-        real = statevector._check_unitary
-        monkeypatch.setattr(statevector, "_check_unitary", lambda u, k: checked.append(k) or real(u, k))
-        apply_multiplexed(init_basis_state(3, "000"), [np.eye(4), np.eye(4)[::-1]], [2], [0, 1])
-        assert checked == [2, 2]
-
-    def test_non_unitary_block_rejected(self):
-        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(ValidationError):
-            apply_multiplexed(init_basis_state(2, "00"), [np.eye(2), bad], [1], [0])
 
     def test_too_many_unitaries_rejected(self):
         with pytest.raises(ValidationError):
-            apply_multiplexed(init_basis_state(2, "00"), [np.eye(2)] * 3, [1], [0])
+            apply_multiplexed(init_basis_state(2, "00"), Unitaries([np.eye(2)] * 3), [1], [0])
+        with pytest.raises(ValidationError, match="expected a 2x2 matrix"):
+            apply_multiplexed(init_basis_state(3, "000"), Unitaries([np.eye(4)]), [1], [0])
 
     def test_needs_controls_and_targets(self):
         with pytest.raises(SizeError):
-            apply_multiplexed(init_basis_state(2, "00"), [np.eye(2)], [], [0])
+            apply_multiplexed(init_basis_state(2, "00"), I_GATE, [], [0])
+
+
+class TestUnitaries:
+    def test_stack_checked_once_when_built_and_not_when_applied(self, monkeypatch):
+        built = []
+        init = Unitaries.__init__
+        monkeypatch.setattr(
+            Unitaries, "__init__", lambda u, blocks: built.append(len(blocks)) or init(u, blocks)
+        )
+        stack, single = Unitaries([np.eye(4), np.eye(4)[::-1]]), Unitaries(np.eye(4)[None])
+        for _ in range(3):
+            apply_multiplexed(init_basis_state(3, "000"), stack, [2], [0, 1])
+            apply_unitary(init_basis_state(2, "00"), single, [0, 1])
+        assert built == [2, 1]
+        # a gate trusts the value: blocks slipped past the check are applied as they are
+        forged = object.__new__(Unitaries)
+        forged.blocks = 2.0 * np.eye(2)[None]
+        out = apply_unitary(init_basis_state(1, "0"), forged, [0])
+        assert np.array_equal(out.amplitudes, [2, 0])
+
+    def test_non_unitary_rejected(self):
+        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValidationError, match=r"^matrix is not unitary \(defect 3.00e\+00\)$"):
+            Unitaries(bad[None])
+        with pytest.raises(ValidationError, match="not unitary"):
+            Unitaries([np.eye(2), bad])
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (2, 2, 2, 2)])
+    def test_needs_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(ValidationError, match="stack of square matrices"):
+            Unitaries(np.ones(shape))
+
+    def test_read_only_view_of_the_same_layout(self):
+        """The adjoint of a C-ordered matrix is F-ordered; the stack keeps that view,
+        so products with it take the same path and give the same bits."""
+        adjoint = random_unitary(np.random.default_rng(3), 4).conj().T
+        stack = Unitaries(adjoint[None])
+        assert np.shares_memory(stack.blocks, adjoint)
+        assert stack.blocks[0].strides == adjoint.strides
+        assert stack.blocks[0].flags.f_contiguous and not stack.blocks[0].flags.c_contiguous
+        assert not stack.blocks.flags.writeable
+        with pytest.raises(ValueError):
+            stack.blocks[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("raw", [X, X[None], [X], [[0, 1], [1, 0]]])
+    def test_gates_refuse_raw_arrays_and_lists(self, raw):
+        for gate in (
+            lambda: apply_unitary(init_basis_state(2, "00"), raw, [0]),
+            lambda: apply_multiplexed(init_basis_state(2, "00"), raw, [1], [0]),
+        ):
+            with pytest.raises(ValidationError, match=r"^gates apply Unitaries, not (ndarray|list)$"):
+                gate()
 
 
 class TestMeasurement:
@@ -415,7 +464,7 @@ class TestMeasurement:
             measure_probability(plus, 0, 2)
 
     def test_post_select_drops_qubit_and_renormalizes(self):
-        state = apply_unitary(init_basis_state(2, "00"), H, [1])
+        state = apply_unitary(init_basis_state(2, "00"), H_GATE, [1])
         kept, prob = post_select(state, 1, 1)
         assert kept.nqubits == 1
         assert prob == pytest.approx(0.5)
@@ -430,7 +479,7 @@ class TestMeasurement:
             post_select(init_basis_state(1, "0"), 0, 0)
 
     def test_sample_deterministic_and_complete(self):
-        state = apply_unitary(init_basis_state(2, "00"), H, [0])
+        state = apply_unitary(init_basis_state(2, "00"), H_GATE, [0])
         hist1 = sample(state, [0, 1], 100, RngStream(5))
         hist2 = sample(state, [0, 1], 100, RngStream(5))
         assert hist1.counts == hist2.counts
