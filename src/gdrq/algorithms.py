@@ -2,11 +2,11 @@
 
 Three building blocks: the SWAP test (swap_test), linear-combination-of-
 unitaries application (LcuCircuit, lcu_apply), and the energy estimator built
-from the two (energy_expectation).  An estimator that takes a stream (an
-RngStream or a SeededStream) draws every classically random step
-(post-selection attempts, shot histograms) from it, modelling a finite-shot
-experiment; given None instead, it returns the analytic values read off the
-simulated amplitudes, with zero variance.
+from the two (energy_expectation).  An estimator that takes a numpy
+Generator draws every classically random step (post-selection attempts, shot
+histograms) from it, modelling a finite-shot experiment; given None instead,
+it returns the analytic values read off the simulated amplitudes, with zero
+variance.
 
 All circuits place ancillas above the system register and remove them again by
 post-selection, so callers only ever see system-sized states.  The random
@@ -33,7 +33,6 @@ from .errors import AnnihilatedStateError, PreparationError, SizeError, Validati
 from .statevector import (
     POSTSELECT_TOL,
     StateVector,
-    Stream,
     Unitaries,
     apply_multiplexed,
     apply_unitary,
@@ -44,7 +43,7 @@ from .statevector import (
 )
 
 MAX_ATTEMPTS = 1000
-# streams one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
+# generators one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
 FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
@@ -75,28 +74,27 @@ def _replay_block(p_success: float, budget: int) -> int:
     return min(budget, 4096, max(16, math.ceil(2.0 / p_success)))
 
 
-def replay_post_selection(p_success: float, rng: Stream) -> int:
+def replay_post_selection(p_success: float, rng: np.random.Generator) -> int:
     """Bernoulli post-selection attempts up to and including the first success.
 
     The budget is at least MAX_ATTEMPTS and grows like 1/p_success, so that
     running out has probability below 1e-12 per call.  Attempts are drawn in
     blocks; `random(n)` gives the same doubles as n scalar draws, and the
-    stream is wound back to just after the first success, so it ends where a
-    draw-by-draw loop would and the next draw on it is the same.
+    generator is wound back to just after the first success, so it ends where
+    a draw-by-draw loop would and the next draw on it is the same.
     """
     budget = MAX_ATTEMPTS
     if p_success < 1.0:
         budget = max(budget, math.ceil(math.log(_EXHAUST_PROBABILITY) / math.log1p(-p_success)))
-    generator = rng.generator
     block = _replay_block(p_success, budget)
     drawn = 0
     while drawn < budget:
         size = min(block, budget - drawn)
-        below = generator.random(size) < p_success
+        below = rng.random(size) < p_success
         k = int(below.argmax())
         if below[k]:
             if k + 1 < size:
-                generator.bit_generator.advance(k + 1 - size)
+                rng.bit_generator.advance(k + 1 - size)
             return drawn + k + 1
         drawn += size
     raise PreparationError(f"LCU post-selection failed {budget} times (p = {p_success:.3e})")
@@ -113,14 +111,14 @@ class SwapStatistics:
     p0: float
     marginal: np.ndarray
 
-    def estimate(self, shots: int, rng: Stream | None = None) -> OverlapEstimate:
-        """Overlap from p0 (no stream) or from `shots` multinomial draws on `rng`."""
+    def estimate(self, shots: int, rng: np.random.Generator | None = None) -> OverlapEstimate:
+        """Overlap from p0 (no generator) or from `shots` multinomial draws on `rng`."""
         if rng is None:
             raw = 2.0 * self.p0 - 1.0
             return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), standard_error=0.0)
         if shots < 1:
             raise ValidationError("a sampled SWAP test needs shots >= 1")
-        k0 = int(rng.generator.multinomial(shots, self.marginal)[0])
+        k0 = int(rng.multinomial(shots, self.marginal)[0])
         raw = 2.0 * k0 / shots - 1.0
         smoothed = (k0 + 1.0) / (shots + 2.0)
         se = 2.0 * float(np.sqrt(smoothed * (1.0 - smoothed) / shots))
@@ -149,15 +147,15 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
 
 
 def swap_test(
-    psi: StateVector, phi: StateVector, shots: int, rng: Stream | None = None
+    psi: StateVector, phi: StateVector, shots: int, rng: np.random.Generator | None = None
 ) -> OverlapEstimate:
     """Estimate |<psi|phi>|^2 via the SWAP test.
 
     The ancilla's |0> probability is (1 + |<psi|phi>|^2) / 2; the raw estimate
     2*p0 - 1 can leave [0, 1] at finite shots, so a clamped copy is reported
     alongside.  The standard error uses the add-one (Laplace) rate, keeping it
-    positive at extreme counts.  With no stream, shots is ignored and the error
-    is zero.
+    positive at extreme counts.  With no generator, shots is ignored and the
+    error is zero.
     """
     return swap_statistics(psi, phi).estimate(shots, rng)
 
@@ -252,12 +250,12 @@ class LcuOverlap:
     swap: SwapStatistics
 
     def factors(
-        self, shots: int, rngs: Iterator[Stream | None]
+        self, shots: int, rngs: Iterator[np.random.Generator | None]
     ) -> tuple[float, OverlapEstimate]:
         """(success rate, overlap) as one repeat of the experiment measures them.
 
         If the first item of `rngs` is None, the analytic values.  Otherwise
-        that stream replays the LCU post-selection, the next shoots the SWAP
+        that generator replays the LCU post-selection, the next shoots the SWAP
         test and the one after re-estimates the success rate from `shots`
         Bernoulli draws.
         """
@@ -266,22 +264,22 @@ class LcuOverlap:
             return self.p_success, self.swap.estimate(shots)
         replay_post_selection(self.p_success, rng)
         overlap = self.swap.estimate(shots, next(rngs))
-        hits = next(rngs).generator.binomial(shots, self.p_success)
+        hits = next(rngs).binomial(shots, self.p_success)
         return hits / shots, overlap
 
-    def energy(self, shots: int, rng: Stream | None) -> float:
+    def energy(self, shots: int, rng: np.random.Generator | None) -> float:
         """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
         p_hat, overlap = self.factors(shots, itertools.repeat(rng))
         return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
 
 
 def energy_expectation(
-    op: pl.PauliSum, psi: StateVector, shots: int, rng: Stream | None = None
+    op: pl.PauliSum, psi: StateVector, shots: int, rng: np.random.Generator | None = None
 ) -> float:
     """|<psi|A|psi>| from the LCU success rate and a SWAP test.
 
     |<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>| with chi the LCU
-    output; given a stream, the success rate is re-estimated from `shots`
+    output; given a generator, the success rate is re-estimated from `shots`
     Bernoulli draws so both factors carry shot noise.
     """
     return LcuCircuit(op).energy_statistics(psi).energy(shots, rng)

@@ -22,6 +22,7 @@ from .algorithms import energy_expectation, swap_test
 from .encoding import BasisWindow, NucleusConfig, build_hamiltonian, jw_annihilation, jw_creation
 from .errors import GdrqError, SchemaError, ValidationError
 from .experiment import (
+    BUNDLED_NUCLEI,
     basis_study,
     bundled_experiment,
     check_mad_runs,
@@ -299,9 +300,6 @@ def _cmd_error_study(args: argparse.Namespace) -> int:
     return 0
 
 
-_BUNDLED_BY_NUCLEUS = {(120, 50): "sn120", (208, 82): "pb208"}
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _configure(args)
     if args.mode == "quantum":
@@ -311,7 +309,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.experiment is not None:
         experiment = load_experimental_csv(args.experiment)
     else:
-        key = _BUNDLED_BY_NUCLEUS.get((config.A, config.Z))
+        key = BUNDLED_NUCLEI.get((config.A, config.Z))
         if key is None:
             raise SchemaError(
                 f"no bundled experimental data for A={config.A}, Z={config.Z}; pass --experiment"

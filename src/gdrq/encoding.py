@@ -19,9 +19,12 @@ import numpy as np
 from . import pauli as pl
 from .constants import HBARC_MEV_FM, NUCLEON_MASS_MEV, OSC_COEFF_MEV
 from .errors import CapacityError, ValidationError
+from .statevector import non_negative_int
 
 # largest energy grid a config may ask for; the shipped configs use 251 points
 MAX_GRID_POINTS = 100_000
+# largest shot count: the C long that numpy's binomial and multinomial take
+MAX_SHOTS = 2**63 - 1
 
 
 def hbar_omega(a: int) -> float:
@@ -53,6 +56,8 @@ class BasisWindow:
     def __post_init__(self) -> None:
         if self.n_min < 0 or self.n_max < self.n_min:
             raise ValidationError(f"bad shell window [{self.n_min}, {self.n_max}]")
+        non_negative_int(self.n_min, "n_min")
+        non_negative_int(self.n_max, "n_max")
 
     @classmethod
     def parse(cls, text: str) -> "BasisWindow":
@@ -95,6 +100,8 @@ class NucleusConfig:
     calibration: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("A", "Z", "shots", "runs"):
+            non_negative_int(getattr(self, name), name)
         for name in ("gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
@@ -106,6 +113,8 @@ class NucleusConfig:
             raise ValidationError("gamma_spread must be positive")
         if self.shots < 1 or self.runs < 1:
             raise ValidationError("shots and runs must be >= 1")
+        if self.shots > MAX_SHOTS:
+            raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
         # energy_grid holds floor(intervals) + 1 points; comparing the float ratio

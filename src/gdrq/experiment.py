@@ -55,12 +55,11 @@ from .response import (
 )
 from .statevector import (
     STREAM_WORDS,
-    SeededStream,
     StateVector,
-    Stream,
     init_basis_state,
     non_negative_int,
     seed_states,
+    seeded_generator,
 )
 
 _SPECIES = ("proton", "neutron")
@@ -199,7 +198,7 @@ class _Energy:
     sign: float
     statistics: LcuOverlap
 
-    def measure(self, shots: int, rng: Stream | None) -> float:
+    def measure(self, shots: int, rng: np.random.Generator | None) -> float:
         return self.sign * self.statistics.energy(shots, rng)
 
 
@@ -226,16 +225,18 @@ class _SpeciesPlan:
         return 1 + len(self.hops) * (1 + FACTOR_STREAMS)
 
 
-def _species_streams(seed: int, states: np.ndarray, spawn_index: int) -> Iterator[SeededStream]:
-    """Measurement streams of one species in one run, in draw order.
+def _species_streams(
+    seed: int, states: np.ndarray, spawn_index: int
+) -> Iterator[np.random.Generator]:
+    """Measurement generators of one species in one run, in draw order.
 
-    Stream k is RngStream(seed, (spawn_index, k)).  The planned ones start
-    from their precomputed `states` rows; one past them, drawn only after an
-    energy redraw, hashes its own row.
+    Generator k draws what RngStream(seed, (spawn_index, k)) draws.  The
+    planned ones start from their precomputed `states` rows; one past them,
+    drawn only after an energy redraw, hashes its own row.
     """
-    planned = map(SeededStream, states)
+    planned = map(seeded_generator, states)
     further = (
-        SeededStream(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
+        seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
         for k in itertools.count(len(states))
     )
     return itertools.chain(planned, further)
@@ -295,7 +296,7 @@ class QuantumPlan:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
         return cls(config=config, length=b, species=tuple(species))
 
-    def _measure(self, streams: Sequence[Iterator[Stream | None]]) -> TransitionSet:
+    def _measure(self, streams: Sequence[Iterator[np.random.Generator | None]]) -> TransitionSet:
         """The poles one quantum experiment measures.
 
         Per species: measure the reference energy and the energy of every
@@ -511,18 +512,17 @@ def load_experimental_csv(path) -> ExperimentalSpectrum:
     return ExperimentalSpectrum(energies=energies, sigma=sigma, source="; ".join(comments))
 
 
-_BUNDLED = {
-    "sn120": "sn120_photoabsorption.csv",
-    "pb208": "pb208_photoabsorption.csv",
-}
+# (A, Z) -> name of the nuclei whose curve ships as data/{name}_photoabsorption.csv
+BUNDLED_NUCLEI = {(120, 50): "sn120", (208, 82): "pb208"}
 
 
 def bundled_experiment(nucleus: str) -> ExperimentalSpectrum:
     """Packaged photo-absorption reference curve for 'sn120' or 'pb208'."""
     key = nucleus.lower()
-    if key not in _BUNDLED:
-        raise ValidationError(f"no bundled data for {nucleus!r}; options: {sorted(_BUNDLED)}")
-    source = resources.files("gdrq").joinpath("data", _BUNDLED[key])
+    names = sorted(BUNDLED_NUCLEI.values())
+    if key not in names:
+        raise ValidationError(f"no bundled data for {nucleus!r}; options: {names}")
+    source = resources.files("gdrq").joinpath("data", f"{key}_photoabsorption.csv")
     with resources.as_file(source) as path:
         return load_experimental_csv(path)
 

@@ -6,12 +6,11 @@ significant qubit first, so qubit 0 is the rightmost character and the string
 equals the binary rendering of the index: init_basis_state(2, "10") puts the
 excitation on qubit 1.
 
-Randomness comes only through RngStream, a PCG64 generator addressed by
+Every draw takes a numpy Generator.  RngStream addresses a PCG64 generator by
 (seed, spawn_key); child streams extend the spawn key, so any part of an
-experiment can be re-derived independently of evaluation order.  Many streams
-at once are cheaper through seed_states, which hashes the seed sequences of a
-whole batch of addresses in one numpy pass, and SeededStream, which starts a
-PCG64 from one row of that hash and draws what RngStream draws.
+experiment can be re-derived independently of evaluation order.  Many at once
+are cheaper: seed_states hashes the seed sequences of a whole batch of
+addresses in one numpy pass, and seeded_generator starts a PCG64 from one row.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# uint64 words of seed state that PCG64 reads, one seed_states row per SeededStream
+# uint64 words of seed state that PCG64 reads, one seed_states row per generator
 STREAM_WORDS = 4
 # the pool words each pool word is mixed into, in numpy's order
 _OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE))
@@ -214,20 +213,13 @@ def _state_words_type() -> type:
     return StateWords
 
 
-class SeededStream:
-    """A PCG64 stream started from one row of seed_states(..., STREAM_WORDS).
+def seeded_generator(row: np.ndarray) -> np.random.Generator:
+    """A PCG64 generator started from one row of seed_states(..., STREAM_WORDS).
 
-    The row of (seed, spawn_key) makes it draw exactly what
-    RngStream(seed, spawn_key) draws; PCG64 runs its own seeding on the words.
+    The row of (seed, spawn_key) makes it draw exactly what RngStream(seed,
+    spawn_key) draws; PCG64 runs its own seeding on the words.
     """
-
-    __slots__ = ("generator",)
-
-    def __init__(self, state: np.ndarray) -> None:
-        self.generator = np.random.Generator(np.random.PCG64(_state_words_type()(state)))
-
-
-Stream = RngStream | SeededStream
+    return np.random.Generator(np.random.PCG64(_state_words_type()(row)))
 
 
 @dataclass(frozen=True)
@@ -422,12 +414,14 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample(state: StateVector, qubits: Sequence[int], shots: int, rng: Stream) -> ShotHistogram:
+def sample(
+    state: StateVector, qubits: Sequence[int], shots: int, rng: np.random.Generator
+) -> ShotHistogram:
     """Multinomial shot counts of the marginal distribution on `qubits`."""
     probs = marginal(state, qubits)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     k = len(qubits)
-    drawn = rng.generator.multinomial(shots, probs)
+    drawn = rng.multinomial(shots, probs)
     counts = {format(i, f"0{k}b"): int(c) for i, c in enumerate(drawn) if c > 0}
     return ShotHistogram(counts, shots)

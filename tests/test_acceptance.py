@@ -102,7 +102,7 @@ class TestCriterion3SwapStatistics:
             sa = StateVector(2, a / np.linalg.norm(a))
             sb = StateVector(2, b / np.linalg.norm(b))
             exact = abs(np.vdot(sa.amplitudes, sb.amplitudes)) ** 2
-            est = swap_test(sa, sb, 8000, rng=stream.child(1000))
+            est = swap_test(sa, sb, 8000, rng=stream.child(1000).generator)
             if abs(est.raw - exact) <= 2.0 * est.standard_error:
                 hits += 1
         coverage_ok = hits >= 0.95 * trials

@@ -31,6 +31,7 @@ from gdrq.statevector import (
     init_basis_state,
     marginal,
     measure_probability,
+    sample,
 )
 
 HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
@@ -77,10 +78,10 @@ class TestSwapTest:
     def test_sampled_mode_reports_error_bar(self):
         rng = np.random.default_rng(2)
         a, b = random_state(rng, 2), random_state(rng, 2)
-        est = swap_test(a, b, shots=4000, rng=RngStream(2))
+        est = swap_test(a, b, shots=4000, rng=np.random.default_rng(2))
         assert est.standard_error > 0.0
         assert 0.0 <= est.clamped <= 1.0
-        again = swap_test(a, b, shots=4000, rng=RngStream(2))
+        again = swap_test(a, b, shots=4000, rng=np.random.default_rng(2))
         assert est.raw == again.raw
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
@@ -102,7 +103,7 @@ class TestSwapTest:
         with pytest.raises(SizeError):
             swap_test(a, init_basis_state(2, "00"), shots=0)
         with pytest.raises(ValidationError):
-            swap_test(a, a, shots=0, rng=RngStream(1))
+            swap_test(a, a, shots=0, rng=np.random.default_rng(1))
 
 
 class TestLcuApply:
@@ -274,19 +275,18 @@ class TestEnergyExpectation:
         got = energy_expectation(op, psi, shots=0)
         assert got == pytest.approx(expected, abs=1e-8)
 
-    def test_sampled_mode_is_deterministic_per_stream(self):
+    def test_sampled_mode_is_deterministic_per_generator(self):
         h = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
         psi = init_basis_state(3, "011")
-        a = energy_expectation(h, psi, shots=2000, rng=RngStream(9))
-        b = energy_expectation(h, psi, shots=2000, rng=RngStream(9))
+        a = energy_expectation(h, psi, shots=2000, rng=np.random.default_rng(9))
+        b = energy_expectation(h, psi, shots=2000, rng=np.random.default_rng(9))
         assert a == b
 
 
 class _NeverBelow:
-    """Stand-in stream whose every draw is 1.0, so no attempt succeeds."""
+    """Stand-in generator whose every draw is 1.0, so no attempt succeeds."""
 
     def __init__(self):
-        self.generator = self
         self.draws = 0
 
     def random(self, size=None):
@@ -302,7 +302,7 @@ REPLAY_PS = [1.0, 0.5, 1 / 144, 1e-3, 0.05]
 def scalar_attempts(p, twin):
     """The draw-by-draw Bernoulli loop the block replay must equal."""
     expected = 1
-    while not twin.generator.random() < p:
+    while not twin.random() < p:
         expected += 1
     return expected
 
@@ -310,33 +310,62 @@ def scalar_attempts(p, twin):
 class TestReplayPostSelection:
     @pytest.mark.parametrize("p", REPLAY_PS)
     def test_matches_scalar_bernoulli_loop(self, p):
-        """Same attempts, and the stream goes on alike: LcuOverlap.energy draws the
-        replay, the SWAP multinomial and the success-rate binomial from one stream."""
+        """Same attempts, and the generator goes on alike: LcuOverlap.energy draws
+        the replay, the SWAP multinomial and the success-rate binomial from one."""
         probs = [0.25, 0.5, 0.25]
         for key in range(20):
-            stream, twin = RngStream(7, (key,)), RngStream(7, (key,))
-            attempts = replay_post_selection(p, stream)
+            rng, twin = RngStream(7, (key,)).generator, RngStream(7, (key,)).generator
+            attempts = replay_post_selection(p, rng)
             assert attempts == scalar_attempts(p, twin)
-            assert stream.generator.random() == twin.generator.random()
-            np.testing.assert_array_equal(
-                stream.generator.multinomial(8000, probs), twin.generator.multinomial(8000, probs)
-            )
-            assert stream.generator.binomial(8000, p) == twin.generator.binomial(8000, p)
+            assert rng.random() == twin.random()
+            np.testing.assert_array_equal(rng.multinomial(8000, probs), twin.multinomial(8000, probs))
+            assert rng.binomial(8000, p) == twin.binomial(8000, p)
 
     @pytest.mark.parametrize("p", [1 / 144, 1e-3, 0.05])
     def test_some_success_falls_past_the_first_block(self, p):
         block = _replay_block(p, budget=10**9)
-        attempts = [scalar_attempts(p, RngStream(7, (key,))) for key in range(20)]
+        attempts = [scalar_attempts(p, RngStream(7, (key,)).generator) for key in range(20)]
         assert max(attempts) > block
 
     @pytest.mark.parametrize(
         "p, budget", [(1.0, MAX_ATTEMPTS), (0.5, MAX_ATTEMPTS), (1 / 144, 3966)]
     )
     def test_budget_runs_out_after_documented_attempts(self, p, budget):
-        stream = _NeverBelow()
+        rng = _NeverBelow()
         with pytest.raises(PreparationError, match=f"failed {budget} times"):
-            replay_post_selection(p, stream)
-        assert stream.draws == budget
+            replay_post_selection(p, rng)
+        assert rng.draws == budget
+
+
+class TestPlainGenerators:
+    """Every draw takes a numpy Generator as it comes from default_rng."""
+
+    def test_each_estimator_draws_on_the_generator_it_is_given(self):
+        psi = random_state(np.random.default_rng(4), 2)
+        phi = random_state(np.random.default_rng(5), 2)
+        stats = swap_statistics(psi, phi)
+        twin = np.random.default_rng(0)
+        k0 = twin.multinomial(500, stats.marginal)[0]
+        assert swap_test(psi, phi, 500, np.random.default_rng(0)).raw == 2.0 * k0 / 500 - 1.0
+
+        assert replay_post_selection(0.05, np.random.default_rng(0)) == scalar_attempts(
+            0.05, np.random.default_rng(0)
+        )
+
+        h = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
+        state = init_basis_state(3, "011")
+        overlap = LcuCircuit(h).energy_statistics(state)
+        twin = np.random.default_rng(0)
+        replay_post_selection(overlap.p_success, twin)
+        k0 = twin.multinomial(500, overlap.swap.marginal)[0]
+        p_hat = twin.binomial(500, overlap.p_success) / 500
+        clamped = min(max(2.0 * k0 / 500 - 1.0, 0.0), 1.0)
+        expected = overlap.lam * float(np.sqrt(p_hat)) * float(np.sqrt(clamped))
+        assert energy_expectation(h, state, 500, np.random.default_rng(0)) == expected
+
+        hist = sample(phi, [0, 1], 500, np.random.default_rng(0))
+        drawn = np.random.default_rng(0).multinomial(500, marginal(phi, [0, 1]))
+        assert hist.counts == {format(i, "02b"): int(c) for i, c in enumerate(drawn) if c > 0}
 
 
 class TestLazyStreams:

@@ -5,7 +5,10 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -272,8 +275,9 @@ class TestFlagSurface:
         assert outputs[0] != outputs[1], f"{command} {flag} changed no output byte"
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-REPRODUCE = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+REPRODUCE = ROOT / "scripts" / "reproduce_all.py"
 
 
 class TestDocumentedCommandLines:
@@ -288,6 +292,13 @@ class TestDocumentedCommandLines:
         assert len(lines) >= 7
         for argv in lines:
             cli.build_parser().parse_args(argv)
+
+    def test_readme_layout_names_every_module(self):
+        blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+        layout = next(block for block in blocks if block.lstrip().startswith("src/gdrq/"))
+        named = {line.split()[0] for line in layout.splitlines() if line.startswith("  ")}
+        modules = {p.name for p in (ROOT / "src" / "gdrq").glob("*.py")} - {"__init__.py"}
+        assert modules - named == set()
 
     def test_reproduce_all_argv_parse(self, monkeypatch, tmp_path, capsys):
         # the script puts its src/ on sys.path; the copy keeps that out of other tests
@@ -520,6 +531,9 @@ class TestMainErrors:
             ["basis-study", "--bases", ""],
             ["quantum", "--shots", "0"],
             ["quantum", "--runs", "0"],
+            ["quantum", "--shots", "100000000000000000000"],
+            ["quantum", "--shots", "100000000000000000000", "--runs", "2"],
+            ["compare", "--mode", "quantum", "--shots", "100000000000000000000"],
             ["classical", "--kappa", "5"],
             ["classical", "--gamma-spread", "-1"],
             ["error-study", "--runs", "1"],
@@ -575,9 +589,15 @@ class TestMainErrors:
         [
             ({"grid_step": "1e-15"}, "energy grid of 2.5e+16 points exceeds 100000"),
             ({"grid_min": "-1e308", "grid_max": "1e308"}, "energy grid of inf points exceeds 100000"),
+            (
+                {"shots": "100000000000000000000"},
+                "shots must be at most 9223372036854775807, got 100000000000000000000",
+            ),
+            ({"runs": "-2"}, "runs must be a non-negative integer, got -2"),
+            ({"Z": "-50"}, "Z must be a non-negative integer, got -50"),
         ],
     )
-    def test_oversized_grid_is_data_error(self, tmp_path, capsys, edits, message):
+    def test_out_of_range_file_value_is_data_error(self, tmp_path, capsys, edits, message):
         lines = (CONFIGS / "sn120.cfg").read_text().splitlines()
         for key, value in edits.items():
             lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
@@ -667,6 +687,41 @@ class TestPostSelectionBudget:
         argv = ["quantum", "--config", str(CONFIGS / "sn120.cfg"), "--seed", "799819"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         assert "E0 = 16.3531 MeV" in capsys.readouterr().out
+
+
+# the commands run in order in one interpreter; after each, whether numpy.random is loaded
+LAZY_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+from gdrq import cli
+config, out = sys.argv[1:]
+loaded = []
+for argv in (
+    ["classical"],
+    ["basis-study"],
+    ["quantum", "--exact"],
+    ["compare", "--mode", "quantum", "--exact"],
+    ["quantum", "--runs", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--config", config, "--out", out])
+    loaded.append([" ".join(argv), code, "numpy.random" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+class TestLazyRandomImport:
+    def test_only_a_sampled_run_imports_numpy_random(self, tmp_path):
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        argv = [sys.executable, "-c", LAZY_RANDOM_SCRIPT, str(CONFIGS / "sn120.cfg"), str(tmp_path)]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        assert json.loads(result.stdout) == [
+            ["classical", 0, False],
+            ["basis-study", 0, False],
+            ["quantum --exact", 0, False],
+            ["compare --mode quantum --exact", 0, False],
+            ["quantum --runs 2", 0, True],
+        ]
 
 
 class TestSelftest:

@@ -1,6 +1,7 @@
 """Unit tests for shell windows, occupations, and qubit encodings."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gdrq import pauli as pl
 from gdrq.encoding import (
     MAX_GRID_POINTS,
+    MAX_SHOTS,
     BasisWindow,
     NucleusConfig,
     build_dipole,
@@ -66,6 +68,20 @@ class TestBasisWindow:
         with pytest.raises(ValidationError):
             BasisWindow(4, 3)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((3.5, 6), "n_min must be a non-negative integer, got 3.5"),
+            ((3, 6.0), "n_max must be a non-negative integer, got 6.0"),
+            ((True, 6), "n_min must be a non-negative integer, got True"),
+            ((-1.5, 6), "bad shell window [-1.5, 6]"),
+            ((6, 3.5), "bad shell window [6, 3.5]"),
+        ],
+    )
+    def test_bounds_are_integers(self, bounds, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            BasisWindow(*bounds)
+
     @given(st.integers(0, 9), st.integers(0, 9))
     def test_parse_round_trips_all_valid_windows(self, lo, span):
         w = BasisWindow(lo, lo + span)
@@ -105,6 +121,29 @@ class TestNucleusConfig:
             NucleusConfig(**{**good, "grid_step": 1e-15})
         with pytest.raises(ValidationError, match="inf points exceeds"):
             NucleusConfig(**{**good, "grid_min": -1e308, "grid_max": 1e308})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("runs", 2.5, "runs must be a non-negative integer, got 2.5"),
+            ("shots", 100.5, "shots must be a non-negative integer, got 100.5"),
+            ("shots", 8000.0, "shots must be a non-negative integer, got 8000.0"),
+            ("Z", True, "Z must be a non-negative integer, got True"),
+            ("A", np.float64(120.0), "A must be a non-negative integer, got np.float64(120.0)"),
+            ("runs", np.bool_(True), "runs must be a non-negative integer, got np.True_"),
+            ("shots", -5, "shots must be a non-negative integer, got -5"),
+            ("shots", MAX_SHOTS + 1, f"shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}"),
+        ],
+    )
+    def test_integer_fields_are_integers_in_range(self, field, value, message):
+        good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NucleusConfig(**{**good, field: value})
+
+    def test_largest_shot_count_is_accepted(self):
+        c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), shots=MAX_SHOTS)
+        assert c.shots == 2**63 - 1
+        assert NucleusConfig(A=np.int64(120), Z=50, kappa=0.5, basis=BasisWindow(3, 6)).A == 120
 
     def test_grid_point_bound_is_inclusive(self):
         good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), grid_min=0.0, grid_step=1.0)

@@ -28,6 +28,7 @@ from gdrq.encoding import (
 )
 from gdrq.errors import SchemaError, ValidationError
 from gdrq.experiment import (
+    BUNDLED_NUCLEI,
     QuantumPlan,
     bundled_experiment,
     basis_study,
@@ -269,12 +270,15 @@ def count_seed_sequences(monkeypatch):
     return built
 
 
+def generators(species: RngStream):
+    """The generator of every child of one species' stream, in measurement order."""
+    return (species.child(k).generator for k in itertools.count())
+
+
 def stream_by_stream(plan, seed):
-    """The poles at `seed` with every measurement stream built as its own RngStream."""
+    """The poles at `seed` with every measurement generator from its own RngStream."""
     root = RngStream(seed)
-    return plan._measure(
-        [map(root.child(sp.spawn_index).child, itertools.count()) for sp in plan.species]
-    )
+    return plan._measure([generators(root.child(sp.spawn_index)) for sp in plan.species])
 
 
 # few shots make energy redraws common: seed 3 redraws five times in its first species
@@ -461,8 +465,13 @@ class TestExperimentalData:
         assert "gamma" in sn.source
 
     def test_unknown_nucleus_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             bundled_experiment("ca40")
+        assert str(info.value) == "no bundled data for 'ca40'; options: ['pb208', 'sn120']"
+
+    def test_every_bundled_nucleus_has_its_curve(self):
+        for name in BUNDLED_NUCLEI.values():
+            assert len(bundled_experiment(name.upper()).energies) >= 3
 
     def test_loader_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -2,7 +2,7 @@
 
 The repository has no linter; this stdlib-only check stands in for the
 unused-import rule on the package sources (except the re-exporting
-__init__.py) and on the tests.
+__init__.py), the scripts and the tests.
 """
 
 import ast
@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "gdrq").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py")),
     key=lambda p: p.relative_to(ROOT).as_posix(),
 )

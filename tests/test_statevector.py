@@ -14,7 +14,6 @@ from gdrq.errors import (
 from gdrq import statevector
 from gdrq.statevector import (
     RngStream,
-    SeededStream,
     ShotHistogram,
     StateVector,
     Unitaries,
@@ -25,6 +24,7 @@ from gdrq.statevector import (
     post_select,
     sample,
     seed_states,
+    seeded_generator,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -192,9 +192,9 @@ class TestSeedStates:
     @pytest.mark.parametrize(
         "seed, key", [(7, (1, 2)), (0, ()), (2**64 + 5, (0, 3)), (2**200, (2**32,))]
     )
-    def test_seeded_stream_draws_like_rng_stream(self, seed, key):
-        batch = SeededStream(seed_states(seed, key_rows(key, 1), 4)[0]).generator
-        oracle = RngStream(seed, key).generator
+    def test_seeded_generator_draws_like_numpy(self, seed, key):
+        batch = seeded_generator(seed_states(seed, key_rows(key, 1), 4)[0])
+        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
         assert batch.random() == oracle.random()
         np.testing.assert_array_equal(batch.random(64), oracle.random(64))
         batch.bit_generator.advance(-40)
@@ -206,13 +206,13 @@ class TestSeedStates:
         )
         assert batch.binomial(8000, 1 / 144) == oracle.binomial(8000, 1 / 144)
 
-    def test_every_row_of_a_batch_seeds_its_own_stream(self):
+    def test_every_row_of_a_batch_seeds_its_own_generator(self):
         seeds = np.random.default_rng(3).integers(0, 2**64, 40, dtype=np.uint64)
         keys = np.array([(species, k) for species in (0, 1) for k in range(5)])
         rows = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (len(seeds), 1)), 4)
         addresses = [(int(s), tuple(k)) for s in seeds for k in keys.tolist()]
         for row, (seed, key) in zip(rows, addresses):
-            assert SeededStream(row).generator.random() == RngStream(seed, key).generator.random()
+            assert seeded_generator(row).random() == RngStream(seed, key).generator.random()
 
     @pytest.mark.parametrize(
         "entropy, keys",
@@ -480,8 +480,8 @@ class TestMeasurement:
 
     def test_sample_deterministic_and_complete(self):
         state = apply_unitary(init_basis_state(2, "00"), H_GATE, [0])
-        hist1 = sample(state, [0, 1], 100, RngStream(5))
-        hist2 = sample(state, [0, 1], 100, RngStream(5))
+        hist1 = sample(state, [0, 1], 100, np.random.default_rng(5))
+        hist2 = sample(state, [0, 1], 100, np.random.default_rng(5))
         assert hist1.counts == hist2.counts
         assert sum(hist1.counts.values()) == 100
         # qubit 1 never fires
@@ -489,7 +489,7 @@ class TestMeasurement:
 
     def test_sample_key_orientation(self):
         state = init_basis_state(2, "10")
-        hist = sample(state, [0, 1], 10, RngStream(1))
+        hist = sample(state, [0, 1], 10, np.random.default_rng(1))
         assert hist.counts == {"10": 10}
         assert hist.shots == 10
 
