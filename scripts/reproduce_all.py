@@ -21,8 +21,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from gdrq.cli import main as gdrq_main  # noqa: E402
 
 NUCLEI = ("sn120", "pb208")
-CLASSICAL_KAPPA = "0.4"
-CLASSICAL_WINDOW = "0-10"
+CLASSICAL_KAPPA = ("--kappa", "0.4")
+
+# (label, subcommand, output directory, flags, sampled); a sampled step also
+# takes the master seed and any --runs override
+STEPS = (
+    ("classical", "classical", "classical", (*CLASSICAL_KAPPA, "--basis", "0-10"), False),
+    ("basis study", "basis-study", "basis_study", CLASSICAL_KAPPA, False),
+    ("quantum", "quantum", "quantum", (), True),
+    ("error study", "error-study", "error_study", (), True),
+    ("comparison", "compare", "comparison", ("--mode", "quantum"), True),
+)
 
 
 def run(step: str, argv: list[str]) -> None:
@@ -51,65 +60,10 @@ def main() -> int:
     runs = [] if args.runs is None else ["--runs", str(args.runs)]
     for nucleus in NUCLEI:
         config = str(pathlib.Path(args.configs) / f"{nucleus}.cfg")
-        base = out / nucleus
-        run(
-            f"{nucleus} classical",
-            [
-                "classical",
-                "--config",
-                config,
-                "--kappa",
-                CLASSICAL_KAPPA,
-                "--basis",
-                CLASSICAL_WINDOW,
-                "--out",
-                str(base / "classical"),
-            ],
-        )
-        run(
-            f"{nucleus} basis study",
-            [
-                "basis-study",
-                "--config",
-                config,
-                "--kappa",
-                CLASSICAL_KAPPA,
-                "--out",
-                str(base / "basis_study"),
-            ],
-        )
-        run(
-            f"{nucleus} quantum",
-            ["quantum", "--config", config, "--seed", seed, *runs, "--out", str(base / "quantum")],
-        )
-        run(
-            f"{nucleus} error study",
-            [
-                "error-study",
-                "--config",
-                config,
-                "--seed",
-                seed,
-                *runs,
-                "--out",
-                str(base / "error_study"),
-            ],
-        )
-        run(
-            f"{nucleus} comparison",
-            [
-                "compare",
-                "--config",
-                config,
-                "--mode",
-                "quantum",
-                "--seed",
-                seed,
-                *runs,
-                "--out",
-                str(base / "comparison"),
-            ],
-        )
+        for label, subcommand, directory, flags, sampled in STEPS:
+            sampling = ["--seed", seed, *runs] if sampled else []
+            target = str(out / nucleus / directory)
+            run(f"{nucleus} {label}", [subcommand, "--config", config, *flags, *sampling, "--out", target])
     print(f"done: artifacts under {out}/")
     return 0
 

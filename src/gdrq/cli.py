@@ -2,8 +2,12 @@
 
 Subcommands: classical, quantum, basis-study, error-study, compare, selftest.
 Each takes only the flags it reads, a sampling flag that the chosen mode does
-not read is refused, and the parsed argparse namespace is the command its
-handler runs. Configs are flat `key = value` text files whose keys,
+not read is refused, and the parsed argparse namespace, which carries the
+subcommand's handler, is the command that handler runs. `main` loads the
+config once and passes it to the handler, which only computes: it returns its
+summary lines and its outputs as (file name, writer, value). `main` alone
+makes --out, writes each file, prints the summary and one `wrote <path>` per
+file. Configs are flat `key = value` text files whose keys,
 types and required entries are the fields of `NucleusConfig`.
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage.
 """
@@ -112,8 +116,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _config_flags(p: argparse.ArgumentParser, window: bool = True) -> None:
-    """The config file, its overrides that every subcommand reads, and --out."""
+def _config_flags(p: argparse.ArgumentParser, handler, window: bool = True) -> None:
+    """The handler of a subcommand, its config file, the overrides that every
+    subcommand reads, and --out."""
+    p.set_defaults(handler=handler)
     p.add_argument("--config", required=True, help="path to a key = value config file")
     p.add_argument("--kappa", type=float, help="override the residual strength")
     p.add_argument("--gamma-spread", type=float, help="override the Lorentzian spread (MeV)")
@@ -148,12 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gdrq {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    _config_flags(sub.add_parser("classical", help="deterministic linear-response baseline"))
+    _config_flags(
+        sub.add_parser("classical", help="deterministic linear-response baseline"), _cmd_classical
+    )
     p_quantum = sub.add_parser("quantum", help="sampled quantum pipeline, median over runs")
-    _config_flags(p_quantum)
+    _config_flags(p_quantum, _cmd_quantum)
     _sampling_flags(p_quantum)
     p_basis = sub.add_parser("basis-study", help="classical peak/width per shell window")
-    _config_flags(p_basis, window=False)
+    _config_flags(p_basis, _cmd_basis_study, window=False)
     p_basis.add_argument(
         "--bases",
         type=_windows,
@@ -161,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated windows (default {','.join(w.label for w in TABLE_WINDOWS)})",
     )
     p_error = sub.add_parser("error-study", help="MAD of the peak energy versus run count")
-    _config_flags(p_error)
+    _config_flags(p_error, _cmd_error_study)
     _sampling_flags(p_error, exact=False)
     p_cmp = sub.add_parser("compare", help="model spectrum against experimental data")
-    _config_flags(p_cmp)
+    _config_flags(p_cmp, _cmd_compare)
     _sampling_flags(p_cmp)
     p_cmp.add_argument("--experiment", help="experimental CSV (default: bundled for the nucleus)")
     p_cmp.add_argument(
@@ -237,71 +245,57 @@ def _quantum_records(config: NucleusConfig, args: argparse.Namespace):
     return collect_runs(config, args.seed)
 
 
-def _cmd_classical(args: argparse.Namespace) -> int:
-    config = _configure(args)
+# A handler lists its outputs in write order. Each writer is named inside the
+# handler body, so it is looked up when the handler runs and a rebound module
+# global (a tracer's wrapper) is the one used.
+
+
+def _cmd_classical(args: argparse.Namespace, config: NucleusConfig):
     spectrum = run_classical(config)
-    os.makedirs(args.out, exist_ok=True)
-    out = os.path.join(args.out, "spectrum.csv")
-    write_spectrum_csv(out, spectrum)
-    print(
+    summary = (
         f"classical A={config.A} Z={config.Z} window {config.basis.label}: "
         f"E0 = {spectrum.peak_energy:.4f} MeV, FWHM = {spectrum.width_fwhm:.4f} MeV"
     )
-    print(f"wrote {out}")
-    return 0
+    return [summary], [("spectrum.csv", write_spectrum_csv, spectrum)]
 
 
-def _cmd_quantum(args: argparse.Namespace) -> int:
-    config = _configure(args)
+def _cmd_quantum(args: argparse.Namespace, config: NucleusConfig):
     records = _quantum_records(config, args)
     spectrum = median_spectrum(records)
-    os.makedirs(args.out, exist_ok=True)
-    runs_path = os.path.join(args.out, "runs.csv")
-    spectrum_path = os.path.join(args.out, "spectrum.csv")
-    write_runs_csv(runs_path, records)
-    write_spectrum_csv(spectrum_path, spectrum)
     label = "exact run" if args.exact else f"median of {len(records)} runs"
-    print(
+    summary = (
         f"quantum A={config.A} Z={config.Z} window {config.basis.label} ({label}): "
         f"E0 = {spectrum.peak_energy:.4f} MeV, FWHM = {spectrum.width_fwhm:.4f} MeV"
     )
-    print(f"wrote {runs_path}")
-    print(f"wrote {spectrum_path}")
-    return 0
+    return [summary], [
+        ("runs.csv", write_runs_csv, records),
+        ("spectrum.csv", write_spectrum_csv, spectrum),
+    ]
 
 
-def _cmd_basis_study(args: argparse.Namespace) -> int:
-    config = _configure(args)
+def _cmd_basis_study(args: argparse.Namespace, config: NucleusConfig):
     rows = basis_study(config, args.bases)
-    os.makedirs(args.out, exist_ok=True)
-    out = os.path.join(args.out, "basis_study.csv")
-    write_basis_csv(out, rows)
-    for row in rows:
-        print(f"window {row.label}: E0 = {row.peak_energy:.4f} MeV, FWHM = {row.width_fwhm:.4f} MeV")
-    print(f"wrote {out}")
-    return 0
+    summary = [
+        f"window {row.label}: E0 = {row.peak_energy:.4f} MeV, FWHM = {row.width_fwhm:.4f} MeV"
+        for row in rows
+    ]
+    return summary, [("basis_study.csv", write_basis_csv, rows)]
 
 
-def _cmd_error_study(args: argparse.Namespace) -> int:
-    config = _configure(args)
+def _cmd_error_study(args: argparse.Namespace, config: NucleusConfig):
     records = collect_runs(config, args.seed)
     series = mad_series(records)
-    os.makedirs(args.out, exist_ok=True)
-    runs_path = os.path.join(args.out, "runs.csv")
-    mad_path = os.path.join(args.out, "mad_series.csv")
-    write_runs_csv(runs_path, records)
-    write_mad_csv(mad_path, series)
-    print(
+    summary = (
         f"error study over {len(records)} runs: median E0 = {series.e0_median[-1]:.4f} MeV, "
         f"MAD = {series.delta_e0[-1]:.4f} MeV"
     )
-    print(f"wrote {runs_path}")
-    print(f"wrote {mad_path}")
-    return 0
+    return [summary], [
+        ("runs.csv", write_runs_csv, records),
+        ("mad_series.csv", write_mad_csv, series),
+    ]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _configure(args)
+def _cmd_compare(args: argparse.Namespace, config: NucleusConfig):
     if args.mode == "quantum":
         spectrum = median_spectrum(_quantum_records(config, args))
     else:
@@ -316,15 +310,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             )
         experiment = bundled_experiment(key)
     report = compare_with_experiment(spectrum, experiment)
-    os.makedirs(args.out, exist_ok=True)
-    out = os.path.join(args.out, "comparison.csv")
-    write_comparison_csv(out, report)
-    print(
+    summary = (
         f"{args.mode} model E0 = {report.model_peak:.4f} MeV vs experiment {report.experiment_peak:.4f} MeV: "
         f"offset = {report.peak_offset:+.4f} MeV, height ratio = {report.height_ratio:.4f}"
     )
-    print(f"wrote {out}")
-    return 0
+    return [summary], [("comparison.csv", write_comparison_csv, report)]
 
 
 SELFTEST_GOLDENS = {
@@ -422,15 +412,6 @@ def selftest(out=print) -> int:
     return 0 if failures == 0 else 1
 
 
-_HANDLERS = {
-    "classical": _cmd_classical,
-    "quantum": _cmd_quantum,
-    "basis-study": _cmd_basis_study,
-    "error-study": _cmd_error_study,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -440,14 +421,21 @@ def main(argv=None) -> int:
         return selftest()
     try:
         _check_sampling_flags(args)
-        return _HANDLERS[args.subcommand](args)
+        summary, outputs = args.handler(args, _configure(args))
+        os.makedirs(args.out, exist_ok=True)
+        paths = []
+        for name, write, value in outputs:
+            paths.append(os.path.join(args.out, name))
+            write(paths[-1], value)
+        for line in summary:
+            print(line)
+        for path in paths:
+            print(f"wrote {path}")
+        return 0
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except GdrqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GdrqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,15 @@ from .statevector import non_negative_int
 MAX_GRID_POINTS = 100_000
 # largest shot count: the C long that numpy's binomial and multinomial take
 MAX_SHOTS = 2**63 - 1
+# largest run count: an ensemble holds every run's record at once, about 15 KB
+# each, so the cap keeps one to about 1.5 GB
+MAX_RUNS = 100_000
+
+
+def check_max_runs(runs: int) -> None:
+    """Refuse an ensemble of more than MAX_RUNS runs."""
+    if runs > MAX_RUNS:
+        raise ValidationError(f"runs must be at most {MAX_RUNS}, got {runs}")
 
 
 def hbar_omega(a: int) -> float:
@@ -115,6 +124,7 @@ class NucleusConfig:
             raise ValidationError("shots and runs must be >= 1")
         if self.shots > MAX_SHOTS:
             raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
+        check_max_runs(self.runs)
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
         # energy_grid holds floor(intervals) + 1 points; comparing the float ratio
@@ -254,20 +264,24 @@ def build_hamiltonian(basis: BasisWindow, homega: float) -> pl.PauliSum:
     return pl.PauliSum(n, tuple(terms))
 
 
+def effective_charge(config: NucleusConfig, species: str) -> float:
+    """E1 effective charge of one species: -N/A for protons, +Z/A for neutrons."""
+    if species == "proton":
+        return -config.n_neutrons / config.A
+    if species == "neutron":
+        return config.Z / config.A
+    raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
+
+
 def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.PauliSum:
     """Dipole operator of one species on the window, in fm.
 
     Adjacent shells are coupled with the collective hop amplitude of the
-    species: effective charge (-N/A for protons, +Z/A for neutrons) times
+    species: its effective charge (see effective_charge) times
     sqrt((N+1)(N+2)) for the shell degeneracy times the radial element
     b*sqrt((N+1)/2), so one hop carries the summed strength of the shell.
     """
-    if species == "proton":
-        charge = -config.n_neutrons / config.A
-    elif species == "neutron":
-        charge = config.Z / config.A
-    else:
-        raise ValidationError(f"species must be 'proton' or 'neutron', got {species!r}")
+    charge = effective_charge(config, species)
     n = basis.nqubits
     b = oscillator_length(config.A)
     terms = []

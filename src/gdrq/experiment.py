@@ -39,6 +39,7 @@ from .encoding import (
     NucleusConfig,
     build_dipole,
     build_hamiltonian,
+    check_max_runs,
     fill_occupations,
     hbar_omega,
     oscillator_length,
@@ -389,6 +390,7 @@ def collect_runs(
     n_runs = config.runs if runs is None else non_negative_int(runs, "runs")
     if n_runs < 1:
         raise ValidationError("runs must be >= 1")
+    check_max_runs(n_runs)
     seeds = _run_seeds(master_seed, np.arange(n_runs))
     plan = QuantumPlan.build(config)
     poles = plan.transitions(seeds)
@@ -399,19 +401,22 @@ def collect_runs(
     )
 
 
+def _median(rows: list[np.ndarray]) -> np.ndarray:
+    """Pointwise median over rows; a complex column takes the median of each part."""
+    if np.iscomplexobj(rows[0]):
+        return _median([row.real for row in rows]) + 1j * _median([row.imag for row in rows])
+    return np.median(rows, axis=0)
+
+
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
     """Pointwise median of every response column across runs, peak re-found."""
     if not records:
         raise ValidationError("median spectrum needs at least one run")
     energies = records[0].spectrum.energies
-    r0 = np.median([r.spectrum.r0.real for r in records], axis=0) + 1j * np.median(
-        [r.spectrum.r0.imag for r in records], axis=0
+    r0, r_dressed, sigma_raw, sigma = (
+        _median([getattr(r.spectrum, column) for r in records])
+        for column in ("r0", "r_dressed", "sigma_raw", "sigma")
     )
-    r_dressed = np.median([r.spectrum.r_dressed.real for r in records], axis=0) + 1j * np.median(
-        [r.spectrum.r_dressed.imag for r in records], axis=0
-    )
-    sigma_raw = np.median([r.spectrum.sigma_raw for r in records], axis=0)
-    sigma = np.median([r.spectrum.sigma for r in records], axis=0)
     e0, height, width = find_peak(energies, sigma)
     return ResponseSpectrum(
         energies=energies,

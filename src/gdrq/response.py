@@ -20,6 +20,7 @@ from .constants import E2_MEV_FM, FM2_TO_MB, HBARC_MEV_FM, NUCLEON_MASS_MEV
 from .encoding import (
     NucleusConfig,
     OccupationTable,
+    effective_charge,
     hbar_omega,
     shell_capacity,
 )
@@ -72,11 +73,9 @@ def classical_transitions(config: NucleusConfig, occupations: OccupationTable) -
     omega = hbar_omega(config.A)
     b2 = HBARC_MEV_FM**2 / (NUCLEON_MASS_MEV * omega)
     entries = []
-    charges = (
-        (-config.n_neutrons / config.A, occupations.protons),
-        (config.Z / config.A, occupations.neutrons),
-    )
-    for charge, occ in charges:
+    for species in ("proton", "neutron"):
+        charge = effective_charge(config, species)
+        occ = occupations.occupations(species)
         for lower in range(basis.n_min, basis.n_max):
             g = shell_capacity(lower)
             strength = charge**2 * g * b2 * (lower + 1) / 2.0

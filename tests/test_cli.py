@@ -300,21 +300,55 @@ class TestDocumentedCommandLines:
         modules = {p.name for p in (ROOT / "src" / "gdrq").glob("*.py")} - {"__init__.py"}
         assert modules - named == set()
 
-    def test_reproduce_all_argv_parse(self, monkeypatch, tmp_path, capsys):
+    @staticmethod
+    def reproduce_all_steps(monkeypatch, tmp_path, capsys):
+        """(step, argv) of each call that scripts/reproduce_all.py makes to run()."""
         # the script puts its src/ on sys.path; the copy keeps that out of other tests
         monkeypatch.setattr(sys, "path", list(sys.path))
         spec = importlib.util.spec_from_file_location("reproduce_all", REPRODUCE)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         recorded = []
-        monkeypatch.setattr(script, "run", lambda step, argv: recorded.append(argv))
+        monkeypatch.setattr(script, "run", lambda step, argv: recorded.append((step, argv)))
         script_argv = ["reproduce_all.py", "--out", str(tmp_path), "--runs", "3"]
         monkeypatch.setattr(sys, "argv", script_argv)
         assert script.main() == 0
         capsys.readouterr()
+        return recorded
+
+    def test_reproduce_all_argv_parse(self, monkeypatch, tmp_path, capsys):
+        recorded = self.reproduce_all_steps(monkeypatch, tmp_path, capsys)
         assert len(recorded) == 10
-        for argv in recorded:
+        for _, argv in recorded:
             cli.build_parser().parse_args(argv)
+
+    def test_reproduce_all_step_sequence(self, monkeypatch, tmp_path, capsys):
+        recorded = self.reproduce_all_steps(monkeypatch, tmp_path, capsys)
+        sampled = ["--seed", "20260823", "--runs", "3"]
+        expected = []
+        for nucleus in ("sn120", "pb208"):
+            config = ["--config", str(ROOT / "configs" / f"{nucleus}.cfg")]
+            out = tmp_path / nucleus
+            expected += [
+                (
+                    f"{nucleus} classical",
+                    ["classical", *config, "--kappa", "0.4", "--basis", "0-10", "--out", str(out / "classical")],
+                ),
+                (
+                    f"{nucleus} basis study",
+                    ["basis-study", *config, "--kappa", "0.4", "--out", str(out / "basis_study")],
+                ),
+                (f"{nucleus} quantum", ["quantum", *config, *sampled, "--out", str(out / "quantum")]),
+                (
+                    f"{nucleus} error study",
+                    ["error-study", *config, *sampled, "--out", str(out / "error_study")],
+                ),
+                (
+                    f"{nucleus} comparison",
+                    ["compare", *config, "--mode", "quantum", *sampled, "--out", str(out / "comparison")],
+                ),
+            ]
+        assert recorded == expected
 
 
 class TestMainSubcommands:
@@ -552,6 +586,15 @@ class TestMainErrors:
         assert len(err.splitlines()) == 1
         assert "error:" in err
 
+    def test_oversized_runs_flag_is_one_line_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["quantum", "--config", str(CONFIGS / "sn120.cfg"), "--runs", "100000000000000000000"]
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "gdrq quantum: error: runs must be at most 100000, got 100000000000000000000\n"
+        assert not out.exists()
+
     def test_undecodable_config_is_one_line_data_error(self, tmp_path, capsys):
         path = tmp_path / "utf16.cfg"
         path.write_bytes(b"\xff\xfe" + SN_TEXT.encode("utf-16-le"))
@@ -594,6 +637,7 @@ class TestMainErrors:
                 "shots must be at most 9223372036854775807, got 100000000000000000000",
             ),
             ({"runs": "-2"}, "runs must be a non-negative integer, got -2"),
+            ({"runs": "100001"}, "runs must be at most 100000, got 100001"),
             ({"Z": "-50"}, "Z must be a non-negative integer, got -50"),
         ],
     )

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from gdrq import pauli as pl
 from gdrq.encoding import (
     MAX_GRID_POINTS,
+    MAX_RUNS,
     MAX_SHOTS,
     BasisWindow,
     NucleusConfig,
     build_dipole,
     build_hamiltonian,
+    effective_charge,
     fill_occupations,
     hbar_omega,
     hop_operator,
@@ -133,6 +136,7 @@ class TestNucleusConfig:
             ("runs", np.bool_(True), "runs must be a non-negative integer, got np.True_"),
             ("shots", -5, "shots must be a non-negative integer, got -5"),
             ("shots", MAX_SHOTS + 1, f"shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}"),
+            ("runs", MAX_RUNS + 1, f"runs must be at most {MAX_RUNS}, got {MAX_RUNS + 1}"),
         ],
     )
     def test_integer_fields_are_integers_in_range(self, field, value, message):
@@ -143,6 +147,7 @@ class TestNucleusConfig:
     def test_largest_shot_count_is_accepted(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), shots=MAX_SHOTS)
         assert c.shots == 2**63 - 1
+        assert replace(c, runs=MAX_RUNS).runs == 100_000
         assert NucleusConfig(A=np.int64(120), Z=50, kappa=0.5, basis=BasisWindow(3, 6)).A == 120
 
     def test_grid_point_bound_is_inclusive(self):
@@ -321,6 +326,13 @@ class TestDipole:
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
         with pytest.raises(ValidationError):
             build_dipole(c.basis, c, "electron")
+
+    def test_effective_charge(self):
+        c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
+        assert effective_charge(c, "proton") == -70 / 120
+        assert effective_charge(c, "neutron") == 50 / 120
+        with pytest.raises(ValidationError, match="^species must be 'proton' or 'neutron', got 'electron'$"):
+            effective_charge(c, "electron")
 
 
 def term_bits(op):

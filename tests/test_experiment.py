@@ -18,6 +18,7 @@ import gdrq.statevector
 from gdrq.algorithms import LcuCircuit
 from gdrq.cli import load_config
 from gdrq.encoding import (
+    MAX_RUNS,
     BasisWindow,
     NucleusConfig,
     build_dipole,
@@ -149,6 +150,9 @@ class TestCollectRuns:
     def test_runs_validated(self):
         with pytest.raises(ValidationError):
             collect_runs(SN_QUANTUM, 5, runs=0)
+        message = f"runs must be at most {MAX_RUNS}, got {MAX_RUNS + 1}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            collect_runs(SN_QUANTUM, 5, runs=MAX_RUNS + 1)
 
     def test_each_record_equals_its_single_run(self):
         records = collect_runs(SN_QUANTUM, 5, runs=4)
