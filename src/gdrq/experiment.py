@@ -18,7 +18,7 @@ spectra of all its runs in one batch.
 
 from __future__ import annotations
 
-import csv
+import functools
 import itertools
 import statistics
 from dataclasses import dataclass, replace
@@ -385,12 +385,20 @@ def collect_runs(
 
     Every run's poles are drawn first, their streams hashed in one pass; their
     spectra are then assembled as one batch, each record equal to plan.run at
-    its own seed.
+    its own seed.  The last ensemble is kept: asking again for the same
+    (config, master seed, run count) returns the same records, whose arrays
+    are read-only.
     """
-    n_runs = config.runs if runs is None else non_negative_int(runs, "runs")
+    n_runs = non_negative_int(config.runs if runs is None else runs, "runs")
     if n_runs < 1:
         raise ValidationError("runs must be >= 1")
     check_max_runs(n_runs)
+    return _ensemble(config, non_negative_int(master_seed, "master seed"), n_runs)
+
+
+# The key is validated first: lru_cache takes True and 1.0 for the key 1.
+@functools.lru_cache(maxsize=1)
+def _ensemble(config: NucleusConfig, master_seed: int, n_runs: int) -> tuple[RunRecord, ...]:
     seeds = _run_seeds(master_seed, np.arange(n_runs))
     plan = QuantumPlan.build(config)
     poles = plan.transitions(seeds)
@@ -553,19 +561,13 @@ def compare_with_experiment(
     )
 
 
-def _cell(value) -> str:
-    """CSV cell: floats at 9 significant digits, everything else verbatim."""
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_rows(path, header: Sequence[str], row_format: str, rows: Iterable[tuple]) -> None:
+    """The header, then `row_format % row` per row; cells need no CSV quoting
+    (floats are %.9g, labels n-m)."""
+    line = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(line % row for row in rows))
 
 
 def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
@@ -582,24 +584,26 @@ def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
         "sigma_raw_mb",
         "sigma_mb",
     ]
-    rows = (
-        [float(e), *[float(im_r0)] * 3, *[float(im_r)] * 3, float(raw), float(sigma)]
-        for e, im_r0, im_r, raw, sigma in zip(
-            spectrum.energies,
-            spectrum.r0.imag,
-            spectrum.r_dressed.imag,
-            spectrum.sigma_raw,
-            spectrum.sigma,
-        )
+    columns = zip(
+        spectrum.energies.tolist(),
+        spectrum.r0.imag.tolist(),
+        spectrum.r_dressed.imag.tolist(),
+        spectrum.sigma_raw.tolist(),
+        spectrum.sigma.tolist(),
     )
-    _write_rows(path, header, rows)
+    rows = (
+        (e, im_r0, im_r0, im_r0, im_r, im_r, im_r, raw, sigma)
+        for e, im_r0, im_r, raw, sigma in columns
+    )
+    _write_rows(path, header, ",".join(["%.9g"] * 9), rows)
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
     _write_rows(
         path,
         ["run_index", "seed", "e0_mev"],
-        ([r.run_index, r.seed, float(r.peak_energy)] for r in records),
+        "%d,%d,%.9g",
+        ((r.run_index, r.seed, r.peak_energy) for r in records),
     )
 
 
@@ -607,10 +611,8 @@ def write_mad_csv(path, series: MadSeries) -> None:
     _write_rows(
         path,
         ["m", "e0_median_mev", "delta_e0_mev"],
-        (
-            [m, float(med), float(dev)]
-            for m, med, dev in zip(series.m, series.e0_median, series.delta_e0)
-        ),
+        "%d,%.9g,%.9g",
+        zip(series.m, series.e0_median, series.delta_e0),
     )
 
 
@@ -618,7 +620,8 @@ def write_basis_csv(path, rows: Sequence[BasisRow]) -> None:
     _write_rows(
         path,
         ["label", "n_min", "n_max", "e0_mev", "width_mev"],
-        ([r.label, r.n_min, r.n_max, float(r.peak_energy), float(r.width_fwhm)] for r in rows),
+        "%s,%d,%d,%.9g,%.9g",
+        ((r.label, r.n_min, r.n_max, r.peak_energy, r.width_fwhm) for r in rows),
     )
 
 
@@ -626,8 +629,10 @@ def write_comparison_csv(path, report: ComparisonReport) -> None:
     _write_rows(
         path,
         ["energy_mev", "sigma_model_mb", "sigma_experiment_mb"],
-        (
-            [float(report.energies[i]), float(report.model_sigma[i]), float(report.experiment_sigma[i])]
-            for i in range(len(report.energies))
+        "%.9g,%.9g,%.9g",
+        zip(
+            report.energies.tolist(),
+            report.model_sigma.tolist(),
+            report.experiment_sigma.tolist(),
         ),
     )

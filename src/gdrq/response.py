@@ -225,6 +225,11 @@ class ResponseSpectrum:
     width_fwhm: float
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
     """Full response pipeline: bare poles -> dressing -> calibrated cross section."""
     return assemble_spectra(config, (transitions,))[0]
@@ -234,14 +239,15 @@ def assemble_spectra(
     config: NucleusConfig, transition_sets: Sequence[TransitionSet]
 ) -> tuple[ResponseSpectrum, ...]:
     """assemble_spectrum of equally long pole lists: R0 for all of them in one
-    batch, then dressing, cross section and peak row by row."""
-    grid = config.energy_grid()
+    batch, then dressing, cross section and peak row by row.  Every array of
+    the spectra is read-only, so callers can share them."""
+    grid = _read_only(config.energy_grid())
     kappa_c = coupling(config)
     spectra = []
-    for r0 in bare_responses(transition_sets, grid, config.gamma_spread):
-        r_dressed = dress_response(r0, kappa_c, grid)
-        sigma_raw = cross_section(grid, r_dressed)
-        sigma = config.calibration * sigma_raw
+    for r0 in _read_only(bare_responses(transition_sets, grid, config.gamma_spread)):
+        r_dressed = _read_only(dress_response(r0, kappa_c, grid))
+        sigma_raw = _read_only(cross_section(grid, r_dressed))
+        sigma = _read_only(config.calibration * sigma_raw)
         e0, height, width = find_peak(grid, sigma)
         spectra.append(
             ResponseSpectrum(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdrq import cli
+from gdrq import cli, experiment
 from gdrq.encoding import BasisWindow, NucleusConfig
 from gdrq.errors import SchemaError, ValidationError
 
@@ -766,6 +766,44 @@ class TestLazyRandomImport:
             ["compare --mode quantum --exact", 0, False],
             ["quantum --runs 2", 0, True],
         ]
+
+
+# the sampled steps of scripts/reproduce_all.py for one nucleus, by output directory
+SAMPLED_STEPS = {
+    "quantum": ["quantum"],
+    "error_study": ["error-study"],
+    "comparison": ["compare", "--mode", "quantum"],
+}
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOneProcessEqualsThree:
+    @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
+    def test_shared_ensemble_writes_the_bytes_of_fresh_processes(self, tmp_path, capsys, nucleus):
+        flags = ["--config", str(CONFIGS / f"{nucleus}.cfg"), "--seed", "9", "--runs", "5"]
+        for name, argv in SAMPLED_STEPS.items():
+            assert cli.main([*argv, *flags, "--out", str(tmp_path / "one" / name)]) == 0
+        capsys.readouterr()
+        memo = experiment._ensemble.cache_info()
+        assert (memo.misses, memo.hits) == (1, 2)
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        for name, argv in SAMPLED_STEPS.items():
+            out = ["--out", str(tmp_path / "three" / name)]
+            command = [sys.executable, "-m", "gdrq.cli", *argv, *flags, *out]
+            subprocess.run(command, capture_output=True, env=env, check=True)
+        one, three = tree_bytes(tmp_path / "one"), tree_bytes(tmp_path / "three")
+        assert sorted(one) == [
+            "comparison/comparison.csv",
+            "error_study/mad_series.csv",
+            "error_study/runs.csv",
+            "quantum/runs.csv",
+            "quantum/spectrum.csv",
+        ]
+        assert one == three
 
 
 class TestSelftest:

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gdrq.algorithms
 import gdrq.encoding
+import gdrq.experiment
 import gdrq.pauli
 import gdrq.statevector
 from gdrq.algorithms import LcuCircuit
@@ -373,6 +376,70 @@ class TestSeedAndRunValidation:
         assert "\n" not in str(info.value)
 
 
+class TestEnsembleMemo:
+    """collect_runs keeps its last ensemble, keyed by (config, master seed, run count)."""
+
+    def test_repeated_call_returns_the_same_records(self):
+        records = collect_runs(SN_QUANTUM, 5, runs=3)
+        assert collect_runs(SN_QUANTUM, 5, runs=3) is records
+        assert collect_runs(SN_QUANTUM, np.int64(5), runs=np.int64(3)) is records
+
+    @pytest.mark.parametrize(
+        "config, seed, runs",
+        [
+            (SN_QUANTUM, 6, 3),
+            (SN_QUANTUM, 5, 4),
+            (replace(SN_QUANTUM, kappa=0.6), 5, 3),
+            (replace(SN_QUANTUM, shots=4000), 5, 3),
+        ],
+        ids=["seed", "runs", "kappa", "shots"],
+    )
+    def test_a_changed_key_misses(self, config, seed, runs):
+        first = collect_runs(SN_QUANTUM, 5, runs=3)
+        records = collect_runs(config, seed, runs=runs)
+        assert records is not first
+        gdrq.experiment._ensemble.cache_clear()
+        for a, b in zip(records, collect_runs(config, seed, runs=runs), strict=True):
+            assert_same_record(a, b)
+
+    def test_only_the_last_ensemble_is_kept(self):
+        first = collect_runs(SN_QUANTUM, 5, runs=2)
+        collect_runs(SN_QUANTUM, 6, runs=2)
+        again = collect_runs(SN_QUANTUM, 5, runs=2)
+        assert again is not first
+        assert collect_runs(SN_QUANTUM, 5, runs=2) is again
+        assert gdrq.experiment._ensemble.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "seed, runs", [(True, 2), (1.0, 2), (1, True)], ids=["seed-bool", "seed-float", "runs-bool"]
+    )
+    def test_a_kept_ensemble_does_not_answer_an_invalid_call(self, seed, runs):
+        collect_runs(SN_QUANTUM, 1, runs=2)
+        with pytest.raises(ValidationError, match="must be a non-negative integer") as info:
+            collect_runs(SN_QUANTUM, seed, runs=runs)
+        assert "\n" not in str(info.value)
+
+
+SPECTRUM_ARRAYS = ("energies", "r0", "r_dressed", "sigma_raw", "sigma")
+
+
+class TestReadOnlySpectra:
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            lambda: collect_runs(SN_QUANTUM, 5, runs=2)[1].spectrum,
+            lambda: run_quantum(SN_QUANTUM, 5, mode="exact").spectrum,
+            lambda: run_classical(SN_CLASSICAL),
+        ],
+        ids=["collect-runs", "exact-run", "classical"],
+    )
+    @pytest.mark.parametrize("field", SPECTRUM_ARRAYS)
+    def test_arrays_refuse_writes(self, spectrum, field):
+        array = getattr(spectrum(), field)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 class TestMedianSpectrum:
     def test_pointwise_median_of_runs(self):
         records = collect_runs(SN_QUANTUM, 5, runs=3)
@@ -571,6 +638,40 @@ class TestCsvWriters:
         assert lines[0] == "run_index,seed,e0_mev"
         assert lines[1].split(",")[0] == "0"
         assert lines[1].split(",")[1] == str(derive_run_seed(5, 0))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(sys.float_info.max)
+    def test_percent_template_matches_format(self, value):
+        assert "%.9g" % value == format(value, ".9g")
+
+    def test_spectrum_cells_are_nine_significant_digits(self, tmp_path):
+        values = np.array([5.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, 1e300])
+        r0, r_dressed = np.zeros((2, values.size), dtype=complex)
+        r0.imag, r_dressed.imag = values[::-1], values * 2
+        spectrum = ResponseSpectrum(
+            energies=values,
+            r0=r0,
+            r_dressed=r_dressed,
+            sigma_raw=values / 7,
+            sigma=values[::-1],
+            peak_energy=0.0,
+            peak_height=0.0,
+            width_fwhm=0.0,
+        )
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(path, spectrum)
+        columns = zip(
+            spectrum.energies, spectrum.r0.imag, spectrum.r_dressed.imag,
+            spectrum.sigma_raw, spectrum.sigma,
+        )
+        expected = [
+            ",".join(format(float(v), ".9g") for v in (e, a, a, a, b, b, b, raw, sigma))
+            for e, a, b, raw, sigma in columns
+        ]
+        assert path.read_text().splitlines()[1:] == expected
 
     def test_basis_csv_rows(self, tmp_path):
         rows = basis_study(SN_CLASSICAL, [BasisWindow(0, 10), BasisWindow(4, 5)])

@@ -6,7 +6,8 @@ spectrum.  A refactor of the quantum pipeline must leave all of them unchanged.
 The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
 script runs them, and at each config's own window and kappa) and the 120Sn
 basis study pin the classical path the same way; those commands take no --seed,
-so seed 1 in their keys only names the entry.
+so seed 1 in their keys only names the entry.  The comparison with the bundled
+data is pinned in both modes, the quantum one at seed 1.
 
 Below the CSVs, two digests pin raw float64 bits: every array and number of
 the records of a 50-run collect_runs ensemble per config, and the terms of the
@@ -90,13 +91,25 @@ GOLDEN = {
     ("sn120", 1, "basis-study --kappa 0.4"): {
         "basis_study.csv": "4df83deb993deda4bd699dafd4dd3085a612b368fad1a84e2599a590f055dcc7",
     },
+    ("sn120", 1, "compare --mode classical"): {
+        "comparison.csv": "6d840715da51f6733b6f67ed6c7059ed1aeb6881b8ad9cc01e3813a5ef15dfdb",
+    },
+    ("sn120", 1, "compare --mode quantum"): {
+        "comparison.csv": "5bf304101ea4f5a93dc5618ebf763c73c646b625d0863a93a661cd88fe90099a",
+    },
+    ("pb208", 1, "compare --mode classical"): {
+        "comparison.csv": "afb5044177b96433921597dc7e8146bbc769c8c31bdc4b9712901d8ff2dbefdd",
+    },
+    ("pb208", 1, "compare --mode quantum"): {
+        "comparison.csv": "2225242dd7adf9091b16547d63d625e9e160355ffa0a3ac8a5412c15512763c3",
+    },
 }
 
 
 @pytest.mark.parametrize("nucleus, seed, command", sorted(GOLDEN))
 def test_artifact_digests(tmp_path, capsys, nucleus, seed, command):
     argv = [*command.split(), "--config", str(CONFIGS / f"{nucleus}.cfg"), "--out", str(tmp_path)]
-    if command.split()[0] in ("quantum", "error-study"):
+    if command.split()[0] in ("quantum", "error-study") or command.endswith("--mode quantum"):
         argv += ["--seed", str(seed)]
     assert cli.main(argv) == 0
     capsys.readouterr()
