@@ -13,7 +13,8 @@ replays, shot counts, success-rate estimates) from spawn-keyed streams of its
 seed.  Runs are therefore reproducible bit for bit, and independent of how
 many runs share a plan or in which order they are drawn; an ensemble hashes
 the seed sequences of all its runs' streams in one pass and assembles the
-spectra of all its runs in one batch.
+spectra of all its runs in one batch.  A single run is a batch of one, and so
+is the median spectrum of an ensemble.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .response import (
     classical_transitions,
     find_peak,
     quantum_transitions,
+    spectrum_rows,
 )
 from .statevector import (
     STREAM_WORDS,
@@ -354,6 +356,7 @@ class QuantumPlan:
         if mode not in ("exact", "sampled"):
             raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
         seed = non_negative_int(seed, "seed")
+        run_index = non_negative_int(run_index, "run index")
         if mode == "exact":
             transitions = self._measure([itertools.repeat(None)] * len(self.species))
         else:
@@ -410,32 +413,22 @@ def _ensemble(config: NucleusConfig, master_seed: int, n_runs: int) -> tuple[Run
 
 
 def _median(rows: list[np.ndarray]) -> np.ndarray:
-    """Pointwise median over rows; a complex column takes the median of each part."""
+    """Pointwise median over rows, a batch of one; complex takes each part's."""
     if np.iscomplexobj(rows[0]):
         return _median([row.real for row in rows]) + 1j * _median([row.imag for row in rows])
-    return np.median(rows, axis=0)
+    return np.median(rows, axis=0, keepdims=True)
 
 
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
     """Pointwise median of every response column across runs, peak re-found."""
     if not records:
         raise ValidationError("median spectrum needs at least one run")
-    energies = records[0].spectrum.energies
-    r0, r_dressed, sigma_raw, sigma = (
+    columns = (
         _median([getattr(r.spectrum, column) for r in records])
         for column in ("r0", "r_dressed", "sigma_raw", "sigma")
     )
-    e0, height, width = find_peak(energies, sigma)
-    return ResponseSpectrum(
-        energies=energies,
-        r0=r0,
-        r_dressed=r_dressed,
-        sigma_raw=sigma_raw,
-        sigma=sigma,
-        peak_energy=e0,
-        peak_height=height,
-        width_fwhm=width,
-    )
+    (spectrum,) = spectrum_rows(records[0].spectrum.energies, *columns)
+    return spectrum
 
 
 def check_mad_runs(runs: int) -> None:

@@ -6,6 +6,9 @@ response an odd function of energy and the dressed strength distribution
 consistent between the classical and measured routes.  The nucleus is a
 spherical oscillator, so the three Cartesian dipole components respond alike:
 one channel is computed and the cross section counts it three times.
+
+Spectra are (rows, grid) batches, computed elementwise so each row keeps the
+bits of its own spectrum; a single one is a batch of one.
 """
 
 from __future__ import annotations
@@ -135,28 +138,27 @@ def bare_responses(
 
 
 def dress_response(r0: np.ndarray, kappa_c: float, grid: np.ndarray) -> np.ndarray:
-    """RPA-dressed response R = R0 / (1 - kappa_c R0)."""
+    """RPA-dressed response R = R0 / (1 - kappa_c R0) of a batch of rows; a
+    vanishing denominator is reported in the first row that has one."""
     r0 = np.asarray(r0, dtype=complex)
-    if r0.ndim != 1:
-        raise ValidationError("expected a 1-d bare response r0")
     denom = 1.0 - kappa_c * r0
     small = np.abs(denom) <= 1e-10
     if small.any():
-        col = int(np.argmax(small))
+        col = np.argwhere(small)[0, -1]
         raise PoleCrossingError(f"dressing denominator vanishes at E = {grid[col]:.4f} MeV")
     return r0 / denom
 
 
 def cross_section(grid: np.ndarray, r_dressed: np.ndarray) -> np.ndarray:
-    """Photo-absorption sigma(E) in mb from the dressed response.
+    """Photo-absorption sigma(E) in mb from a batch of dressed response rows.
 
     sigma = 4 pi (e^2 / hbar c) * E * 3 (-Im R) * 10, the factor 3 for the
     three Cartesian dipole components.
     """
     grid = np.asarray(grid, dtype=float)
     r_dressed = np.asarray(r_dressed, dtype=complex)
-    if r_dressed.shape != grid.shape:
-        raise ValidationError("r_dressed must have the shape of the grid")
+    if r_dressed.shape[-1:] != grid.shape:
+        raise ValidationError("r_dressed rows must have the length of the grid")
     strength = -3.0 * r_dressed.imag
     return 4.0 * math.pi * (E2_MEV_FM / HBARC_MEV_FM) * grid * strength * FM2_TO_MB
 
@@ -225,9 +227,14 @@ class ResponseSpectrum:
     width_fwhm: float
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def spectrum_rows(grid: np.ndarray, *batch: np.ndarray) -> tuple[ResponseSpectrum, ...]:
+    """One ResponseSpectrum per row of the (rows, grid) batch r0, r_dressed,
+    sigma_raw, sigma, with find_peak of its sigma.  The grid and the batch are
+    made read-only and the spectra hold row views of them, so callers can
+    share them."""
+    for array in (grid, *batch):
+        array.flags.writeable = False
+    return tuple(ResponseSpectrum(grid, *rows, *find_peak(grid, rows[-1])) for rows in zip(*batch))
 
 
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
@@ -238,27 +245,13 @@ def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> Resp
 def assemble_spectra(
     config: NucleusConfig, transition_sets: Sequence[TransitionSet]
 ) -> tuple[ResponseSpectrum, ...]:
-    """assemble_spectrum of equally long pole lists: R0 for all of them in one
-    batch, then dressing, cross section and peak row by row.  Every array of
-    the spectra is read-only, so callers can share them."""
-    grid = _read_only(config.energy_grid())
-    kappa_c = coupling(config)
-    spectra = []
-    for r0 in _read_only(bare_responses(transition_sets, grid, config.gamma_spread)):
-        r_dressed = _read_only(dress_response(r0, kappa_c, grid))
-        sigma_raw = _read_only(cross_section(grid, r_dressed))
-        sigma = _read_only(config.calibration * sigma_raw)
-        e0, height, width = find_peak(grid, sigma)
-        spectra.append(
-            ResponseSpectrum(
-                energies=grid,
-                r0=r0,
-                r_dressed=r_dressed,
-                sigma_raw=sigma_raw,
-                sigma=sigma,
-                peak_energy=e0,
-                peak_height=height,
-                width_fwhm=width,
-            )
-        )
-    return tuple(spectra)
+    """assemble_spectrum of equally long pole lists as one batch: bare
+    response, dressing, cross section and calibration each run once over
+    rows x grid, elementwise, so every row holds the bits of its own
+    spectrum.  Only the peaks are then found row by row, so a pole crossing
+    in any row is raised before a degenerate peak in an earlier one."""
+    grid = config.energy_grid()
+    r0 = bare_responses(transition_sets, grid, config.gamma_spread)
+    r_dressed = dress_response(r0, coupling(config), grid)
+    sigma_raw = cross_section(grid, r_dressed)
+    return spectrum_rows(grid, r0, r_dressed, sigma_raw, config.calibration * sigma_raw)

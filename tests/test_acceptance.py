@@ -12,7 +12,7 @@ import statistics
 
 import numpy as np
 
-from gdrq import cli
+from gdrq import cli, experiment
 from gdrq import pauli as pl
 from gdrq.algorithms import lcu_apply, swap_test
 from gdrq.encoding import (
@@ -290,7 +290,7 @@ class TestCriterion8ShotConvergence:
 
 
 class TestCriterion9Determinism:
-    def test_every_artifact_is_byte_stable(self, tmp_path):
+    def test_every_artifact_is_byte_stable(self, tmp_path, monkeypatch):
         config_path = tmp_path / "sn.cfg"
         # the SN config with five runs
         config_path.write_text(
@@ -303,15 +303,28 @@ class TestCriterion9Determinism:
             "error-study": ["error-study", "--seed", "7"],
             "compare": ["compare", "--kappa", "0.4"],
         }
+        builds = []
+        build = experiment.QuantumPlan.build
+        monkeypatch.setattr(
+            experiment.QuantumPlan,
+            "build",
+            staticmethod(lambda config: builds.append(config) or build(config)),
+        )
+        plans = {}
         unstable = []
         for name, argv in invocations.items():
             dirs = []
+            plans[name] = []
             for attempt in ("first", "second"):
+                # no kept ensemble: a sampled attempt draws its own
+                experiment._ensemble.cache_clear()
+                built = len(builds)
                 out = tmp_path / f"{name}-{attempt}"
                 code = cli.main(
                     argv + ["--config", str(config_path), "--out", str(out)]
                 )
                 assert code == 0, f"{name} exited {code}"
+                plans[name].append(len(builds) - built)
                 dirs.append(out)
             produced = sorted(p.name for p in dirs[0].iterdir())
             match, mismatch, errors = filecmp.cmpfiles(
@@ -319,6 +332,8 @@ class TestCriterion9Determinism:
             )
             if mismatch or errors:
                 unstable.append(f"{name}: {mismatch or errors}")
+        sampled = {"quantum": [1, 1], "error-study": [1, 1]}
+        assert plans == {name: sampled.get(name, [0, 0]) for name in invocations}, plans
         verdict(
             "criterion 9: byte-identical artifacts",
             not unstable,

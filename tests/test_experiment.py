@@ -49,7 +49,13 @@ from gdrq.experiment import (
     write_runs_csv,
     write_spectrum_csv,
 )
-from gdrq.response import ResponseSpectrum, bare_response, classical_transitions, cross_section
+from gdrq.response import (
+    ResponseSpectrum,
+    bare_response,
+    classical_transitions,
+    cross_section,
+    find_peak,
+)
 from gdrq.statevector import RngStream
 
 SN_CLASSICAL = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
@@ -355,6 +361,10 @@ class TestSeedAndRunValidation:
             lambda: run_quantum(SN_QUANTUM, -2, mode="exact"),
             lambda: derive_run_seed(-1, 0),
             lambda: derive_run_seed(5, 0.5),
+            lambda: QuantumPlan.build(SN_QUANTUM).run(1, run_index=-2.5, mode="exact"),
+            lambda: QuantumPlan.build(SN_QUANTUM).run(1, run_index=1.5),
+            lambda: run_quantum(SN_QUANTUM, 1, run_index=-1, mode="exact"),
+            lambda: run_quantum(SN_QUANTUM, 1, run_index=True),
         ],
         ids=[
             "master-negative",
@@ -368,6 +378,10 @@ class TestSeedAndRunValidation:
             "run-quantum-exact-negative",
             "derive-master-negative",
             "derive-index-float",
+            "plan-run-index-negative-float",
+            "plan-run-index-float",
+            "run-quantum-run-index-negative",
+            "run-quantum-run-index-bool",
         ],
     )
     def test_non_integer_or_negative_refused_in_one_line(self, call):
@@ -430,8 +444,9 @@ class TestReadOnlySpectra:
             lambda: collect_runs(SN_QUANTUM, 5, runs=2)[1].spectrum,
             lambda: run_quantum(SN_QUANTUM, 5, mode="exact").spectrum,
             lambda: run_classical(SN_CLASSICAL),
+            lambda: median_spectrum(collect_runs(SN_QUANTUM, 5, runs=3)),
         ],
-        ids=["collect-runs", "exact-run", "classical"],
+        ids=["collect-runs", "exact-run", "classical", "median"],
     )
     @pytest.mark.parametrize("field", SPECTRUM_ARRAYS)
     def test_arrays_refuse_writes(self, spectrum, field):
@@ -447,6 +462,22 @@ class TestMedianSpectrum:
         stack = np.stack([r.spectrum.sigma for r in records])
         assert np.allclose(spectrum.sigma, np.median(stack, axis=0))
         assert spectrum.energies is records[0].spectrum.energies
+
+    def test_median_is_a_batch_of_one_like_any_spectrum(self, monkeypatch):
+        records = collect_runs(SN_QUANTUM, 5, runs=4)
+        batches = []
+        original = gdrq.experiment.spectrum_rows
+
+        def counted(grid, *batch):
+            batches.append([np.shape(array) for array in batch])
+            return original(grid, *batch)
+
+        monkeypatch.setattr(gdrq.experiment, "spectrum_rows", counted)
+        spectrum = median_spectrum(records)
+        assert batches == [[(1, spectrum.energies.size)] * 4]
+        assert (spectrum.peak_energy, spectrum.peak_height, spectrum.width_fwhm) == find_peak(
+            spectrum.energies, spectrum.sigma
+        )
 
     def test_single_run_passthrough(self):
         records = collect_runs(SN_QUANTUM, 5, runs=1)

@@ -1,8 +1,9 @@
 """Unit tests of the spherical dipole channel: poles, dressing, cross section, peak.
 
 Transitions carry an energy, a strength and a signed weight; the bare and
-dressed responses are 1-d arrays on the energy grid, and the cross section
-counts the one channel for all three Cartesian components.
+dressed responses are (rows, grid) batches on the energy grid, a single one a
+batch of one, and the cross section counts the one channel for all three
+Cartesian components.
 """
 
 import dataclasses
@@ -13,14 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdrq.response
 from gdrq.constants import E2_MEV_FM, FM2_TO_MB, HBARC_MEV_FM, NUCLEON_MASS_MEV
 from gdrq.encoding import BasisWindow, NucleusConfig, fill_occupations, hbar_omega
 from gdrq.errors import DegenerateSpectrumError, PoleCrossingError, ValidationError
 from gdrq.response import (
     Transition,
     TransitionSet,
+    assemble_spectra,
     assemble_spectrum,
     bare_response,
+    bare_responses,
     classical_transitions,
     cross_section,
     coupling,
@@ -146,9 +150,13 @@ class TestDressResponse:
         with pytest.raises(PoleCrossingError, match="E = 1.0000"):
             dress_response(r0, 0.5, grid=np.arange(4.0))
 
-    def test_shape_validated(self):
-        with pytest.raises(ValidationError):
-            dress_response(np.zeros((3, 4), dtype=complex), 0.1, np.arange(4.0))
+    def test_pole_crossing_reported_in_first_crossing_row(self):
+        r0 = np.ones((3, 4), dtype=complex)
+        r0[1, 2] = 2.0
+        r0[2, 0] = 2.0
+        with pytest.raises(PoleCrossingError, match="E = 2.0000") as info:
+            dress_response(r0, 0.5, grid=np.arange(4.0))
+        assert "\n" not in str(info.value)
 
 
 class TestCrossSection:
@@ -165,7 +173,7 @@ class TestCrossSection:
         with pytest.raises(ValidationError):
             cross_section(np.arange(5.0), np.zeros(4, dtype=complex))
         with pytest.raises(ValidationError):
-            cross_section(np.arange(5.0), np.zeros((3, 5), dtype=complex))
+            cross_section(np.arange(5.0), np.zeros((3, 4), dtype=complex))
 
 
 def lorentzian(grid: np.ndarray, e0: float, gamma: float, height: float) -> np.ndarray:
@@ -230,3 +238,66 @@ class TestAssembleSpectrum:
         assert np.allclose(sb.sigma, 0.5 * sa.sigma)
         assert np.allclose(sb.sigma_raw, sa.sigma_raw)
         assert sb.peak_energy == pytest.approx(sa.peak_energy)
+
+
+SN = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
+
+
+def measured_sets(rows: int, seed: int) -> list[TransitionSet]:
+    """Equally long pole lists that scatter around the giant resonance."""
+    rng = np.random.default_rng(seed)
+    return [
+        quantum_transitions(list(zip(rng.uniform(8.0, 20.0, 3), rng.uniform(1.0, 40.0, 3))))
+        for _ in range(rows)
+    ]
+
+
+def bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestSpectrumBatch:
+    """Dressing, cross section and calibration run once over (rows, grid)."""
+
+    def test_batch_rows_equal_single_row_calls(self):
+        grid = SN.energy_grid()
+        kappa_c = coupling(SN)
+        r0 = bare_responses(measured_sets(7, seed=3), grid, SN.gamma_spread)
+        dressed = dress_response(r0, kappa_c, grid)
+        sigma = cross_section(grid, dressed)
+        assert dressed.shape == sigma.shape == (7, grid.size)
+        for k in range(7):
+            assert bits(dressed[k]) == bits(dress_response(r0[k], kappa_c, grid))
+            assert bits(sigma[k]) == bits(cross_section(grid, dressed[k]))
+
+    @pytest.mark.parametrize(
+        "boundary, expected",
+        [((1.0, 60.0), "E = 5.0000"), ((60.0, 1.0), "E = 30.0000")],
+        ids=["left-row-first", "right-row-first"],
+    )
+    def test_first_boundary_row_raises_its_own_error(self, boundary, expected):
+        good = measured_sets(2, seed=5)
+        # three poles far below or above the grid put sigma's maximum on an edge
+        edges = [quantum_transitions([(e, 40.0)] * 3) for e in boundary]
+        with pytest.raises(DegenerateSpectrumError, match=expected) as info:
+            assemble_spectra(SN, [good[0], *edges, good[1]])
+        assert "\n" not in str(info.value)
+
+    def test_dressing_runs_once_per_batch(self, monkeypatch):
+        calls = []
+        original = gdrq.response.dress_response
+        monkeypatch.setattr(
+            gdrq.response,
+            "dress_response",
+            lambda r0, *args: calls.append(np.shape(r0)) or original(r0, *args),
+        )
+        assemble_spectra(SN, measured_sets(6, seed=6))
+        assert calls == [(6, SN.energy_grid().size)]
+
+    def test_rows_are_read_only_views_of_the_batch(self):
+        spectra = assemble_spectra(SN, measured_sets(3, seed=7))
+        for field in ("r0", "r_dressed", "sigma_raw", "sigma"):
+            rows = [getattr(s, field) for s in spectra]
+            assert all(row.base is rows[0].base for row in rows)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[1][0] = 1.0
