@@ -22,8 +22,7 @@ import typing
 from dataclasses import MISSING, fields, replace
 
 from . import __version__
-from .algorithms import energy_expectation, swap_test
-from .encoding import BasisWindow, NucleusConfig, build_hamiltonian, jw_annihilation, jw_creation
+from .encoding import BasisWindow, NucleusConfig, build_hamiltonian
 from .errors import GdrqError, SchemaError, ValidationError
 from .experiment import (
     BUNDLED_NUCLEI,
@@ -44,7 +43,6 @@ from .experiment import (
     write_runs_csv,
     write_spectrum_csv,
 )
-from .statevector import init_basis_state
 
 
 def _window(text: str) -> BasisWindow:
@@ -321,9 +319,9 @@ SELFTEST_GOLDENS = {
     "h4_render": "6.000*I - 0.750*Z0 - 1.250*Z1 - 1.750*Z2 - 2.250*Z3",
     "h5_identity": 8.75,
     "h5_z_coefficients": (-0.75, -1.25, -1.75, -2.25, -2.75),
-    "swap_identity": 1.0,
-    "lcu_eigenstate_energy": 3.5,
     "sn120_classical_window": (14.0, 17.0),
+    # largest exact quantum vs classical gap: peak and FWHM in MeV, sigma per peak height
+    "exact_vs_classical_mev": 1e-9,
 }
 
 
@@ -344,42 +342,6 @@ def _check_h5_golden() -> str:
     return "window 0-4 coefficients exact"
 
 
-def _check_jw_algebra() -> str:
-    import numpy as np
-
-    from . import pauli as pl
-
-    for i in range(3):
-        for j in range(3):
-            anti = pl.dense_matrix(jw_annihilation(i, 3)) @ pl.dense_matrix(jw_creation(j, 3))
-            anti += pl.dense_matrix(jw_creation(j, 3)) @ pl.dense_matrix(jw_annihilation(i, 3))
-            expected = np.eye(8) if i == j else np.zeros((8, 8))
-            if np.max(np.abs(anti - expected)) > 1e-12:
-                raise AssertionError(f"{{a_{i}, adag_{j}}} violated")
-    return "anticommutators exact on 3 modes"
-
-
-def _check_swap_identity() -> str:
-    import numpy as np
-
-    from .statevector import StateVector
-
-    plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    est = swap_test(plus, plus, shots=0)
-    if abs(est.clamped - SELFTEST_GOLDENS["swap_identity"]) > 1e-12:
-        raise AssertionError(f"overlap {est.clamped}")
-    return "identical states overlap 1"
-
-
-def _check_lcu_eigenstate() -> str:
-    h4 = build_hamiltonian(BasisWindow(0, 3), 1.0)
-    state = init_basis_state(4, "0100")
-    value = energy_expectation(h4, state, shots=0)
-    if abs(value - SELFTEST_GOLDENS["lcu_eigenstate_energy"]) > 1e-9:
-        raise AssertionError(f"energy {value}")
-    return "shell N=2 energy 3.5"
-
-
 def _check_sn120_classical() -> str:
     config = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
     spectrum = run_classical(config)
@@ -389,15 +351,31 @@ def _check_sn120_classical() -> str:
     return f"E0 = {spectrum.peak_energy:.3f} MeV"
 
 
+def _check_exact_matches_classical() -> str:
+    """An exact quantum run reproduces the classical spectrum on a window whose
+    filled shells make the same transitions: 40Ca on shells 1-4."""
+    config = NucleusConfig(A=40, Z=20, kappa=0.3, basis=BasisWindow(1, 4), grid_max=40.0)
+    quantum = run_quantum(config, 0, mode="exact").spectrum
+    classical = run_classical(config)
+    tol = SELFTEST_GOLDENS["exact_vs_classical_mev"]
+    gaps = {
+        "peak": abs(quantum.peak_energy - classical.peak_energy),
+        "FWHM": abs(quantum.width_fwhm - classical.width_fwhm),
+        "sigma/height": abs(quantum.sigma - classical.sigma).max() / classical.peak_height,
+    }
+    wide = [f"{name} gap {gap:.3e}" for name, gap in gaps.items() if not gap <= tol]
+    if wide:
+        raise AssertionError(f"{', '.join(wide)} exceeds {tol:g}")
+    return f"40Ca window 1-4: E0 = {quantum.peak_energy:.3f} MeV in both"
+
+
 def selftest(out=print) -> int:
     """Run the fast invariant suite; returns 0 if every check passes."""
     checks = (
         ("h4 golden coefficients", _check_h4_golden),
         ("h5 golden coefficients", _check_h5_golden),
-        ("jordan-wigner algebra", _check_jw_algebra),
-        ("swap test identity", _check_swap_identity),
-        ("lcu eigenstate energy", _check_lcu_eigenstate),
         ("sn120 classical peak", _check_sn120_classical),
+        ("exact quantum equals classical", _check_exact_matches_classical),
     )
     failures = 0
     for name, check in checks:

@@ -5,8 +5,8 @@ window [n_min, n_max] is shell N = n_min + q.  An occupied shell is |1>, so a
 Z eigenvalue of -1 marks occupation.  Ladder operators follow the standard
 fermionic chain ordering (Z string on lower qubits); for the number operators
 and nearest-neighbor hops used here the strings cancel, so the operators are
-built from their closed 1- and 2-local forms, with the ladder products as the
-oracle they are tested against.
+built from their closed 1- and 2-local forms; the tests keep the ladder
+operators as the oracle those forms are compared against.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ MAX_SHOTS = 2**63 - 1
 # largest run count: an ensemble holds every run's record at once, about 15 KB
 # each, so the cap keeps one to about 1.5 GB
 MAX_RUNS = 100_000
-
-
-def check_max_runs(runs: int) -> None:
-    """Refuse an ensemble of more than MAX_RUNS runs."""
-    if runs > MAX_RUNS:
-        raise ValidationError(f"runs must be at most {MAX_RUNS}, got {runs}")
 
 
 def hbar_omega(a: int) -> float:
@@ -124,7 +118,8 @@ class NucleusConfig:
             raise ValidationError("shots and runs must be >= 1")
         if self.shots > MAX_SHOTS:
             raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {self.shots}")
-        check_max_runs(self.runs)
+        if self.runs > MAX_RUNS:
+            raise ValidationError(f"runs must be at most {MAX_RUNS}, got {self.runs}")
         if self.grid_step <= 0 or self.grid_min >= self.grid_max:
             raise ValidationError("energy grid needs grid_min < grid_max and grid_step > 0")
         # energy_grid holds floor(intervals) + 1 points; comparing the float ratio
@@ -184,38 +179,6 @@ def fill_occupations(config: NucleusConfig) -> OccupationTable:
     """Fill shells bottom-up for both species; partial top shells get n_N < 1."""
     n_max = config.basis.n_max
     return OccupationTable(_fill(config.Z, n_max), _fill(config.n_neutrons, n_max))
-
-
-def _chain_axes(nqubits: int, mode: int, op_axis: str) -> str:
-    return "".join(
-        "Z" if k < mode else (op_axis if k == mode else "I") for k in range(nqubits)
-    )
-
-
-def jw_creation(mode: int, nqubits: int) -> pl.PauliSum:
-    """Fermionic a^dag on the given mode: (X - iY)/2 with a Z string below."""
-    if not 0 <= mode < nqubits:
-        raise ValidationError(f"mode {mode} out of range for {nqubits} qubits")
-    return pl.PauliSum(
-        nqubits,
-        (
-            pl.PauliTerm(0.5, _chain_axes(nqubits, mode, "X")),
-            pl.PauliTerm(-0.5, _chain_axes(nqubits, mode, "Y"), 1j),
-        ),
-    )
-
-
-def jw_annihilation(mode: int, nqubits: int) -> pl.PauliSum:
-    """Fermionic a on the given mode: (X + iY)/2 with a Z string below."""
-    if not 0 <= mode < nqubits:
-        raise ValidationError(f"mode {mode} out of range for {nqubits} qubits")
-    return pl.PauliSum(
-        nqubits,
-        (
-            pl.PauliTerm(0.5, _chain_axes(nqubits, mode, "X")),
-            pl.PauliTerm(0.5, _chain_axes(nqubits, mode, "Y"), 1j),
-        ),
-    )
 
 
 def _axes(nqubits: int, letters: dict[int, str]) -> str:

@@ -19,12 +19,13 @@ is the median spectrum of an ensemble.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import statistics
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .encoding import (
     NucleusConfig,
     build_dipole,
     build_hamiltonian,
-    check_max_runs,
     fill_occupations,
     hbar_omega,
     oscillator_length,
@@ -128,15 +128,6 @@ class ComparisonReport:
     energies: np.ndarray
     model_sigma: np.ndarray
     experiment_sigma: np.ndarray
-
-
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation from the median."""
-    values = list(values)
-    if not values:
-        raise ValidationError("mad needs at least one value")
-    center = statistics.median(values)
-    return statistics.median(abs(v - center) for v in values)
 
 
 def run_classical(config: NucleusConfig) -> ResponseSpectrum:
@@ -386,23 +377,22 @@ def collect_runs(
 ) -> tuple[RunRecord, ...]:
     """Independent repeats of one plan with seeds derived from the master seed.
 
+    `runs` overrides config.runs and is checked as the config checks it.
     Every run's poles are drawn first, their streams hashed in one pass; their
     spectra are then assembled as one batch, each record equal to plan.run at
     its own seed.  The last ensemble is kept: asking again for the same
-    (config, master seed, run count) returns the same records, whose arrays
-    are read-only.
+    (config, master seed) returns the same records, whose arrays are
+    read-only.
     """
-    n_runs = non_negative_int(config.runs if runs is None else runs, "runs")
-    if n_runs < 1:
-        raise ValidationError("runs must be >= 1")
-    check_max_runs(n_runs)
-    return _ensemble(config, non_negative_int(master_seed, "master seed"), n_runs)
+    if runs is not None:
+        config = replace(config, runs=runs)
+    return _ensemble(config, non_negative_int(master_seed, "master seed"))
 
 
 # The key is validated first: lru_cache takes True and 1.0 for the key 1.
 @functools.lru_cache(maxsize=1)
-def _ensemble(config: NucleusConfig, master_seed: int, n_runs: int) -> tuple[RunRecord, ...]:
-    seeds = _run_seeds(master_seed, np.arange(n_runs))
+def _ensemble(config: NucleusConfig, master_seed: int) -> tuple[RunRecord, ...]:
+    seeds = _run_seeds(master_seed, np.arange(config.runs))
     plan = QuantumPlan.build(config)
     poles = plan.transitions(seeds)
     spectra = assemble_spectra(config, poles)
@@ -437,16 +427,53 @@ def check_mad_runs(runs: int) -> None:
         raise ValidationError("need at least two runs for a MAD series")
 
 
+def _middle(count: int, ranked: Callable[[int], float]) -> float:
+    """statistics.median of `count` values, given the k-th smallest as ranked(k)."""
+    half = count // 2
+    if count % 2:
+        return ranked(half)
+    return (ranked(half - 1) + ranked(half)) / 2
+
+
+def _ranked_deviation(ordered: list[float], center: float, k: int) -> float:
+    """The k-th smallest |v - center| over the sorted values, 0-based.
+
+    Below the center the deviations grow leftwards and from it on rightwards,
+    so the k + 1 smallest are the i nearest on the left and the k + 1 - i
+    nearest on the right, with i found by bisection.  Each deviation is
+    computed as abs(v - center) would be: rounding is sign-symmetric.
+    """
+    split = bisect.bisect_left(ordered, center)
+    lo, hi = max(0, k + 1 - (len(ordered) - split)), min(k + 1, split)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if center - ordered[split - 1 - i] < ordered[split + k - i] - center:
+            lo = i + 1
+        else:
+            hi = i
+    left = center - ordered[split - lo] if lo else -math.inf
+    right = ordered[split + k - lo] - center if lo <= k else -math.inf
+    return max(left, right)
+
+
 def mad_series(records: Sequence[RunRecord]) -> MadSeries:
-    """Cumulative statistics of peak energies over the first m runs, m >= 2."""
+    """Cumulative statistics of peak energies over the first m runs, m >= 2.
+
+    Each entry is bit for bit statistics.median of the first m peaks and of
+    their absolute deviations from it.  The peaks seen so far are kept
+    sorted, so no prefix is sorted again.
+    """
     check_mad_runs(len(records))
-    e0s = [r.peak_energy for r in records]
+    ordered: list[float] = []
     ms, medians, deviations = [], [], []
-    for m in range(2, len(e0s) + 1):
-        head = e0s[:m]
+    for m, record in enumerate(records, start=1):
+        bisect.insort(ordered, record.peak_energy)
+        if m < 2:
+            continue
+        center = _middle(m, ordered.__getitem__)
         ms.append(m)
-        medians.append(statistics.median(head))
-        deviations.append(mad(head))
+        medians.append(center)
+        deviations.append(_middle(m, lambda k: _ranked_deviation(ordered, center, k)))
     return MadSeries(tuple(ms), tuple(medians), tuple(deviations))
 
 

@@ -173,9 +173,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        return add(self, other)
-
     def __mul__(self, factor: float) -> "PauliSum":
         """The sum scaled by a finite real factor.
 
@@ -232,13 +229,6 @@ class PauliSum:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def add(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Sum of two Pauli sums (canonical merge)."""
-    if a.nqubits != b.nqubits:
-        raise SizeError(f"qubit count mismatch: {a.nqubits} vs {b.nqubits}")
-    return PauliSum(a.nqubits, a.terms + b.terms)
 
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -246,23 +246,6 @@ class StateVector:
         return StateVector(n, np.outer(other.amplitudes, self.amplitudes).reshape(-1))
 
 
-@dataclass(frozen=True)
-class ShotHistogram:
-    """Counts of measured bitstrings; keys are written qubit-0-rightmost."""
-
-    counts: Mapping[str, int]
-    shots: int
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValidationError("shots must be >= 1")
-        if sum(self.counts.values()) != self.shots:
-            raise ValidationError("histogram counts must sum to the shot count")
-        lengths = {len(k) for k in self.counts}
-        if len(lengths) > 1:
-            raise ValidationError("histogram keys must have a common length")
-
-
 def init_basis_state(nqubits: int, bits: str) -> StateVector:
     """Computational basis state from a bitstring (qubit 0 rightmost)."""
     if len(bits) != nqubits or any(c not in "01" for c in bits):
@@ -416,12 +399,9 @@ def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
 
 def sample(
     state: StateVector, qubits: Sequence[int], shots: int, rng: np.random.Generator
-) -> ShotHistogram:
-    """Multinomial shot counts of the marginal distribution on `qubits`."""
+) -> np.ndarray:
+    """Multinomial shot counts of the 2^k outcomes on `qubits`, indexed like `marginal`."""
     probs = marginal(state, qubits)
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    k = len(qubits)
-    drawn = rng.multinomial(shots, probs)
-    counts = {format(i, f"0{k}b"): int(c) for i, c in enumerate(drawn) if c > 0}
-    return ShotHistogram(counts, shots)
+    return rng.multinomial(shots, probs)

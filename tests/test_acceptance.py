@@ -22,12 +22,11 @@ from gdrq.encoding import (
     build_hamiltonian,
     fill_occupations,
     hbar_omega,
-    jw_annihilation,
-    jw_creation,
 )
 from gdrq.experiment import basis_study, collect_runs, run_quantum
 from gdrq.response import bare_response, classical_transitions
 from gdrq.statevector import RngStream, StateVector
+from ladders import jw_annihilation, jw_creation
 
 SN = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), calibration=0.1751)
 PB = NucleusConfig(A=208, Z=82, kappa=0.85, basis=BasisWindow(3, 6), calibration=0.2378)

@@ -363,9 +363,9 @@ class TestPlainGenerators:
         expected = overlap.lam * float(np.sqrt(p_hat)) * float(np.sqrt(clamped))
         assert energy_expectation(h, state, 500, np.random.default_rng(0)) == expected
 
-        hist = sample(phi, [0, 1], 500, np.random.default_rng(0))
+        counts = sample(phi, [0, 1], 500, np.random.default_rng(0))
         drawn = np.random.default_rng(0).multinomial(500, marginal(phi, [0, 1]))
-        assert hist.counts == {format(i, "02b"): int(c) for i, c in enumerate(drawn) if c > 0}
+        assert np.array_equal(counts, drawn)
 
 
 class TestLazyStreams:

@@ -810,7 +810,8 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert cli.selftest() == 0
         out = capsys.readouterr().out
-        assert out.count("ok: ") == 6
+        assert out.count("ok: ") == 4
+        assert "ok: exact quantum equals classical" in out
         assert "all checks passed" in out
         assert "FAIL" not in out
 
@@ -820,6 +821,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL: h5 golden coefficients" in out
         assert "1 check(s) failed" in out
+
+    def test_exact_quantum_gap_is_reported(self, monkeypatch, capsys):
+        """A quantum path that drifts from the classical one fails its one check."""
+        real = cli.run_quantum
+
+        def drifted(config, *args, **kwargs):
+            return real(dataclasses.replace(config, kappa=config.kappa + 0.01), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_quantum", drifted)
+        assert cli.selftest() == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL: exact quantum equals classical: peak gap")
+        assert lines[-1] == "1 check(s) failed"
 
     def test_main_dispatches_selftest(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -23,14 +23,13 @@ from gdrq.encoding import (
     fill_occupations,
     hbar_omega,
     hop_operator,
-    jw_annihilation,
-    jw_creation,
     number_operator,
     oscillator_length,
     shell_capacity,
 )
 from gdrq.constants import HBARC_MEV_FM, NUCLEON_MASS_MEV
 from gdrq.errors import CapacityError, ValidationError
+from ladders import jw_annihilation, jw_creation
 from test_golden import exact_windows
 
 
@@ -345,17 +344,17 @@ def ladder_number(q, n):
 
 
 def ladder_hop(q, n):
-    return pl.add(
-        pl.multiply_sums(jw_creation(q + 1, n), jw_annihilation(q, n)),
-        pl.multiply_sums(jw_creation(q, n), jw_annihilation(q + 1, n)),
-    )
+    up = pl.multiply_sums(jw_creation(q + 1, n), jw_annihilation(q, n))
+    down = pl.multiply_sums(jw_creation(q, n), jw_annihilation(q + 1, n))
+    return pl.PauliSum(n, up.terms + down.terms)
 
 
 def ladder_hamiltonian(basis, homega):
     """The window Hamiltonian composed from ladder products, one shell at a time."""
     total = pl.PauliSum(basis.nqubits)
     for q, shell in enumerate(basis.shells()):
-        total = pl.add(total, ladder_number(q, basis.nqubits) * ((shell + 1.5) * homega))
+        scaled = ladder_number(q, basis.nqubits) * ((shell + 1.5) * homega)
+        total = pl.PauliSum(basis.nqubits, total.terms + scaled.terms)
     return total
 
 
@@ -367,7 +366,8 @@ def ladder_dipole(config, species):
     total = pl.PauliSum(basis.nqubits)
     for q, shell in enumerate(list(basis.shells())[:-1]):
         amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-        total = pl.add(total, ladder_hop(q, basis.nqubits) * amplitude)
+        scaled = ladder_hop(q, basis.nqubits) * amplitude
+        total = pl.PauliSum(basis.nqubits, total.terms + scaled.terms)
     return total
 
 

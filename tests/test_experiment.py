@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from gdrq.experiment import (
     compare_with_experiment,
     derive_run_seed,
     load_experimental_csv,
-    mad,
     mad_series,
     median_spectrum,
     run_classical,
@@ -63,17 +63,6 @@ PB_CLASSICAL = NucleusConfig(A=208, Z=82, kappa=0.4, basis=BasisWindow(0, 10))
 SN_QUANTUM = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
 HE4_QUANTUM = NucleusConfig(A=4, Z=2, kappa=0.3, basis=BasisWindow(0, 1), grid_max=60.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-class TestMad:
-    def test_hand_values(self):
-        assert mad([1.0, 2.0, 3.0, 4.0, 100.0]) == pytest.approx(1.0)
-        assert mad([5.0]) == 0.0
-        assert mad([2.0, 2.0, 2.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mad([])
 
 
 class TestRunClassical:
@@ -391,7 +380,8 @@ class TestSeedAndRunValidation:
 
 
 class TestEnsembleMemo:
-    """collect_runs keeps its last ensemble, keyed by (config, master seed, run count)."""
+    """collect_runs keeps its last ensemble, keyed by (config, master seed); a run count
+    given to it is part of the config."""
 
     def test_repeated_call_returns_the_same_records(self):
         records = collect_runs(SN_QUANTUM, 5, runs=3)
@@ -508,6 +498,66 @@ class TestMadSeries:
         records = collect_runs(SN_QUANTUM, 5, runs=1)
         with pytest.raises(ValidationError):
             mad_series(records)
+
+    def test_hand_values(self):
+        series = mad_series(peaks([1.0, 2.0, 3.0, 4.0, 100.0]))
+        assert series.e0_median == (1.5, 2.0, 2.5, 3.0)
+        assert series.delta_e0 == (0.5, 1.0, 1.0, 1.0)
+        assert mad_series(peaks([2.0, 2.0, 2.0])).delta_e0 == (0.0, 0.0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 6).map(lambda i: 15.0 + i / 4),
+                st.floats(10.0, 20.0),
+            ),
+            min_size=2,
+            max_size=45,
+        )
+    )
+    @example([15.5] * 20)
+    @example([15.0, 15.5] * 10 + [16.0])
+    @example([16.0, 15.0, 15.0, 17.0, 16.0, 15.0, 16.0, 17.0, 17.0, 15.0])
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_the_prefix_definition(self, values):
+        """Every entry, at odd and even m and with ties, is bit for bit
+        statistics.median of the first m peaks and of their deviations."""
+        series = mad_series(peaks(values))
+        expected_medians, expected_deviations = [], []
+        for m in range(2, len(values) + 1):
+            head = values[:m]
+            center = statistics.median(head)
+            expected_medians.append(center)
+            expected_deviations.append(statistics.median(abs(v - center) for v in head))
+        assert series.m == tuple(range(2, len(values) + 1))
+        assert list(map(float.hex, series.e0_median)) == list(map(float.hex, expected_medians))
+        assert list(map(float.hex, series.delta_e0)) == list(map(float.hex, expected_deviations))
+
+
+class TestShotNoiseScaling:
+    """The run-to-run spread of the peak is shot noise: its MAD falls like shots^-1/2."""
+
+    SHOTS = (2000, 8000, 32_000, 128_000, 512_000)
+
+    @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
+    def test_e0_mad_halves_per_fourfold_shots(self, nucleus):
+        """Bands from master seeds 1-30 at 200 runs: each 4x step divided the MAD
+        by 1.55-2.54, and the geometric mean over the four steps by 1.91-2.11."""
+        config = load_config(CONFIGS / f"{nucleus}.cfg")
+        mads = [
+            mad_series(collect_runs(replace(config, shots=shots), 77, runs=200)).delta_e0[-1]
+            for shots in self.SHOTS
+        ]
+        steps = [wide / narrow for wide, narrow in zip(mads, mads[1:])]
+        overall = (mads[0] / mads[-1]) ** (1 / len(steps))
+        detail = f"MAD {mads} at shots {self.SHOTS}"
+        assert all(1.4 <= step <= 2.8 for step in steps), detail
+        assert 1.8 <= overall <= 2.2, detail
+
+
+def peaks(values):
+    """Stand-ins for run records: mad_series reads only their peak energies."""
+    return [SimpleNamespace(peak_energy=v) for v in values]
 
 
 class TestBasisStudy:
