@@ -181,7 +181,9 @@ class LcuCircuit:
     post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
     probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  None of this
     depends on the state, so the prepare unitary, its adjoint and the stack
-    of selected blocks are built and checked once, and kept read-only.
+    of selected blocks are built and checked once, and kept read-only.  The
+    selected blocks are scattered from the operator's table (PauliSum.table),
+    the one that pauli.apply reads too.
     """
 
     __slots__ = ("op", "lam", "n_ancillas", "prepare", "unprepare", "selected")
@@ -200,8 +202,14 @@ class LcuCircuit:
         prep = _prep_unitary(amps)
         self.prepare = Unitaries(prep[None])
         self.unprepare = Unitaries(prep.conj().T[None])
-        selected = [t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms]
-        self.selected = Unitaries(selected)
+        # block i holds term i's table entries / w_i * sign(c_i) in its permuted rows
+        rows, values = op.table
+        weights = np.array([t.weight for t in op.terms])[:, None]
+        signs = np.sign([t.coefficient for t in op.terms])[:, None]
+        dim = rows.shape[1]
+        stack = np.zeros((k, dim, dim), dtype=complex)
+        stack[np.arange(k)[:, None], rows, np.arange(dim)] = values / weights * signs
+        self.selected = Unitaries(stack)
 
     def apply(self, psi: StateVector) -> LcuResult:
         """Run the circuit on psi and post-select every ancilla on |0>.

@@ -185,30 +185,32 @@ def _axes(nqubits: int, letters: dict[int, str]) -> str:
     return "".join(letters.get(k, "I") for k in range(nqubits))
 
 
-def number_operator(mode: int, nqubits: int) -> pl.PauliSum:
-    """a^dag_q a_q in closed form: the Z strings cancel, leaving (I - Z_q)/2."""
+def number_operator(mode: int, nqubits: int, factor: float) -> tuple[pl.PauliTerm, ...]:
+    """Terms of factor * a^dag_q a_q in closed form: the Z strings cancel, leaving (I - Z_q)/2.
+
+    The window operators are sums of these terms and the hop terms; the tests
+    compare both with the ladder products.
+    """
     if not 0 <= mode < nqubits:
         raise ValidationError(f"mode {mode} out of range for {nqubits} qubits")
-    return pl.PauliSum(
-        nqubits,
-        (pl.PauliTerm(0.5, _axes(nqubits, {})), pl.PauliTerm(-0.5, _axes(nqubits, {mode: "Z"}))),
+    return (
+        pl.PauliTerm(0.5 * factor, _axes(nqubits, {})),
+        pl.PauliTerm(-0.5 * factor, _axes(nqubits, {mode: "Z"})),
     )
 
 
-def hop_operator(mode: int, nqubits: int) -> pl.PauliSum:
-    """a^dag_{q+1} a_q + a^dag_q a_{q+1} in closed form: (X_q X_{q+1} + Y_q Y_{q+1})/2.
+def hop_operator(mode: int, nqubits: int, factor: float) -> tuple[pl.PauliTerm, ...]:
+    """Terms of factor * (a^dag_{q+1} a_q + a^dag_q a_{q+1}) in closed form.
 
-    The strings below q cancel, and the imaginary X_q Y_{q+1} and Y_q X_{q+1}
-    parts of the two orderings cancel each other.
+    That is factor * (X_q X_{q+1} + Y_q Y_{q+1})/2: the strings below q cancel,
+    and the imaginary X_q Y_{q+1} and Y_q X_{q+1} parts of the two orderings
+    cancel each other.
     """
     if not 0 <= mode < nqubits - 1:
         raise ValidationError(f"hop from mode {mode} out of range for {nqubits} qubits")
-    return pl.PauliSum(
-        nqubits,
-        tuple(
-            pl.PauliTerm(0.5, _axes(nqubits, {mode: letter, mode + 1: letter}))
-            for letter in "XY"
-        ),
+    return tuple(
+        pl.PauliTerm(0.5 * factor, _axes(nqubits, {mode: letter, mode + 1: letter}))
+        for letter in "XY"
     )
 
 
@@ -216,14 +218,15 @@ def build_hamiltonian(basis: BasisWindow, homega: float) -> pl.PauliSum:
     """Window Hamiltonian sum_N (N + 3/2) hbar*omega a^dag_N a_N.
 
     Each number operator is (I - Z)/2, so all coefficients are exact binary
-    fractions of hbar*omega; the identity parts add up in shell order.
+    fractions of hbar*omega; the identity parts add up in shell order.  Every
+    shell's terms go straight into the one sum.
     """
     if homega <= 0:
         raise ValidationError("hbar*omega must be positive")
     n = basis.nqubits
     terms = []
     for q, shell in enumerate(basis.shells()):
-        terms += (number_operator(q, n) * ((shell + 1.5) * homega)).terms
+        terms += number_operator(q, n, (shell + 1.5) * homega)
     return pl.PauliSum(n, tuple(terms))
 
 
@@ -250,5 +253,5 @@ def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.
     terms = []
     for q, shell in enumerate(list(basis.shells())[:-1]):
         amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-        terms += (hop_operator(q, n) * amplitude).terms
+        terms += hop_operator(q, n, amplitude)
     return pl.PauliSum(n, tuple(terms))

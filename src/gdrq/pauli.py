@@ -6,6 +6,9 @@ Conventions used across the package:
 - an axes string lists qubit 0 first, so "XZ" means X on qubit 0, Z on qubit 1;
 - the dense matrix of an n-qubit string equals kron(M_{n-1}, ..., M_1, M_0);
   it is built from the string's bit masks (see masks), not from kron;
+- a string is a signed permutation: column c holds one entry, in row c ^ flip.
+  Each sum compiles its terms once into a table of those rows and entries
+  (permutation_table, PauliSum.table); apply and the LCU select stack read it;
 - each term factors as (signed real coefficient) * (phase), with the phase kept
   exactly in {1, i}.  Products track phases through the single-qubit table
   (X*Y = iZ and cyclic), so no rounding ever touches the phase group.
@@ -16,6 +19,7 @@ zero-weight terms dropped, terms ordered by (qubit support, axes letters).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
@@ -28,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .statevector import StateVector
 
 AXES = "IXYZ"
+_AXES_SET = frozenset(AXES)
 DENSE_MAX_QUBITS = 12
 
 # Single-qubit product table: _PRODUCT[(a, b)] = (phase, axis) with a*b = phase*axis.
@@ -58,11 +63,13 @@ class PauliTerm:
     phase: complex = 1 + 0j
 
     def __post_init__(self) -> None:
-        if not self.axes or any(ax not in AXES for ax in self.axes):
+        if not self.axes or not _AXES_SET.issuperset(self.axes):
             raise ValidationError(f"bad axes string {self.axes!r}")
         if self.phase not in _PHASES:
             raise ValidationError(f"phase must be one of {{1,-1,i,-i}}, got {self.phase!r}")
         coeff = float(self.coefficient)
+        if not math.isfinite(coeff):
+            raise ValidationError(f"coefficient of {self.axes!r} must be finite, got {coeff}")
         phase = complex(self.phase)
         if phase == -1:
             coeff, phase = -coeff, 1 + 0j
@@ -118,9 +125,9 @@ def masks(term: PauliTerm) -> tuple[int, int, int]:
     return flip, zmask, n_y
 
 
-def _signs(idx: np.ndarray, zmask: int) -> np.ndarray:
-    """(-1)^popcount(i & zmask) for every basis index i."""
-    parity = np.bitwise_count(idx & np.uint64(zmask)) & 1
+def _signs(idx: np.ndarray, zmask: int | np.ndarray) -> np.ndarray:
+    """(-1)^popcount(i & zmask) for every basis index i; a column of masks gives a row each."""
+    parity = np.bitwise_count(idx & np.asarray(zmask, dtype=np.uint64)) & 1
     return 1.0 - 2.0 * parity
 
 
@@ -230,6 +237,31 @@ class PauliSum:
     def __str__(self) -> str:
         return self.render()
 
+    @functools.cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sum's signed-permutation table (see permutation_table), compiled on first use."""
+        return permutation_table(self)
+
+
+def permutation_table(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a sum's terms as signed permutations, read-only (k, 2^n) arrays.
+
+    Term i sends column c to row rows[i, c] = c ^ flip_i with entry
+    values[i, c] = weight_i * i^(Y count) * (-1)^popcount(c & zmask_i), the
+    same product that PauliTerm.matrix writes into its one entry per column.
+    """
+    idx = np.arange(2**op.nqubits, dtype=np.uint64)
+    term_masks = [masks(term) for term in op.terms]
+    flips = np.array([flip for flip, _, _ in term_masks], dtype=np.uint64).reshape(-1, 1)
+    zmasks = np.array([zmask for _, zmask, _ in term_masks], dtype=np.uint64).reshape(-1, 1)
+    phases = np.array(
+        [t.weight * (1j**n_y) for t, (_, _, n_y) in zip(op.terms, term_masks)], dtype=complex
+    )
+    rows = (idx ^ flips).astype(np.intp)
+    values = phases[:, None] * _signs(idx, zmasks)
+    rows.flags.writeable = values.flags.writeable = False
+    return rows, values
+
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     """Operator product of two sums: all pairwise term products, merged."""
@@ -250,16 +282,17 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
 
 
 def apply(op: PauliSum, state: "StateVector") -> "StateVector":
-    """Apply the sum to a statevector: sum_i w_i U_i |s>, possibly unnormalized."""
+    """Apply the sum to a statevector: sum_i w_i U_i |s>, possibly unnormalized.
+
+    Each term adds its table row's entries times the amplitudes into its
+    permuted rows, in term order.
+    """
     from .statevector import StateVector
 
     if op.nqubits != state.nqubits:
         raise SizeError(f"operator on {op.nqubits} qubits, state on {state.nqubits}")
-    n = state.nqubits
-    idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-    out = np.zeros_like(state.amplitudes)
-    for term in op.terms:
-        flip, zmask, n_y = masks(term)
-        phase = term.weight * (1j**n_y)
-        out[idx ^ np.uint64(flip)] += phase * _signs(idx, zmask) * state.amplitudes
-    return StateVector(n, out)
+    amps = state.amplitudes
+    out = np.zeros_like(amps)
+    for rows, values in zip(*op.table):
+        out[rows] += values * amps
+    return StateVector(state.nqubits, out)

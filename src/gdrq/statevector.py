@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ImpossibleOutcomeError, SizeError, TargetError, ValidationError
 
 MAX_QUBITS = 16
+_BITS = frozenset("01")
 UNITARY_TOL = 1e-10
 POSTSELECT_TOL = 1e-14
 
@@ -243,12 +244,12 @@ class StateVector:
         if n > MAX_QUBITS:
             raise SizeError(f"register size must be in [1, {MAX_QUBITS}]")
         # the Kronecker product of two vectors is their flattened outer product
-        return StateVector(n, np.outer(other.amplitudes, self.amplitudes).reshape(-1))
+        return StateVector(n, (other.amplitudes[:, None] * self.amplitudes).reshape(-1))
 
 
 def init_basis_state(nqubits: int, bits: str) -> StateVector:
     """Computational basis state from a bitstring (qubit 0 rightmost)."""
-    if len(bits) != nqubits or any(c not in "01" for c in bits):
+    if len(bits) != nqubits or not _BITS.issuperset(bits):
         raise ValidationError(f"bits must be {nqubits} characters of 0/1, got {bits!r}")
     amps = np.zeros(2**nqubits, dtype=complex)
     amps[int(bits, 2)] = 1.0
@@ -269,9 +270,10 @@ class Unitaries:
     """A stack of unitaries, checked once when built.
 
     `blocks` is an (s, d, d) stack; all s blocks are checked in one batched
-    product u^H u - I against UNITARY_TOL.  It is kept as a read-only view of
-    the same memory and layout, so products with it keep their bits.  A single
-    matrix u is Unitaries(u[None]).  The gates apply nothing else.
+    product u^H u - I against UNITARY_TOL, and a NaN or infinite entry fails
+    the check.  It is kept as a read-only view of the same memory and layout,
+    so products with it keep their bits.  A single matrix u is
+    Unitaries(u[None]).  The gates apply nothing else.
     """
 
     __slots__ = ("blocks",)
@@ -280,9 +282,14 @@ class Unitaries:
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise ValidationError(f"expected a stack of square matrices, got shape {blocks.shape}")
-        eye = np.eye(blocks.shape[1])
-        defect = np.max(np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - eye), initial=0.0)
-        if defect > UNITARY_TOL:
+        # an infinite entry makes inf * 0 = NaN here, which the comparison below refuses
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        # subtracting I only changes the diagonal
+        diagonal = np.arange(blocks.shape[1])
+        gram[:, diagonal, diagonal] -= 1.0
+        defect = np.abs(gram).max(initial=0.0)
+        if not defect <= UNITARY_TOL:
             raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
         self.blocks = blocks.view()
         self.blocks.flags.writeable = False
@@ -379,13 +386,16 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVect
     (qubit,) = _check_targets(state, [qubit])
     if state.nqubits < 2:
         raise SizeError("post-selection needs at least two qubits")
-    prob = measure_probability(state, qubit, outcome)
+    if outcome not in (0, 1):
+        raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
+    # the amplitudes where the qubit reads `outcome`, in index order; their
+    # |amp|^2 summed are the elements and the order measure_probability sums
+    kept = state.amplitudes.reshape(-1, 2, 2**qubit)[:, outcome].reshape(-1)
+    prob = float((np.abs(kept) ** 2).sum())
     if prob < POSTSELECT_TOL:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
-    arr = state.amplitudes.reshape([2] * state.nqubits)
-    kept = np.take(arr, outcome, axis=state.nqubits - 1 - qubit).reshape(-1)
     return StateVector(state.nqubits - 1, kept / np.sqrt(prob)), prob
 
 

@@ -385,9 +385,10 @@ class TestClosedForms:
         config = NucleusConfig(A=a, Z=z, kappa=0.5, basis=basis)
         n = basis.nqubits
         for q in range(n):
-            assert term_bits(number_operator(q, n)) == term_bits(ladder_number(q, n))
+            closed = pl.PauliSum(n, number_operator(q, n, 1.0))
+            assert term_bits(closed) == term_bits(ladder_number(q, n))
         for q in range(n - 1):
-            assert term_bits(hop_operator(q, n)) == term_bits(ladder_hop(q, n))
+            assert term_bits(pl.PauliSum(n, hop_operator(q, n, 1.0))) == term_bits(ladder_hop(q, n))
         homega = hbar_omega(a)
         assert term_bits(build_hamiltonian(basis, homega)) == term_bits(
             ladder_hamiltonian(basis, homega)
@@ -399,8 +400,8 @@ class TestClosedForms:
 
     def test_mode_range_validated(self):
         with pytest.raises(ValidationError):
-            number_operator(3, 3)
+            number_operator(3, 3, 1.0)
         with pytest.raises(ValidationError):
-            hop_operator(2, 3)
+            hop_operator(2, 3, 1.0)
         with pytest.raises(ValidationError):
-            hop_operator(-1, 3)
+            hop_operator(-1, 3, 1.0)

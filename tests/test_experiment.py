@@ -197,8 +197,8 @@ class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
         """One Hamiltonian circuit per plan and one dipole circuit per species.  Each
         circuit builds and checks three Unitaries: the prepare unitary, its adjoint
-        and one stack of all selected blocks, each block built once; more runs add
-        no circuit work and apply the same gates."""
+        and one stack of all selected blocks, scattered from the operator's one
+        table; more runs add no circuit work and apply the same gates."""
         basis = SN_QUANTUM.basis
         hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
         dipoles = [
@@ -215,15 +215,21 @@ class TestQuantumPlan:
                 (gdrq.statevector, "apply_multiplexed"),
             ],
         )
-        work = {"circuits": [], "unitaries": [], "matrices": 0}
+        work = {"circuits": [], "unitaries": [], "tables": [], "matrices": 0}
         init = LcuCircuit.__init__
         build = gdrq.statevector.Unitaries.__init__
+        compile_table = gdrq.pauli.permutation_table
         matrix = gdrq.pauli.PauliTerm.matrix
 
         def counted_matrix(term):
             work["matrices"] += 1
             return matrix(term)
 
+        monkeypatch.setattr(
+            gdrq.pauli,
+            "permutation_table",
+            lambda op: work["tables"].append(op) or compile_table(op),
+        )
         monkeypatch.setattr(
             LcuCircuit, "__init__", lambda c, op: work["circuits"].append(op) or init(c, op)
         )
@@ -236,7 +242,7 @@ class TestQuantumPlan:
         collect_runs(SN_QUANTUM, 5, runs=1)
         one_run = {**counts, **work}
         counts.clear()
-        work.update(circuits=[], unitaries=[], matrices=0)
+        work.update(circuits=[], unitaries=[], tables=[], matrices=0)
         collect_runs(SN_QUANTUM, 5, runs=10)
         assert {**counts, **work} == one_run
         # an LCU application is prepare, select, unprepare; its SWAP test two Hadamards
@@ -249,7 +255,10 @@ class TestQuantumPlan:
             prepare = 2 ** max(1, (len(op) - 1).bit_length())
             expected += [(1, prepare, prepare)] * 2 + [(len(op), 2**op.nqubits, 2**op.nqubits)]
         assert work["unitaries"] == expected
-        assert work["matrices"] == sum(len(op) for op in work["circuits"])
+        # each circuit operator compiles one table, which pauli.apply and the
+        # select stack share; no dense term matrix is built
+        assert work["tables"] == work["circuits"]
+        assert work["matrices"] == 0
 
     def test_bad_mode_and_seed_rejected(self):
         plan = QuantumPlan.build(SN_QUANTUM)

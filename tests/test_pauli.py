@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdrq import pauli as pl
+from gdrq.algorithms import LcuCircuit
 from gdrq.errors import CapacityError, SizeError, ValidationError
 from gdrq.statevector import StateVector
 
@@ -82,6 +83,12 @@ class TestPauliTerm:
             pl.PauliTerm(1.0, "XQ")
         with pytest.raises(ValidationError):
             pl.PauliTerm(1.0, "")
+
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coefficient):
+        message = rf"^coefficient of 'XZ' must be finite, got {coefficient}$"
+        with pytest.raises(ValidationError, match=message):
+            pl.PauliTerm(coefficient, "XZ")
 
     def test_bad_phase_rejected(self):
         with pytest.raises(ValidationError):
@@ -290,3 +297,81 @@ class TestApply:
         op = pl.PauliSum(13, (pl.PauliTerm(1.0, "I" * 13),))
         with pytest.raises(CapacityError):
             pl.dense_matrix(op)
+
+
+def bits(values) -> np.ndarray:
+    """The float64 words of an array as integers: equal only if bit-identical."""
+    return np.ascontiguousarray(values).view(np.float64).view(np.uint64)
+
+
+def mask_loop_apply(op: pl.PauliSum, amps: np.ndarray) -> np.ndarray:
+    """pauli.apply as it was before the table: each term's masks derived anew."""
+    idx = np.arange(amps.size, dtype=np.uint64)
+    out = np.zeros_like(amps)
+    for term in op.terms:
+        flip, zmask, n_y = pl.masks(term)
+        phase = term.weight * (1j**n_y)
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zmask)) & 1)
+        out[idx ^ np.uint64(flip)] += phase * signs * amps
+    return out
+
+
+@st.composite
+def real_sums(draw):
+    """Real-weighted sums on 1-6 qubits with at least one Y term."""
+    n = draw(st.integers(1, 6))
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    axes = [draw(strings.filter(lambda a: "Y" in a))] + draw(st.lists(strings, max_size=7))
+    weights = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: abs(c) > 1e-6)
+    return pl.PauliSum(n, tuple(pl.PauliTerm(draw(weights), a) for a in axes))
+
+
+class TestPermutationTable:
+    """The compiled table against the per-term mask constructions it replaced."""
+
+    @given(real_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_rebuilds_dense_matrix_exactly(self, op):
+        rows, values = op.table
+        dim = 2**op.nqubits
+        rebuilt = np.zeros((dim, dim), dtype=complex)
+        for term_rows, term_values in zip(rows, values):
+            block = np.zeros((dim, dim), dtype=complex)
+            block[term_rows, np.arange(dim)] = term_values
+            rebuilt += block
+        assert np.array_equal(bits(rebuilt), bits(pl.dense_matrix(op)))
+
+    @given(real_sums(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_equals_the_mask_loop(self, op, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2**op.nqubits
+        amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * 10.0 ** rng.uniform(-3, 3)
+        got = pl.apply(op, StateVector(op.nqubits, amps)).amplitudes
+        assert np.array_equal(bits(got), bits(mask_loop_apply(op, amps)))
+
+    @given(real_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_lcu_select_stack_equals_the_term_matrices(self, op):
+        old = np.array([t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms])
+        assert np.array_equal(bits(LcuCircuit(op).selected.blocks), bits(old))
+
+    def test_compiled_once_read_only_and_per_sum(self, monkeypatch):
+        compiled = []
+        compile_table = pl.permutation_table
+        monkeypatch.setattr(
+            pl, "permutation_table", lambda op: compiled.append(op) or compile_table(op)
+        )
+        op = pl.PauliSum(2, (pl.PauliTerm(1.0, "XY"), pl.PauliTerm(-0.5, "ZI")))
+        assert op.table is op.table
+        scaled = op * 2.0
+        assert not np.array_equal(scaled.table[1], op.table[1])
+        assert compiled == [op, scaled]
+        for array in op.table:
+            assert array.shape == (2, 4)
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    def test_empty_sum_applies_as_zero(self):
+        state = StateVector(2, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.array_equal(pl.apply(pl.PauliSum(2), state).amplitudes, np.zeros(4))

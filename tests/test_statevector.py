@@ -427,6 +427,16 @@ class TestUnitaries:
         with pytest.raises(ValidationError, match="not unitary"):
             Unitaries([np.eye(2), bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_stack_rejected(self, bad):
+        """NaN compares false with the tolerance; the check refuses it all the same."""
+        with pytest.raises(ValidationError, match="not unitary"):
+            Unitaries(np.full((2, 2, 2), bad))
+        one_bad = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        one_bad[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="not unitary"):
+            Unitaries(one_bad)
+
     @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 3), (2, 2, 2, 2)])
     def test_needs_a_stack_of_square_matrices(self, shape):
         with pytest.raises(ValidationError, match="stack of square matrices"):
@@ -468,6 +478,30 @@ class TestMeasurement:
         assert kept.nqubits == 1
         assert prob == pytest.approx(0.5)
         assert np.linalg.norm(kept.amplitudes) == pytest.approx(1.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 11))
+    @settings(max_examples=60, deadline=None)
+    def test_post_select_keeps_the_bits_of_measure_and_take(self, seed, nqubits):
+        """The probability is measure_probability's, to the bit, and the kept
+        amplitudes are the take of the outcome's half divided by its root."""
+        rng = np.random.default_rng(seed)
+        amps = random_state(rng, nqubits).amplitudes * 10.0 ** rng.uniform(-3, 3)
+        amps[rng.random(amps.size) < 0.3] = 0.0
+        state = StateVector(nqubits, amps)
+        for qubit in range(nqubits):
+            for outcome in (0, 1):
+                prob = measure_probability(state, qubit, outcome)
+                if prob < statevector.POSTSELECT_TOL:
+                    continue
+                half = np.take(amps.reshape([2] * nqubits), outcome, axis=nqubits - 1 - qubit)
+                kept, got = post_select(state, qubit, outcome)
+                assert np.float64(got).view(np.uint64) == np.float64(prob).view(np.uint64)
+                want = half.reshape(-1) / np.sqrt(prob)
+                assert np.array_equal(kept.amplitudes.view(np.uint64), want.view(np.uint64))
+
+    def test_post_select_bad_outcome_rejected(self):
+        with pytest.raises(ValidationError, match="outcome must be 0 or 1, got 2"):
+            post_select(init_basis_state(2, "00"), 1, 2)
 
     def test_post_select_impossible_outcome(self):
         with pytest.raises(ImpossibleOutcomeError):
