@@ -16,13 +16,16 @@ and LcuOverlap draw from those numbers; the primitives below use them on a
 fresh circuit, and a caller that repeats a circuit under many seeds simulates
 it once and keeps them.  Likewise an LcuCircuit depends only on its
 operator: it is built and its matrices checked once, then applied to as many
-states as needed.
+states as needed.  The circuits take a batch of states (see StateVector) as
+they take one, so a caller simulates all the states of one circuit in one
+call, and all its SWAP tests in another.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -37,8 +40,7 @@ from .statevector import (
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
-    marginal,
-    measure_probability,
+    outcome_weights,
     post_select,
 )
 
@@ -47,6 +49,11 @@ MAX_ATTEMPTS = 1000
 FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
+
+# bytes of register one SWAP-test pass simulates: a larger temporary is served
+# from freshly mapped pages on every pass, and their faults cost more than
+# further passes do
+_SWAP_PASS_BYTES = 2**16
 
 _HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
 
@@ -62,10 +69,10 @@ class OverlapEstimate:
 
 @dataclass(frozen=True)
 class LcuResult:
-    """Normalized A|psi>/||A|psi>|| with the all-zero ancilla probability."""
+    """Normalized A|psi>/||A|psi>|| with the all-zero ancilla probability, per row of a batch."""
 
     state: StateVector
-    success_probability: float
+    success_probability: float | np.ndarray
     lam: float
 
 
@@ -102,13 +109,15 @@ def replay_post_selection(p_success: float, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class SwapStatistics:
-    """Ancilla statistics of one simulated SWAP-test circuit.
+    """Ancilla statistics of one simulated SWAP-test circuit, or one per row of a batch.
 
     p0 is the exact probability that the ancilla reads |0>, marginal the
-    normalized ancilla distribution that shots are drawn from.
+    normalized ancilla distribution that shots are drawn from; a batch's are
+    arrays with one leading entry per row.  `estimate` reads the statistics
+    of one circuit.
     """
 
-    p0: float
+    p0: float | np.ndarray
     marginal: np.ndarray
 
     def estimate(self, shots: int, rng: np.random.Generator | None = None) -> OverlapEstimate:
@@ -126,24 +135,48 @@ class SwapStatistics:
 
 
 def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
-    """Simulate the SWAP-test circuit of psi and phi once.
+    """Simulate the SWAP-test circuit of psi and phi once, or of each row pair
+    of two batches.
 
     The ladder of controlled SWAPs (qubit j with n + j, controlled by the
     ancilla) exchanges the two registers where the ancilla reads 1, so it is
     applied as the transpose of that half of the amplitudes: a permutation,
-    exact to the bit.
+    exact to the bit.  The amplitudes are squared once: p0 is the first
+    outcome weight of the ancilla, before the weights are normalized.  A batch
+    is simulated a few rows at a time, each row as it would be alone, so that
+    no temporary outgrows _SWAP_PASS_BYTES.
     """
-    if psi.nqubits != phi.nqubits:
-        raise SizeError("swap test requires equal register sizes")
+    if psi.amplitudes.shape != phi.amplitudes.shape:
+        raise SizeError(
+            f"swap test requires states of one shape, got {psi.amplitudes.shape} and "
+            f"{phi.amplitudes.shape}"
+        )
     n = psi.nqubits
+    psi_rows, phi_rows = (state.amplitudes.reshape(-1, 2**n) for state in (psi, phi))
+    # rows per pass, so that each pass's (rows, 2^(2n+1)) registers fit in _SWAP_PASS_BYTES
+    step = max(1, _SWAP_PASS_BYTES // (16 * 2 ** (2 * n + 1)))
+    passes = [
+        _swap_weights(n, psi_rows[i : i + step], phi_rows[i : i + step])
+        for i in range(0, len(psi_rows), step)
+    ]
+    weights = np.concatenate(passes).reshape(*psi.amplitudes.shape[:-1], 2)
+    return SwapStatistics(
+        p0=np.take(weights, 0, axis=-1), marginal=weights / weights.sum(axis=-1, keepdims=True)
+    )
+
+
+def _swap_weights(n: int, psi_rows: np.ndarray, phi_rows: np.ndarray) -> np.ndarray:
+    """The ancilla's two outcome weights after the SWAP-test circuit of each
+    row pair of two (rows, 2^n) batches."""
     anc = 2 * n
-    full = psi.tensor(phi).tensor(init_basis_state(1, "0"))
+    full = StateVector(n, psi_rows).tensor(StateVector(n, phi_rows))
+    full = full.tensor(init_basis_state(1, "0"))
     full = apply_unitary(full, _HADAMARD, [anc])
-    # axes (ancilla, phi register, psi register)
-    halves = full.amplitudes.reshape(2, 2**n, 2**n)
-    laddered = np.stack([halves[0], halves[1].T]).reshape(-1)
-    full = apply_unitary(StateVector(2 * n + 1, laddered), _HADAMARD, [anc])
-    return SwapStatistics(p0=measure_probability(full, anc, 0), marginal=marginal(full, [anc]))
+    # axes (row, ancilla, phi register, psi register)
+    halves = full.amplitudes.reshape(-1, 2, 2**n, 2**n)
+    laddered = np.stack([halves[:, 0], halves[:, 1].transpose(0, 2, 1)], axis=1)
+    full = StateVector(2 * n + 1, laddered.reshape(len(laddered), -1))
+    return outcome_weights(apply_unitary(full, _HADAMARD, [anc]), [anc])
 
 
 def swap_test(
@@ -161,7 +194,11 @@ def swap_test(
 
 
 def _prep_unitary(amps: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix with first column `amps` (Householder reflection)."""
+    """Real orthogonal matrix with first column `amps` (Householder reflection).
+
+    I - 2 v v^T is exactly symmetric, since np.outer(v, v) is, so the matrix
+    is its own adjoint to the bit.
+    """
     dim = amps.size
     e0 = np.zeros(dim)
     e0[0] = 1.0
@@ -180,28 +217,34 @@ class LcuCircuit:
     sqrt(|c_i| / lambda), the multiplexer applies sign(c_i) * P_i, and
     post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
     probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  None of this
-    depends on the state, so the prepare unitary, its adjoint and the stack
-    of selected blocks are built and checked once, and kept read-only.  The
+    depends on the state, so the prepare unitary and the stack of selected
+    blocks are built and checked once, and kept read-only; the prepare
+    unitary is a real symmetric reflection, so it unprepares as well.  The
     selected blocks are scattered from the operator's table (PauliSum.table),
     the one that pauli.apply reads too.
     """
 
-    __slots__ = ("op", "lam", "n_ancillas", "prepare", "unprepare", "selected")
+    __slots__ = ("op", "lam", "n_ancillas", "prepare", "selected")
 
     def __init__(self, op: pl.PauliSum) -> None:
         if not op.is_real_weighted():
             raise ValidationError("LCU needs a real-weighted (Hermitian-combination) Pauli sum")
         if len(op.terms) == 0:
             raise AnnihilatedStateError("empty operator annihilates every state")
+        for t in op.terms:
+            # a select block divides by the weight; below the smallest normal
+            # double (numpy's finfo(float).tiny), 1 / weight can overflow
+            if abs(t.coefficient) < sys.float_info.min:
+                raise ValidationError(
+                    f"LCU cannot load the subnormal coefficient {t.coefficient!r} of {t.label()}"
+                )
         self.op = op
         self.lam = float(sum(abs(t.coefficient) for t in op.terms))
         k = len(op.terms)
         na = self.n_ancillas = max(1, (k - 1).bit_length())
         amps = np.zeros(2**na)
         amps[:k] = [np.sqrt(abs(t.coefficient) / self.lam) for t in op.terms]
-        prep = _prep_unitary(amps)
-        self.prepare = Unitaries(prep[None])
-        self.unprepare = Unitaries(prep.conj().T[None])
+        self.prepare = Unitaries(_prep_unitary(amps)[None])
         # block i holds term i's table entries / w_i * sign(c_i) in its permuted rows
         rows, values = op.table
         weights = np.array([t.weight for t in op.terms])[:, None]
@@ -212,36 +255,36 @@ class LcuCircuit:
         self.selected = Unitaries(stack)
 
     def apply(self, psi: StateVector) -> LcuResult:
-        """Run the circuit on psi and post-select every ancilla on |0>.
+        """Run the circuit on psi, or on each row of a batch in one pass, and
+        post-select every ancilla on |0>.
 
         The reported probability is ||A|psi>||^2 / lambda^2, with A|psi> from
-        pauli.apply; the product of the circuit's post-selection
-        probabilities is checked against it.
+        pauli.apply and its squared norm from np.vdot, row by row; the product
+        of the circuit's post-selection probabilities is checked against it.
+        Any row that A annihilates fails the whole call.
         """
         if self.op.nqubits != psi.nqubits:
             raise SizeError(f"operator on {self.op.nqubits} qubits, state on {psi.nqubits}")
-        image = pl.apply(self.op, psi)
-        nrm2 = float(np.vdot(image.amplitudes, image.amplitudes).real)
-        p_success = nrm2 / self.lam**2
-        if p_success < POSTSELECT_TOL:
-            raise AnnihilatedStateError(f"operator annihilates the state (p = {p_success:.3e})")
+        images = pl.apply(self.op, psi).amplitudes
+        rows = images.reshape(-1, images.shape[-1])
+        nrm2 = np.array([np.vdot(image, image).real for image in rows])
+        p_success = nrm2.reshape(images.shape[:-1]) / self.lam**2
+        if (p_success < POSTSELECT_TOL).any():
+            raise AnnihilatedStateError(
+                f"operator annihilates the state (p = {p_success.min():.3e})"
+            )
         n, na = psi.nqubits, self.n_ancillas
         full = psi.tensor(init_basis_state(na, "0" * na))
         ancillas = list(range(n, n + na))
         full = apply_unitary(full, self.prepare, ancillas)
         full = apply_multiplexed(full, self.selected, ancillas, list(range(n)))
-        full = apply_unitary(full, self.unprepare, ancillas)
+        full = apply_unitary(full, self.prepare, ancillas)
         total = 1.0
         for anc in reversed(ancillas):
             full, prob = post_select(full, anc, 0)
             total *= prob
-        assert abs(total - p_success) < 1e-9
+        assert np.all(np.abs(total - p_success) < 1e-9)
         return LcuResult(state=full, success_probability=p_success, lam=self.lam)
-
-    def energy_statistics(self, psi: StateVector) -> "LcuOverlap":
-        """Simulate the circuits of an energy measurement once: A|psi>, then SWAP with psi."""
-        result = self.apply(psi)
-        return LcuOverlap(result.lam, result.success_probability, swap_statistics(psi, result.state))
 
 
 def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:
@@ -290,4 +333,6 @@ def energy_expectation(
     output; given a generator, the success rate is re-estimated from `shots`
     Bernoulli draws so both factors carry shot noise.
     """
-    return LcuCircuit(op).energy_statistics(psi).energy(shots, rng)
+    result = LcuCircuit(op).apply(psi)
+    swap = swap_statistics(psi, result.state)
+    return LcuOverlap(result.lam, result.success_probability, swap).energy(shots, rng)

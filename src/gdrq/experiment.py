@@ -34,6 +34,7 @@ from .algorithms import (
     MAX_ATTEMPTS,
     LcuCircuit,
     LcuOverlap,
+    SwapStatistics,
     swap_statistics,
 )
 from .encoding import (
@@ -59,7 +60,6 @@ from .response import (
 from .statevector import (
     STREAM_WORDS,
     StateVector,
-    init_basis_state,
     non_negative_int,
     seed_states,
     seeded_generator,
@@ -157,8 +157,18 @@ def _hops(bits: Sequence[int]) -> list[tuple[int, int]]:
     return moves
 
 
-def _bitstring(bits: Sequence[int]) -> str:
-    return "".join(str(b) for b in reversed(bits))
+def _moved(bits: Sequence[int], move: tuple[int, int]) -> list[int]:
+    """The configuration with the particle of qubit move[0] moved to qubit move[1]."""
+    q_from, q_to = move
+    moved = list(bits)
+    moved[q_from], moved[q_to] = 0, 1
+    return moved
+
+
+def _basis_rows(nqubits: int, configurations: Sequence[Sequence[int]]) -> np.ndarray:
+    """Amplitude rows of basis configurations; bit q of a configuration is qubit q."""
+    index = [sum(bit << q for q, bit in enumerate(bits)) for bits in configurations]
+    return np.eye(2**nqubits, dtype=complex)[index]
 
 
 def _shifted_sign(bits: Sequence[int], window: BasisWindow, homega: float, offset: float) -> float:
@@ -241,8 +251,10 @@ class QuantumPlan:
     """The seed-free half of a quantum run, built once per config.
 
     Building validates the config, constructs the operators and simulates
-    every LCU and SWAP-test circuit; `run` only replays the random draws.
-    `length` is the oscillator length b (fm) that scales the strengths.
+    every LCU and SWAP-test circuit, as batches: the Hamiltonian circuit once
+    over every configuration, each dipole circuit once, and every SWAP test in
+    one pass.  `run` only replays the random draws.  `length` is the
+    oscillator length b (fm) that scales the strengths.
     """
 
     config: NucleusConfig
@@ -263,31 +275,50 @@ class QuantumPlan:
         offset = hamiltonian.identity_coefficient()
         # one circuit of the shifted Hamiltonian serves every configuration of both species
         hz = LcuCircuit(hamiltonian.without_identity())
-
-        def configuration(bits: Sequence[int]) -> tuple[StateVector, _Energy]:
-            state = init_basis_state(basis.nqubits, _bitstring(bits))
-            sign = _shifted_sign(bits, basis, homega, offset)
-            return state, _Energy(sign, hz.energy_statistics(state))
-
-        species = []
+        # each species with a hop: its index, its dipole circuit and its
+        # configurations, the reference first and then the one each hop reaches
+        active = []
         for sp_index, name in enumerate(_SPECIES):
             bits = _core_bits(basis, occupations.occupations(name))
             moves = _hops(bits)
-            if not moves:
-                continue
-            ref, ref_energy = configuration(bits)
-            dipole = build_dipole(basis, config, name) * (1.0 / b)
-            lcu = LcuCircuit(dipole).apply(ref)
-            hops = []
-            for q_from, q_to in moves:
-                ex_bits = list(bits)
-                ex_bits[q_from], ex_bits[q_to] = 0, 1
-                ex_state, ex_energy = configuration(ex_bits)
-                swap = swap_statistics(lcu.state, ex_state)
-                hops.append(_Hop(ex_energy, LcuOverlap(lcu.lam, lcu.success_probability, swap)))
-            species.append(_SpeciesPlan(sp_index, ref_energy, tuple(hops)))
-        if not species:
+            if moves:
+                dipole = LcuCircuit(build_dipole(basis, config, name) * (1.0 / b))
+                active.append((sp_index, dipole, [bits, *(_moved(bits, m) for m in moves)]))
+        if not active:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
+        n = basis.nqubits
+        configurations, refs = [], []
+        for *_, configs in active:
+            refs.append(len(configurations))
+            configurations += configs
+        rows = _basis_rows(n, configurations)
+        # every energy in one LCU pass, and each dipole on its species' reference
+        energies = hz.apply(StateVector(n, rows))
+        dipoles = [
+            dipole.apply(StateVector(n, rows[ref])) for (_, dipole, _), ref in zip(active, refs)
+        ]
+        # every SWAP test in one call: each configuration with its energy
+        # image, then each dipole image with every configuration its hops reach
+        psi, phi = list(rows), list(energies.state.amplitudes)
+        for (*_, configs), ref, lcu in zip(active, refs, dipoles):
+            psi += [lcu.state.amplitudes] * (len(configs) - 1)
+            phi += list(rows[ref + 1 : ref + len(configs)])
+        swaps = swap_statistics(StateVector(n, np.array(psi)), StateVector(n, np.array(phi)))
+        overlaps = [SwapStatistics(p0, m) for p0, m in zip(swaps.p0.tolist(), swaps.marginal)]
+        p_energy = energies.success_probability.tolist()
+        energy = [
+            _Energy(_shifted_sign(bits, basis, homega, offset), LcuOverlap(hz.lam, p, swap))
+            for bits, p, swap in zip(configurations, p_energy, overlaps)
+        ]
+        strengths = iter(overlaps[len(configurations) :])
+        species = []
+        for (sp_index, _, configs), ref, lcu in zip(active, refs, dipoles):
+            p_success = float(lcu.success_probability)
+            hops = tuple(
+                _Hop(energy[ref + k], LcuOverlap(lcu.lam, p_success, next(strengths)))
+                for k in range(1, len(configs))
+            )
+            species.append(_SpeciesPlan(sp_index, energy[ref], hops))
         return cls(config=config, length=b, species=tuple(species))
 
     def _measure(self, streams: Sequence[Iterator[np.random.Generator | None]]) -> TransitionSet:

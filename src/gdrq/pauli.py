@@ -282,10 +282,12 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
 
 
 def apply(op: PauliSum, state: "StateVector") -> "StateVector":
-    """Apply the sum to a statevector: sum_i w_i U_i |s>, possibly unnormalized.
+    """Apply the sum to a statevector, or to each row of a batch: sum_i w_i U_i |s>,
+    possibly unnormalized.
 
     Each term adds its table row's entries times the amplitudes into its
-    permuted rows, in term order.
+    permuted amplitude indices, in term order; the transposes put the
+    amplitude index first, so the rows of a batch ride along.
     """
     from .statevector import StateVector
 
@@ -294,5 +296,5 @@ def apply(op: PauliSum, state: "StateVector") -> "StateVector":
     amps = state.amplitudes
     out = np.zeros_like(amps)
     for rows, values in zip(*op.table):
-        out[rows] += values * amps
+        out.T[rows] += (values * amps).T
     return StateVector(state.nqubits, out)

@@ -225,7 +225,13 @@ def seeded_generator(row: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitudes over the computational basis of `nqubits` qubits."""
+    """Complex amplitudes over the computational basis of `nqubits` qubits.
+
+    The amplitudes are one state, shape (2^n,), or a batch of states, shape
+    (rows, 2^n).  Every gate acts on each row on its own and keeps the batch
+    shape; a single state goes through the same code as a batch, as one with
+    no row axis.
+    """
 
     nqubits: int
     amplitudes: np.ndarray
@@ -234,17 +240,26 @@ class StateVector:
         if not 1 <= self.nqubits <= MAX_QUBITS:
             raise SizeError(f"register size must be in [1, {MAX_QUBITS}]")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.nqubits,):
-            raise SizeError(f"expected {2**self.nqubits} amplitudes, got shape {amps.shape}")
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.nqubits:
+            raise SizeError(
+                f"expected {2**self.nqubits} amplitudes or rows of them, got shape {amps.shape}"
+            )
         object.__setattr__(self, "amplitudes", amps)
 
     def tensor(self, other: "StateVector") -> "StateVector":
-        """Join registers; `other` occupies the new high qubit indices."""
+        """Join registers; `other` occupies the new high qubit indices.
+
+        A batch joins row by row, and a single state joins every row of a batch.
+        """
         n = self.nqubits + other.nqubits
         if n > MAX_QUBITS:
             raise SizeError(f"register size must be in [1, {MAX_QUBITS}]")
+        low, high = self.amplitudes, other.amplitudes
+        if low.ndim == high.ndim == 2 and len(low) != len(high):
+            raise SizeError(f"cannot join batches of {len(low)} and {len(high)} rows row by row")
         # the Kronecker product of two vectors is their flattened outer product
-        return StateVector(n, (other.amplitudes[:, None] * self.amplitudes).reshape(-1))
+        joined = high[..., :, None] * low[..., None, :]
+        return StateVector(n, joined.reshape(*joined.shape[:-2], -1))
 
 
 def init_basis_state(nqubits: int, bits: str) -> StateVector:
@@ -306,38 +321,52 @@ def _blocks_on(unitaries: Unitaries, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _front_permutation(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutation that moves `qubits` to the front, and its inverse.
+def _front_permutation(
+    n: int, qubits: tuple[int, ...], lead: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation that moves `qubits` to the front behind `lead` batch
+    axes, and its inverse.
 
-    Qubit q is axis n-1-q; the front axes are ordered so that the C-order
+    Qubit q is axis lead+n-1-q; the front axes are ordered so that the C-order
     flatten of them reads the list little-endian, and the other axes keep
     their order.
     """
-    front = [n - 1 - q for q in reversed(qubits)]
-    perm = (*front, *(axis for axis in range(n) if axis not in front))
+    front = [lead + n - 1 - q for q in reversed(qubits)]
+    rest = (axis for axis in range(lead, lead + n) if axis not in front)
+    perm = (*range(lead), *front, *rest)
     return perm, tuple(int(i) for i in np.argsort(perm))
 
 
-def _to_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
-    """View of an n-axis array with the axes of `qubits` first."""
-    return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[0])
+def _to_front(amps: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
+    """View of amplitudes with one axis per qubit, the axes of `qubits` first
+    behind the batch axis, if any."""
+    batch = amps.shape[:-1]
+    perm = _front_permutation(n, tuple(qubits), len(batch))[0]
+    return amps.reshape(*batch, *[2] * n).transpose(perm)
 
 
-def _from_front(arr: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
-    """Flat amplitudes of an array laid out by _to_front."""
-    return arr.reshape([2] * n).transpose(_front_permutation(n, tuple(qubits))[1]).reshape(-1)
+def _from_front(
+    arr: np.ndarray, n: int, qubits: Sequence[int], batch: tuple[int, ...]
+) -> np.ndarray:
+    """Amplitudes, shape (*batch, 2^n), of an array laid out by _to_front."""
+    inverse = _front_permutation(n, tuple(qubits), len(batch))[1]
+    return arr.reshape(*batch, *[2] * n).transpose(inverse).reshape(*batch, -1)
 
 
 def apply_unitary(state: StateVector, u: Unitaries, targets: Sequence[int]) -> StateVector:
-    """Apply the one 2^k x 2^k matrix of u; its row/col index bit m belongs to targets[m]."""
+    """Apply the one 2^k x 2^k matrix of u; its row/col index bit m belongs to targets[m].
+
+    The rows of a batch form the stack axis of one matmul, so each row gets the
+    product, and the bits, that it gets on its own.
+    """
     targets = _check_targets(state, targets)
     blocks = _blocks_on(u, len(targets))
     if len(blocks) != 1:
         raise ValidationError(f"apply_unitary applies one matrix, got {len(blocks)}")
-    n = state.nqubits
+    n, batch = state.nqubits, state.amplitudes.shape[:-1]
     moved = _to_front(state.amplitudes, n, targets)
-    out = blocks[0] @ moved.reshape(2 ** len(targets), -1)
-    return StateVector(n, _from_front(out, n, targets))
+    out = blocks[0] @ moved.reshape(*batch, 2 ** len(targets), -1)
+    return StateVector(n, _from_front(out, n, targets, batch))
 
 
 def apply_multiplexed(
@@ -350,7 +379,7 @@ def apply_multiplexed(
 
     Control patterns are little endian in the listed controls; patterns beyond
     the stack act as the identity.  Each block is applied to its own control
-    pattern's slice, so no block-diagonal matrix is built.
+    pattern's slice of each row, so no block-diagonal matrix is built.
     """
     if len(controls) < 1 or len(targets) < 1:
         raise SizeError("multiplexing needs at least one control and one target")
@@ -358,53 +387,58 @@ def apply_multiplexed(
     if len(blocks) > 2 ** len(controls):
         raise ValidationError(f"{len(blocks)} unitaries exceed {2 ** len(controls)} control patterns")
     qubits = _check_targets(state, [*targets, *controls])
-    n = state.nqubits
+    n, batch = state.nqubits, state.amplitudes.shape[:-1]
     # the flatten reads the control pattern, then the target index
-    slices = _to_front(state.amplitudes, n, qubits).reshape(2 ** len(controls), 2 ** len(targets), -1)
+    moved = _to_front(state.amplitudes, n, qubits)
+    slices = moved.reshape(*batch, 2 ** len(controls), 2 ** len(targets), -1)
     out = slices.copy()
     if len(blocks):
         # one stacked product: the same matrix-vector product per block as a loop
-        out[: len(blocks)] = np.matmul(blocks, slices[: len(blocks)])
-    return StateVector(n, _from_front(out, n, qubits))
+        out[..., : len(blocks), :, :] = np.matmul(blocks, slices[..., : len(blocks), :, :])
+    return StateVector(n, _from_front(out, n, qubits, batch))
 
 
-def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
-    """Probability that the given qubit reads `outcome` (0 or 1)."""
-    (qubit,) = _check_targets(state, [qubit])
-    if outcome not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
-    arr = np.abs(state.amplitudes.reshape([2] * state.nqubits)) ** 2
-    return float(np.take(arr, outcome, axis=state.nqubits - 1 - qubit).sum())
-
-
-def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[StateVector, float]:
+def post_select(
+    state: StateVector, qubit: int, outcome: int
+) -> tuple[StateVector, float | np.ndarray]:
     """Condition on a measurement outcome and drop the measured qubit.
 
     Returns the renormalized conditional state on the remaining qubits (higher
-    indices shift down by one) together with the outcome probability.
+    indices shift down by one) together with the outcome probability, one per
+    row of a batch.  Any row whose probability is below POSTSELECT_TOL fails
+    the whole call.
     """
     (qubit,) = _check_targets(state, [qubit])
     if state.nqubits < 2:
         raise SizeError("post-selection needs at least two qubits")
     if outcome not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
-    # the amplitudes where the qubit reads `outcome`, in index order; their
-    # |amp|^2 summed are the elements and the order measure_probability sums
-    kept = state.amplitudes.reshape(-1, 2, 2**qubit)[:, outcome].reshape(-1)
-    prob = float((np.abs(kept) ** 2).sum())
-    if prob < POSTSELECT_TOL:
+    batch = state.amplitudes.shape[:-1]
+    # the amplitudes where the qubit reads `outcome`, in index order; each
+    # row's |amp|^2 is summed along the contiguous last axis, as a 1-D sum is
+    kept = state.amplitudes.reshape(*batch, -1, 2, 2**qubit)[..., outcome, :].reshape(*batch, -1)
+    probs = (np.abs(kept) ** 2).sum(axis=-1)
+    if (probs < POSTSELECT_TOL).any():
         raise ImpossibleOutcomeError(
-            f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
+            f"outcome {outcome} on qubit {qubit} has probability {probs.min():.3e}"
         )
-    return StateVector(state.nqubits - 1, kept / np.sqrt(prob)), prob
+    return StateVector(state.nqubits - 1, kept / np.sqrt(probs)[..., None]), probs
+
+
+def outcome_weights(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    """Summed |amp|^2 of each of the 2^k outcomes on `qubits` (little endian in
+    the list), per row: the marginal before it is normalized."""
+    qubits = _check_targets(state, qubits)
+    batch = state.amplitudes.shape[:-1]
+    moved = _to_front(np.abs(state.amplitudes) ** 2, state.nqubits, qubits)
+    return moved.reshape(*batch, 2 ** len(qubits), -1).sum(axis=-1)
 
 
 def marginal(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Normalized distribution of the 2^k outcomes on `qubits` (little endian in the list)."""
-    qubits = _check_targets(state, qubits)
-    moved = _to_front(np.abs(state.amplitudes) ** 2, state.nqubits, qubits)
-    probs = moved.reshape(2 ** len(qubits), -1).sum(axis=1)
-    return probs / probs.sum()
+    """Normalized distribution of the 2^k outcomes on `qubits` (little endian in
+    the list), per row."""
+    weights = outcome_weights(state, qubits)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def sample(

@@ -12,6 +12,7 @@ from gdrq.algorithms import (
     _HADAMARD,
     MAX_ATTEMPTS,
     LcuCircuit,
+    _prep_unitary,
     _replay_block,
     energy_expectation,
     lcu_apply,
@@ -30,12 +31,17 @@ from gdrq.statevector import (
     apply_unitary,
     init_basis_state,
     marginal,
-    measure_probability,
     sample,
 )
+from oracles import measure_probability
 
 HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
 CONTROLLED_SWAP = Unitaries([np.eye(4), np.eye(4, dtype=complex)[[0, 2, 1, 3]]])
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bits of a float or complex array, as uint64 words."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def random_state(rng: np.random.Generator, nqubits: int) -> StateVector:
@@ -97,6 +103,30 @@ class TestSwapTest:
         stats = swap_statistics(psi, phi)
         assert stats.p0 == measure_probability(full, anc, 0)
         assert np.array_equal(stats.marginal, marginal(full, [anc]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_batch_statistics_equal_each_circuit(self, seed, n, rows):
+        """A batch of pairs, simulated in passes of a few rows at five qubits,
+        gives each pair the bits of its own SWAP test, and p0 is
+        measure_probability on the simulated ladder circuit."""
+        rng = np.random.default_rng(seed)
+        pairs = [(random_state(rng, n), random_state(rng, n)) for _ in range(rows)]
+        stats = swap_statistics(
+            StateVector(n, np.stack([psi.amplitudes for psi, _ in pairs])),
+            StateVector(n, np.stack([phi.amplitudes for _, phi in pairs])),
+        )
+        assert stats.p0.shape == (rows,) and stats.marginal.shape == (rows, 2)
+        anc = 2 * n
+        for (psi, phi), p0, row in zip(pairs, stats.p0, stats.marginal):
+            full = apply_unitary(psi.tensor(phi).tensor(init_basis_state(1, "0")), HADAMARD, [anc])
+            for j in range(n):
+                full = apply_multiplexed(full, CONTROLLED_SWAP, [anc], [j, n + j])
+            full = apply_unitary(full, HADAMARD, [anc])
+            assert bits(p0) == bits(measure_probability(full, anc, 0))
+            one = swap_statistics(psi, phi)
+            assert bits(p0) == bits(one.p0)
+            assert np.array_equal(bits(row), bits(one.marginal))
 
     def test_validation(self):
         a = init_basis_state(1, "0")
@@ -168,13 +198,15 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 class TestLcuCircuit:
     @pytest.mark.parametrize("seed", range(6))
     def test_one_circuit_serves_many_states(self, seed):
-        """A circuit reused over states gives, bit for bit, what a fresh one per state gives."""
+        """A circuit reused over states, one at a time or as one batch, gives bit
+        for bit what a fresh one per state gives."""
         rng = np.random.default_rng(seed)
         nqubits = int(rng.integers(1, 5))
         op = random_hermitian_sum(rng, nqubits, 9)
         states = [random_state(rng, nqubits) for _ in range(5)]
         states += [init_basis_state(nqubits, format(i, f"0{nqubits}b")) for i in range(2**nqubits)]
         circuit = LcuCircuit(op)
+        served = []
         for psi in states:
             try:
                 fresh = LcuCircuit(op).apply(psi)
@@ -186,26 +218,63 @@ class TestLcuCircuit:
             assert np.array_equal(reused.state.amplitudes, fresh.state.amplitudes)
             assert reused.success_probability == fresh.success_probability
             assert reused.lam == fresh.lam
+            served.append((psi, fresh))
+        batch = circuit.apply(StateVector(nqubits, np.stack([psi.amplitudes for psi, _ in served])))
+        for (_, fresh), row, p in zip(served, batch.state.amplitudes, batch.success_probability):
+            assert np.array_equal(bits(row), bits(fresh.state.amplitudes))
+            assert bits(p) == bits(fresh.success_probability)
+
+    def test_subnormal_coefficient_refused(self):
+        """1 / weight overflows for a subnormal weight; the circuit refuses the
+        term by name instead of failing its unitarity check on NaN."""
+        tiny = np.finfo(float).tiny
+        op = pl.PauliSum(1, (pl.PauliTerm(2.2e-309, "Y"),))
+        message = r"^LCU cannot load the subnormal coefficient 2\.2e-309 of Y0$"
+        with pytest.raises(ValidationError, match=message):
+            LcuCircuit(op)
+        mixed = pl.PauliSum(2, (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(-tiny / 2, "ZZ")))
+        with pytest.raises(ValidationError, match="subnormal coefficient .* of Z0Z1"):
+            LcuCircuit(mixed)
+        # the smallest normal weight still loads, with exact select blocks
+        circuit = LcuCircuit(pl.PauliSum(1, (pl.PauliTerm(tiny, "Y"),)))
+        assert np.array_equal(circuit.selected.blocks[0], pl.PauliTerm(1.0, "Y").matrix())
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_prepare_is_its_own_adjoint(self, weights):
+        """The Householder prepare unitary is real and exactly symmetric, so one
+        checked matrix both prepares and unprepares."""
+        amps = np.zeros(2 ** max(1, (len(weights) - 1).bit_length()))
+        amps[: len(weights)] = weights
+        if not amps.any():
+            amps[0] = 1.0
+        amps = np.sqrt(amps / amps.sum())
+        prep = _prep_unitary(amps)
+        assert not prep.imag.any()
+        assert np.array_equal(bits(prep.real), bits(prep.real.T))
 
     def test_hamiltonian_circuit_serves_every_configuration(self):
+        """One pass over a batch of configurations gives each row, bit for bit,
+        what a fresh circuit gives that configuration on its own; a batch that
+        holds an annihilated configuration fails as that configuration does."""
         h = build_hamiltonian(BasisWindow(3, 6), 1.0).without_identity()
         circuit = LcuCircuit(h)
-        compared = 0
+        fresh, annihilated = [], []
         for i in range(16):
             psi = init_basis_state(4, format(i, "04b"))
             try:
-                fresh = LcuCircuit(h).energy_statistics(psi)
+                fresh.append((psi, LcuCircuit(h).apply(psi)))
             except AnnihilatedStateError:
-                continue
-            reused = circuit.energy_statistics(psi)
-            compared += 1
-            assert (reused.lam, reused.p_success, reused.swap.p0) == (
-                fresh.lam,
-                fresh.p_success,
-                fresh.swap.p0,
-            )
-            assert np.array_equal(reused.swap.marginal, fresh.swap.marginal)
-        assert compared >= 8
+                annihilated.append(psi)
+        assert len(fresh) >= 8 and annihilated
+        batch = circuit.apply(StateVector(4, np.stack([psi.amplitudes for psi, _ in fresh])))
+        assert batch.lam == circuit.lam
+        for (_, one), state, p in zip(fresh, batch.state.amplitudes, batch.success_probability):
+            assert np.array_equal(bits(state), bits(one.state.amplitudes))
+            assert bits(p) == bits(one.success_probability)
+        rows = np.stack([fresh[0][0].amplitudes, annihilated[0].amplitudes])
+        with pytest.raises(AnnihilatedStateError, match="annihilates"):
+            circuit.apply(StateVector(4, rows))
 
     def test_non_unitary_block_rejected_at_build(self):
         terms = (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(-0.5, "ZZ"), pl.PauliTerm(2.0, "IY"))
@@ -220,7 +289,7 @@ class TestLcuCircuit:
 
     def test_checked_matrices_are_read_only(self):
         circuit = LcuCircuit(build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity())
-        for stack in (circuit.prepare, circuit.unprepare, circuit.selected, _HADAMARD):
+        for stack in (circuit.prepare, circuit.selected, _HADAMARD):
             assert not stack.blocks.flags.writeable
             with pytest.raises(ValueError):
                 stack.blocks[0, 0, 0] = 2.0
@@ -353,13 +422,13 @@ class TestPlainGenerators:
 
         h = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
         state = init_basis_state(3, "011")
-        overlap = LcuCircuit(h).energy_statistics(state)
+        result = LcuCircuit(h).apply(state)
         twin = np.random.default_rng(0)
-        replay_post_selection(overlap.p_success, twin)
-        k0 = twin.multinomial(500, overlap.swap.marginal)[0]
-        p_hat = twin.binomial(500, overlap.p_success) / 500
+        replay_post_selection(result.success_probability, twin)
+        k0 = twin.multinomial(500, swap_statistics(state, result.state).marginal)[0]
+        p_hat = twin.binomial(500, result.success_probability) / 500
         clamped = min(max(2.0 * k0 / 500 - 1.0, 0.0), 1.0)
-        expected = overlap.lam * float(np.sqrt(p_hat)) * float(np.sqrt(clamped))
+        expected = result.lam * float(np.sqrt(p_hat)) * float(np.sqrt(clamped))
         assert energy_expectation(h, state, 500, np.random.default_rng(0)) == expected
 
         counts = sample(phi, [0, 1], 500, np.random.default_rng(0))

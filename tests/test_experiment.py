@@ -195,16 +195,20 @@ def count_calls(monkeypatch, targets):
 
 class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
-        """One Hamiltonian circuit per plan and one dipole circuit per species.  Each
-        circuit builds and checks three Unitaries: the prepare unitary, its adjoint
+        """One Hamiltonian circuit per plan and one dipole circuit per species, each
+        built with two checked Unitaries: the prepare unitary, which also unprepares,
         and one stack of all selected blocks, scattered from the operator's one
-        table; more runs add no circuit work and apply the same gates."""
+        table.  The Hamiltonian circuit runs once, over a batch of every
+        configuration; each dipole circuit once, on its species' reference; and
+        every SWAP test in one batch.  More runs add no circuit work."""
         basis = SN_QUANTUM.basis
         hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
         dipoles = [
             build_dipole(basis, SN_QUANTUM, name) * (1.0 / oscillator_length(SN_QUANTUM.A))
             for name in ("proton", "neutron")
         ]
+        hops = [len(sp.hops) for sp in QuantumPlan.build(SN_QUANTUM).species]
+        assert len(hops) == 2 and min(hops) > 0
         counts = count_calls(
             monkeypatch,
             [
@@ -215,8 +219,10 @@ class TestQuantumPlan:
                 (gdrq.statevector, "apply_multiplexed"),
             ],
         )
-        work = {"circuits": [], "unitaries": [], "tables": [], "matrices": 0}
-        init = LcuCircuit.__init__
+        lists = ("circuits", "applied", "swaps", "unitaries", "tables")
+        work = {**{name: [] for name in lists}, "matrices": 0}
+        init, apply = LcuCircuit.__init__, LcuCircuit.apply
+        swap_statistics = gdrq.experiment.swap_statistics
         build = gdrq.statevector.Unitaries.__init__
         compile_table = gdrq.pauli.permutation_table
         matrix = gdrq.pauli.PauliTerm.matrix
@@ -234,6 +240,17 @@ class TestQuantumPlan:
             LcuCircuit, "__init__", lambda c, op: work["circuits"].append(op) or init(c, op)
         )
         monkeypatch.setattr(
+            LcuCircuit,
+            "apply",
+            lambda c, psi: work["applied"].append((c.op, psi.amplitudes.shape)) or apply(c, psi),
+        )
+        monkeypatch.setattr(
+            gdrq.experiment,
+            "swap_statistics",
+            lambda psi, phi: work["swaps"].append(psi.amplitudes.shape)
+            or swap_statistics(psi, phi),
+        )
+        monkeypatch.setattr(
             gdrq.statevector.Unitaries,
             "__init__",
             lambda u, blocks: work["unitaries"].append(np.shape(blocks)) or build(u, blocks),
@@ -242,18 +259,26 @@ class TestQuantumPlan:
         collect_runs(SN_QUANTUM, 5, runs=1)
         one_run = {**counts, **work}
         counts.clear()
-        work.update(circuits=[], unitaries=[], tables=[], matrices=0)
+        work.update({**{name: [] for name in lists}, "matrices": 0})
         collect_runs(SN_QUANTUM, 5, runs=10)
         assert {**counts, **work} == one_run
-        # an LCU application is prepare, select, unprepare; its SWAP test two Hadamards
-        gates = counts.pop("apply_unitary"), counts.pop("apply_multiplexed")
-        assert gates[0] == 4 * gates[1] > 0
-        assert counts == {"build_hamiltonian": 1, "build_dipole": 2}
+        dim = 2**basis.nqubits
+        configurations = len(hops) + sum(hops)
+        assert work["applied"] == [(hz, (configurations, dim)), *((op, (dim,)) for op in dipoles)]
+        # every energy pair and every hop pair
+        assert work["swaps"] == [(configurations + sum(hops), dim)]
+        # each LCU pass is prepare, select, prepare; the SWAP pass two Hadamards
+        assert counts == {
+            "build_hamiltonian": 1,
+            "build_dipole": 2,
+            "apply_unitary": 2 * 3 + 2,
+            "apply_multiplexed": 3,
+        }
         assert work["circuits"] == [hz, *dipoles]
         expected = []
         for op in work["circuits"]:
             prepare = 2 ** max(1, (len(op) - 1).bit_length())
-            expected += [(1, prepare, prepare)] * 2 + [(len(op), 2**op.nqubits, 2**op.nqubits)]
+            expected += [(1, prepare, prepare), (len(op), 2**op.nqubits, 2**op.nqubits)]
         assert work["unitaries"] == expected
         # each circuit operator compiles one table, which pauli.apply and the
         # select stack share; no dense term matrix is built

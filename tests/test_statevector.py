@@ -11,6 +11,7 @@ from gdrq.errors import (
     TargetError,
     ValidationError,
 )
+from gdrq import pauli as pl
 from gdrq import statevector
 from gdrq.statevector import (
     RngStream,
@@ -19,12 +20,13 @@ from gdrq.statevector import (
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
-    measure_probability,
+    marginal,
     post_select,
     sample,
     seed_states,
     seeded_generator,
 )
+from oracles import measure_probability
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -387,7 +389,7 @@ class TestControlledAndMultiplexed:
         out = slices.copy()
         for i, u in enumerate(unitaries):
             out[i] = u @ slices[i]
-        want = statevector._from_front(out, n, qubits)
+        want = statevector._from_front(out, n, qubits, ())
         got = apply_multiplexed(state, Unitaries(unitaries), controls, targets).amplitudes
         assert np.array_equal(got, want)
 
@@ -524,3 +526,133 @@ class TestMeasurement:
         state = init_basis_state(2, "10")
         assert sample(state, [0, 1], 10, np.random.default_rng(1)).tolist() == [0, 0, 10, 0]
         assert sample(state, [1, 0], 10, np.random.default_rng(1)).tolist() == [0, 10, 0, 0]
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bits of a float or complex array, as uint64 words."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def batch_case(seed: int, nqubits: int, rows: int) -> tuple[np.random.Generator, StateVector]:
+    """A batch of random states of mixed scale, some amplitudes exactly zero
+    but at least one in each row not."""
+    rng = np.random.default_rng(seed)
+    amps = np.stack([random_state(rng, nqubits).amplitudes for _ in range(rows)])
+    amps *= 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    zero = rng.random(amps.shape) < 0.2
+    zero[np.arange(rows), rng.integers(2**nqubits, size=rows)] = False
+    amps[zero] = 0.0
+    return rng, StateVector(nqubits, amps)
+
+
+def row_states(batch: StateVector) -> list[StateVector]:
+    return [StateVector(batch.nqubits, row) for row in batch.amplitudes]
+
+
+batches = (st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+
+
+class TestBatches:
+    """A gate applied to a batch gives each row the bits it gives that row on its own."""
+
+    @given(*batches)
+    @settings(max_examples=40, deadline=None)
+    def test_apply_unitary(self, seed, nqubits, rows):
+        rng, batch = batch_case(seed, nqubits, rows)
+        k = int(rng.integers(1, min(nqubits, 3) + 1))
+        targets = [int(q) for q in rng.permutation(nqubits)[:k]]
+        u = Unitaries(random_unitary(rng, 2**k)[None])
+        got = apply_unitary(batch, u, targets)
+        assert got.amplitudes.shape == batch.amplitudes.shape
+        for row, one in zip(got.amplitudes, row_states(batch)):
+            assert np.array_equal(bits(row), bits(apply_unitary(one, u, targets).amplitudes))
+
+    @given(*batches)
+    @settings(max_examples=40, deadline=None)
+    def test_apply_multiplexed(self, seed, nqubits, rows):
+        if nqubits < 2:
+            return
+        rng, batch = batch_case(seed, nqubits, rows)
+        kc = int(rng.integers(1, nqubits))
+        kt = int(rng.integers(1, nqubits - kc + 1))
+        qubits = [int(q) for q in rng.permutation(nqubits)]
+        controls, targets = qubits[:kc], qubits[kc : kc + kt]
+        count = int(rng.integers(0, 2**kc + 1))
+        stack = np.array([random_unitary(rng, 2**kt) for _ in range(count)], dtype=complex)
+        blocks = Unitaries(stack.reshape(count, 2**kt, 2**kt))
+        got = apply_multiplexed(batch, blocks, controls, targets)
+        for row, one in zip(got.amplitudes, row_states(batch)):
+            want = apply_multiplexed(one, blocks, controls, targets).amplitudes
+            assert np.array_equal(bits(row), bits(want))
+
+    @given(*batches)
+    @settings(max_examples=40, deadline=None)
+    def test_post_select(self, seed, nqubits, rows):
+        if nqubits < 2:
+            return
+        rng, batch = batch_case(seed, nqubits, rows)
+        qubit, outcome = int(rng.integers(nqubits)), int(rng.integers(2))
+        singles = []
+        for one in row_states(batch):
+            try:
+                singles.append(post_select(one, qubit, outcome))
+            except ImpossibleOutcomeError:
+                # one impossible row fails the whole batch
+                message = f"outcome {outcome} on qubit {qubit}"
+                with pytest.raises(ImpossibleOutcomeError, match=message):
+                    post_select(batch, qubit, outcome)
+                return
+        kept, probs = post_select(batch, qubit, outcome)
+        assert kept.nqubits == nqubits - 1 and probs.shape == (rows,)
+        for row, prob, (one, one_prob) in zip(kept.amplitudes, probs, singles):
+            assert np.array_equal(bits(row), bits(one.amplitudes))
+            assert bits(prob) == bits(one_prob)
+
+    @given(*batches)
+    @settings(max_examples=40, deadline=None)
+    def test_marginal(self, seed, nqubits, rows):
+        rng, batch = batch_case(seed, nqubits, rows)
+        k = int(rng.integers(1, nqubits + 1))
+        qubits = [int(q) for q in rng.permutation(nqubits)[:k]]
+        got = marginal(batch, qubits)
+        assert got.shape == (rows, 2**k)
+        for row, one in zip(got, row_states(batch)):
+            assert np.array_equal(bits(row), bits(marginal(one, qubits)))
+
+    @given(*batches)
+    @settings(max_examples=40, deadline=None)
+    def test_pauli_apply(self, seed, nqubits, rows):
+        rng, batch = batch_case(seed, nqubits, rows)
+        terms = [
+            pl.PauliTerm(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=nqubits)))
+            for _ in range(int(rng.integers(1, 9)))
+        ]
+        op = pl.PauliSum(nqubits, tuple(terms))
+        got = pl.apply(op, batch)
+        for row, one in zip(got.amplitudes, row_states(batch)):
+            assert np.array_equal(bits(row), bits(pl.apply(op, one).amplitudes))
+
+    @given(*batches)
+    @settings(max_examples=20, deadline=None)
+    def test_tensor(self, seed, nqubits, rows):
+        rng, batch = batch_case(seed, nqubits, rows)
+        _, other = batch_case(seed + 1, int(rng.integers(1, 4)), rows)
+        single = random_state(rng, 2)
+        for joined, pairs in (
+            (batch.tensor(other), zip(row_states(batch), row_states(other))),
+            (batch.tensor(single), ((one, single) for one in row_states(batch))),
+            (single.tensor(batch), ((single, one) for one in row_states(batch))),
+        ):
+            for row, (low, high) in zip(joined.amplitudes, pairs):
+                assert np.array_equal(bits(row), bits(low.tensor(high).amplitudes))
+
+    def test_mismatched_batches_cannot_join(self):
+        a = StateVector(1, np.eye(2, dtype=complex))
+        b = StateVector(1, np.ones((3, 2)))
+        with pytest.raises(SizeError, match="row by row"):
+            a.tensor(b)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 4), (0,)])
+    def test_amplitude_shape_checked(self, shape):
+        with pytest.raises(SizeError, match="expected 4 amplitudes or rows of them"):
+            StateVector(2, np.ones(shape))
