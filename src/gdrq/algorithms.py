@@ -266,8 +266,7 @@ class LcuCircuit:
         if self.op.nqubits != psi.nqubits:
             raise SizeError(f"operator on {self.op.nqubits} qubits, state on {psi.nqubits}")
         images = pl.apply(self.op, psi).amplitudes
-        rows = images.reshape(-1, images.shape[-1])
-        nrm2 = np.array([np.vdot(image, image).real for image in rows])
+        nrm2 = np.array([np.vdot(row, row).real for row in images.reshape(-1, images.shape[-1])])
         p_success = nrm2.reshape(images.shape[:-1]) / self.lam**2
         if (p_success < POSTSELECT_TOL).any():
             raise AnnihilatedStateError(
