@@ -240,6 +240,9 @@ class LcuCircuit:
                 )
         self.op = op
         self.lam = float(sum(abs(t.coefficient) for t in op.terms))
+        # the success probability divides by lambda**2, which must not overflow
+        if not math.isfinite(self.lam * self.lam):
+            raise ValidationError(f"LCU weight sum lambda = {self.lam!r} overflows when squared")
         k = len(op.terms)
         na = self.n_ancillas = max(1, (k - 1).bit_length())
         amps = np.zeros(2**na)

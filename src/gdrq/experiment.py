@@ -15,6 +15,14 @@ many runs share a plan or in which order they are drawn; an ensemble hashes
 the seed sequences of all its runs' streams in one pass and assembles the
 spectra of all its runs in one batch.  A single run is a batch of one, and so
 is the median spectrum of an ensemble.
+
+Two things are kept per process.  Plans are memoised by config, at most
+PLAN_MEMO_SIZE of them, least recently used out first: every sampled or exact
+run and every ensemble of an equal config, at any seed or run count, reuses
+one plan, whose arrays are read-only.  Configs that differ only in kappa,
+spread, grid or calibration do not share one, although its circuits read
+none of these: a plan holds its config and dresses its runs' poles with it.
+Beside the plans, collect_runs keeps its last ensemble.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ from .statevector import (
 _SPECIES = ("proton", "neutron")
 _FULL_TOL = 1e-12
 _MIN_GAP_MEV = 1e-9
+# plans kept per process: one per nucleus of the shipped protocol.  A plan
+# holds a few hundred numbers and no circuit, but one kept for a config that
+# never comes back (a scan) is dead weight
+PLAN_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -304,6 +316,8 @@ class QuantumPlan:
             psi += [lcu.state.amplitudes] * (len(configs) - 1)
             phi += list(rows[ref + 1 : ref + len(configs)])
         swaps = swap_statistics(StateVector(n, np.array(psi)), StateVector(n, np.array(phi)))
+        # a kept plan serves later runs, so their draws must not be writable
+        swaps.marginal.setflags(write=False)
         overlaps = [SwapStatistics(p0, m) for p0, m in zip(swaps.p0.tolist(), swaps.marginal)]
         p_energy = energies.success_probability.tolist()
         energy = [
@@ -397,8 +411,20 @@ def run_quantum(
     run_index: int = 0,
     mode: str = "sampled",
 ) -> RunRecord:
-    """One full quantum experiment at a given seed (see QuantumPlan.run)."""
-    return QuantumPlan.build(config).run(seed, run_index, mode)
+    """One full quantum experiment at a given seed (see QuantumPlan.run), on
+    the kept plan of the config."""
+    return _plan(config).run(seed, run_index, mode)
+
+
+def _plan(config: NucleusConfig) -> QuantumPlan:
+    """The kept plan of a config, built on first use; a plan reads no run
+    count, so configs that differ only in runs share it."""
+    return _kept_plan(replace(config, runs=1))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _kept_plan(config: NucleusConfig) -> QuantumPlan:
+    return QuantumPlan.build(config)
 
 
 def collect_runs(
@@ -411,9 +437,10 @@ def collect_runs(
     `runs` overrides config.runs and is checked as the config checks it.
     Every run's poles are drawn first, their streams hashed in one pass; their
     spectra are then assembled as one batch, each record equal to plan.run at
-    its own seed.  The last ensemble is kept: asking again for the same
-    (config, master seed) returns the same records, whose arrays are
-    read-only.
+    its own seed.  The runs come from the kept plan of the config, so an
+    ensemble at a new master seed or run count simulates no circuit again.
+    The last ensemble is kept too: asking again for the same (config, master
+    seed) returns the same records, whose arrays are read-only.
     """
     if runs is not None:
         config = replace(config, runs=runs)
@@ -424,8 +451,7 @@ def collect_runs(
 @functools.lru_cache(maxsize=1)
 def _ensemble(config: NucleusConfig, master_seed: int) -> tuple[RunRecord, ...]:
     seeds = _run_seeds(master_seed, np.arange(config.runs))
-    plan = QuantumPlan.build(config)
-    poles = plan.transitions(seeds)
+    poles = _plan(config).transitions(seeds)
     spectra = assemble_spectra(config, poles)
     return tuple(
         RunRecord(run_index=index, seed=int(seed), transitions=transitions, spectrum=spectrum)

@@ -315,8 +315,9 @@ class TestCriterion9Determinism:
             dirs = []
             plans[name] = []
             for attempt in ("first", "second"):
-                # no kept ensemble: a sampled attempt draws its own
+                # no kept ensemble or plan: a sampled attempt builds and draws its own
                 experiment._ensemble.cache_clear()
+                experiment._kept_plan.cache_clear()
                 built = len(builds)
                 out = tmp_path / f"{name}-{attempt}"
                 code = cli.main(

@@ -239,6 +239,20 @@ class TestLcuCircuit:
         circuit = LcuCircuit(pl.PauliSum(1, (pl.PauliTerm(tiny, "Y"),)))
         assert np.array_equal(circuit.selected.blocks[0], pl.PauliTerm(1.0, "Y").matrix())
 
+    def test_overflowing_lambda_refused(self):
+        """The success probability divides by lambda**2; a weight sum that
+        overflows, or whose square does, is refused when the circuit is built."""
+        huge = pl.PauliSum(1, (pl.PauliTerm(1e308, "X"), pl.PauliTerm(1e308, "Z")))
+        with pytest.raises(ValidationError, match=r"^LCU weight sum lambda = inf overflows") as info:
+            LcuCircuit(huge)
+        assert "\n" not in str(info.value)
+        large = pl.PauliSum(1, (pl.PauliTerm(1e200, "X"), pl.PauliTerm(-1e200, "Z")))
+        with pytest.raises(ValidationError, match=r"lambda = 2e\+200 overflows when squared"):
+            LcuCircuit(large)
+        # the largest weights whose lambda**2 is finite still run
+        circuit = LcuCircuit(pl.PauliSum(1, (pl.PauliTerm(6e153, "X"), pl.PauliTerm(-6e153, "Z"))))
+        assert circuit.apply(init_basis_state(1, "0")).success_probability == pytest.approx(0.5)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
     @settings(max_examples=60, deadline=None)
     def test_prepare_is_its_own_adjoint(self, weights):

@@ -200,7 +200,8 @@ class TestQuantumPlan:
         and one stack of all selected blocks, scattered from the operator's one
         table.  The Hamiltonian circuit runs once, over a batch of every
         configuration; each dipole circuit once, on its species' reference; and
-        every SWAP test in one batch.  More runs add no circuit work."""
+        every SWAP test in one batch.  The plan is kept, so a later ensemble of
+        the config, at more runs, does no circuit work at all."""
         basis = SN_QUANTUM.basis
         hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
         dipoles = [
@@ -257,11 +258,6 @@ class TestQuantumPlan:
         )
         monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
-        one_run = {**counts, **work}
-        counts.clear()
-        work.update({**{name: [] for name in lists}, "matrices": 0})
-        collect_runs(SN_QUANTUM, 5, runs=10)
-        assert {**counts, **work} == one_run
         dim = 2**basis.nqubits
         configurations = len(hops) + sum(hops)
         assert work["applied"] == [(hz, (configurations, dim)), *((op, (dim,)) for op in dipoles)]
@@ -284,6 +280,12 @@ class TestQuantumPlan:
         # select stack share; no dense term matrix is built
         assert work["tables"] == work["circuits"]
         assert work["matrices"] == 0
+        counts.clear()
+        idle = {**{name: [] for name in lists}, "matrices": 0}
+        work.update(idle)
+        collect_runs(SN_QUANTUM, 5, runs=10)
+        assert sum(counts.values()) == 0
+        assert work == idle
 
     def test_bad_mode_and_seed_rejected(self):
         plan = QuantumPlan.build(SN_QUANTUM)
@@ -456,6 +458,92 @@ class TestEnsembleMemo:
         with pytest.raises(ValidationError, match="must be a non-negative integer") as info:
             collect_runs(SN_QUANTUM, seed, runs=runs)
         assert "\n" not in str(info.value)
+
+
+def count_builds(monkeypatch):
+    """The config of every QuantumPlan.build call from now on."""
+    built = []
+    build = QuantumPlan.build
+    monkeypatch.setattr(
+        QuantumPlan, "build", staticmethod(lambda config: built.append(config) or build(config))
+    )
+    return built
+
+
+def record_bits(record):
+    """The IEEE bits of a record's poles and cross section, as uint64 words."""
+    poles = [(t.energy, t.strength, t.weight) for t in record.transitions.entries]
+    return np.array(poles).view(np.uint64), record.spectrum.sigma.view(np.uint64)
+
+
+def plan_marginals(plan):
+    """Every ancilla distribution a plan keeps."""
+    for sp in plan.species:
+        yield sp.energy.statistics.swap.marginal
+        for hop in sp.hops:
+            yield hop.energy.statistics.swap.marginal
+            yield hop.strength.swap.marginal
+
+
+class TestPlanMemo:
+    """Every run and ensemble of an equal config shares one kept plan, whatever
+    its seed, mode or run count; a config that differs in any other field
+    builds its own."""
+
+    def test_an_ensemble_at_a_new_master_seed_builds_no_plan(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        collect_runs(SN_QUANTUM, 5, runs=3)
+        warm = collect_runs(SN_QUANTUM, 6, runs=7)
+        assert built == [replace(SN_QUANTUM, runs=1)]
+        gdrq.experiment._ensemble.cache_clear()
+        gdrq.experiment._kept_plan.cache_clear()
+        cold = collect_runs(SN_QUANTUM, 6, runs=7)
+        assert len(built) == 2
+        for a, b in zip(warm, cold, strict=True):
+            for x, y in zip(record_bits(a), record_bits(b), strict=True):
+                assert np.array_equal(x, y)
+
+    def test_an_exact_run_after_an_ensemble_builds_nothing(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        collect_runs(SN_QUANTUM, 5, runs=3)
+        record = run_quantum(SN_QUANTUM, 9, mode="exact")
+        assert len(built) == 1
+        gdrq.experiment._kept_plan.cache_clear()
+        fresh = run_quantum(SN_QUANTUM, 9, mode="exact")
+        assert len(built) == 2
+        for x, y in zip(record_bits(record), record_bits(fresh), strict=True):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [replace(SN_QUANTUM, kappa=0.6), replace(SN_QUANTUM, shots=4000)],
+        ids=["kappa", "shots"],
+    )
+    def test_a_changed_config_builds_its_own_plan(self, monkeypatch, changed):
+        built = count_builds(monkeypatch)
+        run_quantum(SN_QUANTUM, 1, mode="exact")
+        run_quantum(changed, 1, mode="exact")
+        collect_runs(changed, 2, runs=2)
+        assert built == [replace(config, runs=1) for config in (SN_QUANTUM, changed)]
+
+    def test_the_memo_stays_within_its_bound(self):
+        bound = gdrq.experiment.PLAN_MEMO_SIZE
+        kept = gdrq.experiment._kept_plan.cache_info
+        assert kept().maxsize == bound
+        for k in range(bound + 3):
+            run_quantum(replace(HE4_QUANTUM, kappa=0.1 * k), 1, mode="exact")
+            assert kept().currsize == min(k + 1, bound)
+
+    def test_a_kept_plan_cannot_be_written(self):
+        collect_runs(SN_QUANTUM, 5, runs=2)
+        plan = gdrq.experiment._plan(SN_QUANTUM)
+        marginals = list(plan_marginals(plan))
+        assert len(marginals) == sum(1 + 2 * len(sp.hops) for sp in plan.species)
+        for marginal in marginals:
+            with pytest.raises(ValueError, match="read-only"):
+                marginal[0] = 1.0
+            with pytest.raises(ValueError):
+                marginal.flags.writeable = True
 
 
 SPECTRUM_ARRAYS = ("energies", "r0", "r_dressed", "sigma_raw", "sigma")
