@@ -57,10 +57,9 @@ class BasisWindow:
     n_max: int
 
     def __post_init__(self) -> None:
-        if self.n_min < 0 or self.n_max < self.n_min:
+        n_min = non_negative_int(self.n_min, "n_min")
+        if non_negative_int(self.n_max, "n_max") < n_min:
             raise ValidationError(f"bad shell window [{self.n_min}, {self.n_max}]")
-        non_negative_int(self.n_min, "n_min")
-        non_negative_int(self.n_max, "n_max")
 
     @classmethod
     def parse(cls, text: str) -> "BasisWindow":
@@ -86,6 +85,11 @@ class BasisWindow:
         return f"{self.n_min}-{self.n_max}"
 
 
+# the float fields of a config, and the types a value of one may have (a bool is not one)
+_REAL_FIELDS = ("kappa", "gamma_spread", "grid_min", "grid_max", "grid_step", "calibration")
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 @dataclass(frozen=True)
 class NucleusConfig:
     """Nucleus, interaction strength, and run settings for one experiment."""
@@ -105,9 +109,15 @@ class NucleusConfig:
     def __post_init__(self) -> None:
         for name in ("A", "Z", "shots", "runs"):
             non_negative_int(getattr(self, name), name)
-        for name in ("gamma_spread", "grid_min", "grid_max", "grid_step", "calibration"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not isinstance(self.basis, BasisWindow):
+            raise ValidationError(f"basis must be a BasisWindow, got {self.basis!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            # kappa has its own range check below
+            if name != "kappa" and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.Z < 1 or self.A <= self.Z:
             raise ValidationError(f"need Z >= 1 and A > Z, got A={self.A}, Z={self.Z}")
         if not 0.0 <= self.kappa <= 2.0:

@@ -1,11 +1,12 @@
 """Experiment protocols: classical baseline, sampled quantum runs, studies.
 
-The quantum pipeline works species by species.  Fully occupied shells of the
-window form the reference bitstring; the dipole moves the collective top-shell
-particle to an adjacent empty shell.  Excitation energies come from LCU energy
-estimates of the identity-stripped Hamiltonian (much better post-selection
-odds than the raw one), strengths from the LCU success rate times a SWAP-test
-overlap with the target configuration.
+The quantum pipeline works species by species.  Its full window shells (the
+window's first ones, since shells fill bottom-up) form the reference bitstring,
+and the dipole lifts the top full shell's particle one shell up: one transition
+per species with some but not all window shells full.  Its energy comes from
+LCU energy estimates of the identity-stripped Hamiltonian (much better
+post-selection odds than the raw one) on both configurations, its strength
+from the LCU success rate times a SWAP-test overlap with the excited one.
 
 A QuantumPlan builds the operators and simulates every circuit of a config
 once; a run then only draws the classically random steps (post-selection
@@ -80,6 +81,9 @@ _MIN_GAP_MEV = 1e-9
 # holds a few hundred numbers and no circuit, but one kept for a config that
 # never comes back (a scan) is dead weight
 PLAN_MEMO_SIZE = 2
+# streams a sampled run draws per species when no energy is redrawn: the
+# reference energy, the excited energy and the strength factors
+_PLANNED_STREAMS = 2 + FACTOR_STREAMS
 
 
 @dataclass(frozen=True)
@@ -151,30 +155,9 @@ def run_classical(config: NucleusConfig) -> ResponseSpectrum:
     return assemble_spectrum(config, transitions)
 
 
-def _core_bits(window: BasisWindow, occ: Sequence[float]) -> list[int]:
-    """1 for window shells that are completely filled, 0 otherwise."""
-    return [1 if occ[shell] >= 1.0 - _FULL_TOL else 0 for shell in window.shells()]
-
-
-def _hops(bits: Sequence[int]) -> list[tuple[int, int]]:
-    """Adjacent (from_qubit, to_qubit) moves from an occupied to an empty shell."""
-    moves = []
-    for q, filled in enumerate(bits):
-        if not filled:
-            continue
-        for t in (q - 1, q + 1):
-            if 0 <= t < len(bits) and not bits[t]:
-                moves.append((q, t))
-    moves.sort()
-    return moves
-
-
-def _moved(bits: Sequence[int], move: tuple[int, int]) -> list[int]:
-    """The configuration with the particle of qubit move[0] moved to qubit move[1]."""
-    q_from, q_to = move
-    moved = list(bits)
-    moved[q_from], moved[q_to] = 0, 1
-    return moved
+def _full_shells(window: BasisWindow, occ: Sequence[float]) -> int:
+    """Completely filled window shells; shells fill bottom-up, so the window's first."""
+    return sum(occ[shell] >= 1.0 - _FULL_TOL for shell in window.shells())
 
 
 def _basis_rows(nqubits: int, configurations: Sequence[Sequence[int]]) -> np.ndarray:
@@ -219,26 +202,14 @@ class _Energy:
 
 
 @dataclass(frozen=True)
-class _Hop:
-    """One dipole-reachable configuration: its energy and the transition statistics."""
-
-    energy: _Energy
-    strength: LcuOverlap
-
-
-@dataclass(frozen=True)
 class _SpeciesPlan:
-    """Reference energy of one species and its hops; spawn_index keys its RNG."""
+    """The one dipole transition of a species: its reference and excited
+    energies and its strength; spawn_index keys its RNG."""
 
     spawn_index: int
-    energy: _Energy
-    hops: tuple[_Hop, ...]
-
-    @property
-    def planned_streams(self) -> int:
-        """Streams a sampled run draws for the species when no energy is redrawn:
-        the reference energy, then per hop its energy and the strength factors."""
-        return 1 + len(self.hops) * (1 + FACTOR_STREAMS)
+    reference: _Energy
+    excited: _Energy
+    strength: LcuOverlap
 
 
 def _species_streams(
@@ -287,34 +258,30 @@ class QuantumPlan:
         offset = hamiltonian.identity_coefficient()
         # one circuit of the shifted Hamiltonian serves every configuration of both species
         hz = LcuCircuit(hamiltonian.without_identity())
-        # each species with a hop: its index, its dipole circuit and its
-        # configurations, the reference first and then the one each hop reaches
+        # each species with a transition: its index, its dipole circuit and its two
+        # configurations, the reference and the one with its top particle moved up
+        n = basis.nqubits
         active = []
         for sp_index, name in enumerate(_SPECIES):
-            bits = _core_bits(basis, occupations.occupations(name))
-            moves = _hops(bits)
-            if moves:
+            full = _full_shells(basis, occupations.occupations(name))
+            if 0 < full < n:
+                reference = [1] * full + [0] * (n - full)
+                excited = [1] * (full - 1) + [0, 1] + [0] * (n - full - 1)
                 dipole = LcuCircuit(build_dipole(basis, config, name) * (1.0 / b))
-                active.append((sp_index, dipole, [bits, *(_moved(bits, m) for m in moves)]))
+                active.append((sp_index, dipole, (reference, excited)))
         if not active:
             raise ValidationError(f"window {basis.label} holds no dipole-active pair")
-        n = basis.nqubits
-        configurations, refs = [], []
-        for *_, configs in active:
-            refs.append(len(configurations))
-            configurations += configs
+        configurations = [bits for *_, pair in active for bits in pair]
         rows = _basis_rows(n, configurations)
         # every energy in one LCU pass, and each dipole on its species' reference
         energies = hz.apply(StateVector(n, rows))
         dipoles = [
-            dipole.apply(StateVector(n, rows[ref])) for (_, dipole, _), ref in zip(active, refs)
+            dipole.apply(StateVector(n, ref)) for (_, dipole, _), ref in zip(active, rows[::2])
         ]
         # every SWAP test in one call: each configuration with its energy
-        # image, then each dipole image with every configuration its hops reach
-        psi, phi = list(rows), list(energies.state.amplitudes)
-        for (*_, configs), ref, lcu in zip(active, refs, dipoles):
-            psi += [lcu.state.amplitudes] * (len(configs) - 1)
-            phi += list(rows[ref + 1 : ref + len(configs)])
+        # image, then each dipole image with its excited configuration
+        psi = [*rows, *(lcu.state.amplitudes for lcu in dipoles)]
+        phi = [*energies.state.amplitudes, *rows[1::2]]
         swaps = swap_statistics(StateVector(n, np.array(psi)), StateVector(n, np.array(phi)))
         # a kept plan serves later runs, so their draws must not be writable
         swaps.marginal.setflags(write=False)
@@ -324,41 +291,35 @@ class QuantumPlan:
             _Energy(_shifted_sign(bits, basis, homega, offset), LcuOverlap(hz.lam, p, swap))
             for bits, p, swap in zip(configurations, p_energy, overlaps)
         ]
-        strengths = iter(overlaps[len(configurations) :])
         species = []
-        for (sp_index, _, configs), ref, lcu in zip(active, refs, dipoles):
-            p_success = float(lcu.success_probability)
-            hops = tuple(
-                _Hop(energy[ref + k], LcuOverlap(lcu.lam, p_success, next(strengths)))
-                for k in range(1, len(configs))
-            )
-            species.append(_SpeciesPlan(sp_index, energy[ref], hops))
+        for k, ((sp_index, *_), lcu) in enumerate(zip(active, dipoles)):
+            strength = LcuOverlap(lcu.lam, float(lcu.success_probability), overlaps[len(rows) + k])
+            species.append(_SpeciesPlan(sp_index, energy[2 * k], energy[2 * k + 1], strength))
         return cls(config=config, length=b, species=tuple(species))
 
     def _measure(self, streams: Sequence[Iterator[np.random.Generator | None]]) -> TransitionSet:
         """The poles one quantum experiment measures.
 
-        Per species: measure the reference energy and the energy of every
-        dipole-reachable configuration (redrawing a measurement whose
-        excitation energy comes out non-positive), then estimate each
-        transition strength from the dipole LCU success rate and a SWAP
-        overlap.  Every measurement step draws from the next item of its
-        species' streams; an item None reads the analytic value instead.
+        Per species: measure the reference and the excited energy (redrawing
+        the excited one while the excitation energy comes out non-positive),
+        then estimate the transition strength from the dipole LCU success rate
+        and a SWAP overlap.  Every measurement step draws from the next item
+        of its species' streams; an item None reads the analytic value
+        instead.
         """
         shots = self.config.shots
         b = self.length
         measured: list[tuple[float, float]] = []
         for sp, streams in zip(self.species, streams):
-            e_ref = sp.energy.measure(shots, next(streams))
-            for hop in sp.hops:
-                for _attempt in range(MAX_ATTEMPTS):
-                    delta = hop.energy.measure(shots, next(streams)) - e_ref
-                    if delta > _MIN_GAP_MEV:
-                        break
-                else:
-                    raise PreparationError("could not resolve a positive excitation energy")
-                p_hat, overlap = hop.strength.factors(shots, streams)
-                measured.append((delta, hop.strength.lam**2 * p_hat * overlap.clamped * b**2))
+            e_ref = sp.reference.measure(shots, next(streams))
+            for _attempt in range(MAX_ATTEMPTS):
+                delta = sp.excited.measure(shots, next(streams)) - e_ref
+                if delta > _MIN_GAP_MEV:
+                    break
+            else:
+                raise PreparationError("could not resolve a positive excitation energy")
+            p_hat, overlap = sp.strength.factors(shots, streams)
+            measured.append((delta, sp.strength.lam**2 * p_hat * overlap.clamped * b**2))
         return quantum_transitions(measured)
 
     def transitions(self, seeds: Sequence[int]) -> list[TransitionSet]:
@@ -369,17 +330,15 @@ class QuantumPlan:
         the batch are hashed in one seed_states pass, and each run starts its
         generators only when it is drawn.
         """
-        counts = [sp.planned_streams for sp in self.species]
-        keys = [(sp.spawn_index, k) for sp, n in zip(self.species, counts) for k in range(n)]
+        keys = [(sp.spawn_index, k) for sp in self.species for k in range(_PLANNED_STREAMS)]
         runs = len(seeds)
         states = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (runs, 1)), STREAM_WORDS)
-        states = states.reshape(runs, len(keys), STREAM_WORDS)
-        by_species = np.split(states, np.cumsum(counts)[:-1], axis=1)
+        states = states.reshape(runs, len(self.species), _PLANNED_STREAMS, STREAM_WORDS)
         return [
             self._measure(
                 [
-                    _species_streams(seed, rows[run], sp.spawn_index)
-                    for sp, rows in zip(self.species, by_species)
+                    _species_streams(seed, rows, sp.spawn_index)
+                    for sp, rows in zip(self.species, states[run])
                 ]
             )
             for run, seed in enumerate(seeds)

@@ -76,8 +76,13 @@ class TestBasisWindow:
             ((3.5, 6), "n_min must be a non-negative integer, got 3.5"),
             ((3, 6.0), "n_max must be a non-negative integer, got 6.0"),
             ((True, 6), "n_min must be a non-negative integer, got True"),
-            ((-1.5, 6), "bad shell window [-1.5, 6]"),
-            ((6, 3.5), "bad shell window [6, 3.5]"),
+            ((-1.5, 6), "n_min must be a non-negative integer, got -1.5"),
+            ((6, 3.5), "n_max must be a non-negative integer, got 3.5"),
+            ((3, 2.5), "n_max must be a non-negative integer, got 2.5"),
+            (("1", 3), "n_min must be a non-negative integer, got '1'"),
+            ((1, "3"), "n_max must be a non-negative integer, got '3'"),
+            ((-1, 2), "n_min must be a non-negative integer, got -1"),
+            ((4, 3), "bad shell window [4, 3]"),
         ],
     )
     def test_bounds_are_integers(self, bounds, message):
@@ -142,6 +147,32 @@ class TestNucleusConfig:
         good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             NucleusConfig(**{**good, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("basis", "3-6", "basis must be a BasisWindow, got '3-6'"),
+            ("basis", (3, 6), "basis must be a BasisWindow, got (3, 6)"),
+            ("kappa", "0.5", "kappa must be a real number, got '0.5'"),
+            ("kappa", True, "kappa must be a real number, got True"),
+            ("gamma_spread", "2", "gamma_spread must be a real number, got '2'"),
+            ("grid_step", None, "grid_step must be a real number, got None"),
+            ("calibration", 1j, "calibration must be a real number, got 1j"),
+        ],
+    )
+    def test_window_and_float_fields_have_their_types(self, field, value, message):
+        """Python callers can pass what a config file cannot; each such value is
+        one line, not a TypeError or a failure later on."""
+        good = dict(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            NucleusConfig(**{**good, field: value})
+
+    def test_numpy_and_integer_reals_are_accepted(self):
+        c = NucleusConfig(
+            A=120, Z=50, kappa=np.float32(0.5), basis=BasisWindow(3, 6), gamma_spread=2
+        )
+        assert c.kappa == 0.5 and c.gamma_spread == 2
+        assert NucleusConfig(A=120, Z=50, kappa=np.int64(1), basis=BasisWindow(3, 6)).kappa == 1
 
     def test_largest_shot_count_is_accepted(self):
         c = NucleusConfig(A=120, Z=50, kappa=0.5, basis=BasisWindow(3, 6), shots=MAX_SHOTS)

@@ -1,6 +1,7 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
 import itertools
+import operator
 import re
 import statistics
 import sys
@@ -25,13 +26,14 @@ from gdrq.encoding import (
     MAX_RUNS,
     BasisWindow,
     NucleusConfig,
+    OccupationTable,
     build_dipole,
     build_hamiltonian,
     fill_occupations,
     hbar_omega,
     oscillator_length,
 )
-from gdrq.errors import SchemaError, ValidationError
+from gdrq.errors import CapacityError, SchemaError, ValidationError
 from gdrq.experiment import (
     BUNDLED_NUCLEI,
     QuantumPlan,
@@ -208,8 +210,8 @@ class TestQuantumPlan:
             build_dipole(basis, SN_QUANTUM, name) * (1.0 / oscillator_length(SN_QUANTUM.A))
             for name in ("proton", "neutron")
         ]
-        hops = [len(sp.hops) for sp in QuantumPlan.build(SN_QUANTUM).species]
-        assert len(hops) == 2 and min(hops) > 0
+        species = len(QuantumPlan.build(SN_QUANTUM).species)
+        assert species == 2
         counts = count_calls(
             monkeypatch,
             [
@@ -259,10 +261,10 @@ class TestQuantumPlan:
         monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
         dim = 2**basis.nqubits
-        configurations = len(hops) + sum(hops)
+        configurations = 2 * species
         assert work["applied"] == [(hz, (configurations, dim)), *((op, (dim,)) for op in dipoles)]
-        # every energy pair and every hop pair
-        assert work["swaps"] == [(configurations + sum(hops), dim)]
+        # every energy pair and every strength pair
+        assert work["swaps"] == [(configurations + species, dim)]
         # each LCU pass is prepare, select, prepare; the SWAP pass two Hadamards
         assert counts == {
             "build_hamiltonian": 1,
@@ -293,6 +295,103 @@ class TestQuantumPlan:
             plan.run(1, mode="bogus")
         with pytest.raises(ValidationError):
             plan.run(-1)
+
+
+def nuclei():
+    """(A, Z) with 2 <= A <= 398 and 1 <= Z < A."""
+    return st.integers(2, 398).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1)))
+
+
+def exact_poles(plan):
+    """The poles of an exact run, without dressing them into a spectrum."""
+    return plan._measure([itertools.repeat(None)] * len(plan.species)).entries
+
+
+class TestOneTransitionPerSpecies:
+    """Shells fill bottom-up, so a species' full window shells are the window's
+    first ones, and the dipole reaches one configuration from them: the top
+    full shell's particle one shell up.  A plan holds that one transition for
+    each species whose window is neither all full nor all empty."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nuclei(), st.integers(0, 8), st.integers(2, 5))
+    @example((120, 50), 3, 4)
+    @example((208, 82), 3, 4)
+    @example((4, 2), 2, 2)
+    @example((208, 82), 0, 2)
+    def test_full_shells_lead_and_each_partial_species_has_one_transition(
+        self, nucleus, n_min, shells
+    ):
+        a, z = nucleus
+        config = NucleusConfig(A=a, Z=z, kappa=0.5, basis=BasisWindow(n_min, n_min + shells - 1))
+        try:
+            occupations = fill_occupations(config)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                QuantumPlan.build(config)
+            return
+        partial = []
+        for index, name in enumerate(("proton", "neutron")):
+            occ = occupations.occupations(name)
+            full = [occ[shell] == 1.0 for shell in config.basis.shells()]
+            count = sum(full)
+            assert full == [True] * count + [False] * (shells - count)
+            if 0 < count < shells:
+                partial.append(index)
+        if not partial:
+            with pytest.raises(ValidationError, match="no dipole-active pair"):
+                QuantumPlan.build(config)
+            return
+        plan = QuantumPlan.build(config)
+        assert [sp.spawn_index for sp in plan.species] == partial
+        # one pole and its mirror per species, one shell (hbar*omega) up
+        poles = exact_poles(plan)
+        assert len(poles) == 2 * len(partial)
+        for pole in poles:
+            assert pole.energy * pole.weight == pytest.approx(hbar_omega(a), rel=1e-9)
+
+
+def full_shells_only(occupations: OccupationTable) -> OccupationTable:
+    """The occupation table with every partly filled shell set to empty."""
+    protons, neutrons = (
+        tuple(float(n == 1.0) for n in occ) for occ in (occupations.protons, occupations.neutrons)
+    )
+    return OccupationTable(protons, neutrons)
+
+
+class TestExactQuantumEqualsClassicalOnFullShells:
+    """Exact quantum poles are the classical ones of the occupations with every
+    partly filled shell emptied, since a plan counts only full shells.  Poles
+    are paired by (weight, strength): the two paths' energies agree to ~1e-14
+    only, so sorting on energy first would mix up the species."""
+
+    WINDOWS = [BasisWindow(lo, lo + shells - 1) for shells in range(2, 6) for lo in range(8)]
+
+    @pytest.mark.parametrize("name, compared", [("sn120", 14), ("pb208", 10)])
+    def test_shipped_config_on_every_small_window(self, name, compared):
+        shipped = load_config(CONFIGS / f"{name}.cfg")
+        assert shipped.basis in self.WINDOWS
+        seen = 0
+        for window in self.WINDOWS:
+            config = replace(shipped, basis=window)
+            try:
+                occupations = fill_occupations(config)
+            except CapacityError:
+                continue
+            classical = classical_transitions(config, full_shells_only(occupations)).entries
+            try:
+                quantum = run_quantum(config, 1, mode="exact").transitions.entries
+            except ValidationError as exc:
+                assert "no dipole-active pair" in str(exc) and classical == ()
+                continue
+            seen += 1
+            key = operator.attrgetter("weight", "strength")
+            assert len(quantum) == len(classical)
+            for q, c in zip(sorted(quantum, key=key), sorted(classical, key=key)):
+                assert q.weight == c.weight
+                assert q.energy == pytest.approx(c.energy, rel=1e-9)
+                assert q.strength == pytest.approx(c.strength, rel=1e-9)
+        assert seen == compared
 
 
 def count_seed_sequences(monkeypatch):
@@ -479,10 +578,9 @@ def record_bits(record):
 def plan_marginals(plan):
     """Every ancilla distribution a plan keeps."""
     for sp in plan.species:
-        yield sp.energy.statistics.swap.marginal
-        for hop in sp.hops:
-            yield hop.energy.statistics.swap.marginal
-            yield hop.strength.swap.marginal
+        yield sp.reference.statistics.swap.marginal
+        yield sp.excited.statistics.swap.marginal
+        yield sp.strength.swap.marginal
 
 
 class TestPlanMemo:
@@ -538,7 +636,7 @@ class TestPlanMemo:
         collect_runs(SN_QUANTUM, 5, runs=2)
         plan = gdrq.experiment._plan(SN_QUANTUM)
         marginals = list(plan_marginals(plan))
-        assert len(marginals) == sum(1 + 2 * len(sp.hops) for sp in plan.species)
+        assert len(marginals) == 3 * len(plan.species) == 6
         for marginal in marginals:
             with pytest.raises(ValueError, match="read-only"):
                 marginal[0] = 1.0
