@@ -14,20 +14,21 @@ steps read a circuit only through numbers it yields once (a success
 probability, an ancilla distribution).  replay_post_selection, SwapStatistics
 and LcuOverlap draw from those numbers; the primitives below use them on a
 fresh circuit, and a caller that repeats a circuit under many seeds simulates
-it once and keeps them.  Likewise an LcuCircuit depends only on its
-operator: it is built and its matrices checked once, then applied to as many
-states as needed.  The circuits take a batch of states (see StateVector) as
+it once and keeps them.  An LcuOverlap also fixes its replay's budget and
+block size when it is made.  The SWAP test's ancilla has two outcomes, so its
+shots are one binomial draw: the first count numpy's multinomial draws, with
+the generator left where the multinomial leaves it.  Likewise an LcuCircuit
+depends only on its operator: it is built and its matrices checked once,
+then applied to as many states as needed.  The circuits take a batch of states (see StateVector) as
 they take one, so a caller simulates all the states of one circuit in one
 call, and all its SWAP tests in another.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,19 +82,30 @@ def _replay_block(p_success: float, budget: int) -> int:
     return min(budget, 4096, max(16, math.ceil(2.0 / p_success)))
 
 
-def replay_post_selection(p_success: float, rng: np.random.Generator) -> int:
-    """Bernoulli post-selection attempts up to and including the first success.
+def replay_limits(p_success: float) -> tuple[int, int]:
+    """(budget, block) of a post-selection replay at `p_success`, fixed by it alone.
 
     The budget is at least MAX_ATTEMPTS and grows like 1/p_success, so that
-    running out has probability below 1e-12 per call.  Attempts are drawn in
-    blocks; `random(n)` gives the same doubles as n scalar draws, and the
-    generator is wound back to just after the first success, so it ends where
-    a draw-by-draw loop would and the next draw on it is the same.
+    running out has probability below 1e-12 per replay.
     """
     budget = MAX_ATTEMPTS
     if p_success < 1.0:
         budget = max(budget, math.ceil(math.log(_EXHAUST_PROBABILITY) / math.log1p(-p_success)))
-    block = _replay_block(p_success, budget)
+    return budget, _replay_block(p_success, budget)
+
+
+def replay_post_selection(
+    p_success: float, rng: np.random.Generator, limits: tuple[int, int] | None = None
+) -> int:
+    """Bernoulli post-selection attempts up to and including the first success.
+
+    `limits` is replay_limits(p_success), computed here when not given.
+    Attempts are drawn in blocks; `random(n)` gives the same doubles as n
+    scalar draws, and the generator is wound back to just after the first
+    success, so it ends where a draw-by-draw loop would and the next draw on
+    it is the same.
+    """
+    budget, block = limits or replay_limits(p_success)
     drawn = 0
     while drawn < budget:
         size = min(block, budget - drawn)
@@ -121,17 +133,31 @@ class SwapStatistics:
     marginal: np.ndarray
 
     def estimate(self, shots: int, rng: np.random.Generator | None = None) -> OverlapEstimate:
-        """Overlap from p0 (no generator) or from `shots` multinomial draws on `rng`."""
+        """Overlap from p0 (no generator) or from `shots` draws on `rng` (see zero_count)."""
         if rng is None:
             raw = 2.0 * self.p0 - 1.0
-            return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), standard_error=0.0)
-        if shots < 1:
-            raise ValidationError("a sampled SWAP test needs shots >= 1")
-        k0 = int(rng.multinomial(shots, self.marginal)[0])
+            return OverlapEstimate(raw=raw, clamped=_clamp(raw), standard_error=0.0)
+        k0 = self.zero_count(shots, rng)
         raw = 2.0 * k0 / shots - 1.0
         smoothed = (k0 + 1.0) / (shots + 2.0)
-        se = 2.0 * float(np.sqrt(smoothed * (1.0 - smoothed) / shots))
-        return OverlapEstimate(raw=raw, clamped=min(max(raw, 0.0), 1.0), standard_error=se)
+        se = 2.0 * math.sqrt(smoothed * (1.0 - smoothed) / shots)
+        return OverlapEstimate(raw=raw, clamped=_clamp(raw), standard_error=se)
+
+    def zero_count(self, shots: int, rng: np.random.Generator) -> int:
+        """Of `shots` SWAP-test shots on `rng`, those whose ancilla reads |0>.
+
+        The ancilla has two outcomes, and numpy's multinomial draws its first
+        count as binomial(shots, marginal[0] / 1.0): this is that draw, with
+        the same count and the generator left in the same state.
+        """
+        if shots < 1:
+            raise ValidationError("a sampled SWAP test needs shots >= 1")
+        return rng.binomial(shots, self.marginal[0])
+
+
+def _clamp(raw: float) -> float:
+    """A raw overlap estimate clamped to [0, 1]."""
+    return min(max(raw, 0.0), 1.0)
 
 
 def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
@@ -296,34 +322,43 @@ def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:
 
 @dataclass(frozen=True)
 class LcuOverlap:
-    """Seed-free numbers of an LCU application followed by a SWAP test."""
+    """Seed-free numbers of an LCU application followed by a SWAP test.
+
+    The replay limits of its success probability are computed once, here.
+    """
 
     lam: float
     p_success: float
     swap: SwapStatistics
+    limits: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "limits", replay_limits(self.p_success))
 
     def factors(
-        self, shots: int, rngs: Iterator[np.random.Generator | None]
-    ) -> tuple[float, OverlapEstimate]:
-        """(success rate, overlap) as one repeat of the experiment measures them.
+        self,
+        shots: int,
+        replay: np.random.Generator | None,
+        swap: np.random.Generator | None,
+        rate: np.random.Generator | None,
+    ) -> tuple[float, float]:
+        """(success rate, clamped overlap) as one repeat of the experiment measures them.
 
-        If the first item of `rngs` is None, the analytic values.  Otherwise
-        that generator replays the LCU post-selection, the next shoots the SWAP
-        test and the one after re-estimates the success rate from `shots`
-        Bernoulli draws.
+        If `replay` is None, the analytic values.  Otherwise it replays the
+        LCU post-selection, `swap` shoots the SWAP test and `rate`
+        re-estimates the success rate from `shots` Bernoulli draws.
         """
-        rng = next(rngs)
-        if rng is None:
-            return self.p_success, self.swap.estimate(shots)
-        replay_post_selection(self.p_success, rng)
-        overlap = self.swap.estimate(shots, next(rngs))
-        hits = next(rngs).binomial(shots, self.p_success)
-        return hits / shots, overlap
+        if replay is None:
+            return self.p_success, self.swap.estimate(shots).clamped
+        replay_post_selection(self.p_success, replay, self.limits)
+        k0 = self.swap.zero_count(shots, swap)
+        hits = rate.binomial(shots, self.p_success)
+        return hits / shots, _clamp(2.0 * k0 / shots - 1.0)
 
     def energy(self, shots: int, rng: np.random.Generator | None) -> float:
         """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
-        p_hat, overlap = self.factors(shots, itertools.repeat(rng))
-        return self.lam * float(np.sqrt(p_hat)) * float(np.sqrt(overlap.clamped))
+        p_hat, overlap = self.factors(shots, rng, rng, rng)
+        return self.lam * math.sqrt(p_hat) * math.sqrt(overlap)
 
 
 def energy_expectation(

@@ -15,7 +15,10 @@ seed.  Runs are therefore reproducible bit for bit, and independent of how
 many runs share a plan or in which order they are drawn; an ensemble hashes
 the seed sequences of all its runs' streams in one pass and assembles the
 spectra of all its runs in one batch.  A single run is a batch of one, and so
-is the median spectrum of an ensemble.
+is the median spectrum of an ensemble, whose six real columns take one
+stacked median.  Everything a run's draws need that no seed changes (each
+replay's budget and block size included) is fixed in the plan, so a run
+pays for its draws and little else.
 
 Two things are kept per process.  Plans are memoised by config, at most
 PLAN_MEMO_SIZE of them, least recently used out first: every sampled or exact
@@ -221,7 +224,7 @@ def _species_streams(
     planned ones start from their precomputed `states` rows; one past them,
     drawn only after an energy redraw, hashes its own row.
     """
-    planned = map(seeded_generator, states)
+    planned = [seeded_generator(row) for row in states]
     further = (
         seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
         for k in itertools.count(len(states))
@@ -318,8 +321,8 @@ class QuantumPlan:
                     break
             else:
                 raise PreparationError("could not resolve a positive excitation energy")
-            p_hat, overlap = sp.strength.factors(shots, streams)
-            measured.append((delta, sp.strength.lam**2 * p_hat * overlap.clamped * b**2))
+            p_hat, overlap = sp.strength.factors(shots, next(streams), next(streams), next(streams))
+            measured.append((delta, sp.strength.lam**2 * p_hat * overlap * b**2))
         return quantum_transitions(measured)
 
     def transitions(self, seeds: Sequence[int]) -> list[TransitionSet]:
@@ -418,22 +421,28 @@ def _ensemble(config: NucleusConfig, master_seed: int) -> tuple[RunRecord, ...]:
     )
 
 
-def _median(rows: list[np.ndarray]) -> np.ndarray:
-    """Pointwise median over rows, a batch of one; complex takes each part's."""
-    if np.iscomplexobj(rows[0]):
-        return _median([row.real for row in rows]) + 1j * _median([row.imag for row in rows])
-    return np.median(rows, axis=0, keepdims=True)
-
-
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
-    """Pointwise median of every response column across runs, peak re-found."""
+    """Pointwise median of every response column across runs, peak re-found.
+
+    The six real columns (each part of r0 and of r_dressed, sigma_raw and
+    sigma) of every run are stacked into one (runs, 6, grid) array and take
+    one np.median over the runs; each point gets the bits a median of its own
+    column gets.  The runs must share one energy grid.
+    """
     if not records:
         raise ValidationError("median spectrum needs at least one run")
-    columns = (
-        _median([getattr(r.spectrum, column) for r in records])
-        for column in ("r0", "r_dressed", "sigma_raw", "sigma")
-    )
-    (spectrum,) = spectrum_rows(records[0].spectrum.energies, *columns)
+    grid = records[0].spectrum.energies
+    for record in records:
+        energies = record.spectrum.energies
+        if energies is not grid and not np.array_equal(energies, grid):
+            raise ValidationError("median spectrum needs runs on one energy grid")
+    parts = [
+        (s.r0.real, s.r0.imag, s.r_dressed.real, s.r_dressed.imag, s.sigma_raw, s.sigma)
+        for s in (record.spectrum for record in records)
+    ]
+    median = np.median(np.array(parts), axis=0, overwrite_input=True)
+    r0, r_dressed = (median[i : i + 1] + 1j * median[i + 1 : i + 2] for i in (0, 2))
+    (spectrum,) = spectrum_rows(grid, r0, r_dressed, median[4:5], median[5:6])
     return spectrum
 
 

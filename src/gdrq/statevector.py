@@ -163,16 +163,28 @@ def seed_states(entropy, spawn_keys, n_words: int) -> np.ndarray:
     (rows, n_words) uint64 words, bit for bit numpy's: each row's entropy and
     key are split into 32-bit words, the entropy is padded with zeros to the
     pool size, and numpy's hash runs over all rows of one assembled length at
-    once.
+    once.  When every entropy fits in 64 bits and every key entry in 32, as
+    for the streams of an ensemble, every row assembles to the pool size plus
+    one word per key entry, and the words are laid out directly.
     """
     keys = np.asarray(spawn_keys)
     if keys.ndim != 2:
         raise ValidationError(f"spawn keys must be a (rows, key length) array, not {keys.shape}")
     rows, key_length = keys.shape
-    out = np.empty((rows, n_words), np.uint64)
     if rows == 0:
-        return out
-    e_words, e_counts = _uint32_words(np.asarray(entropy).reshape(-1))
+        return np.empty((0, n_words), np.uint64)
+    entropy = np.asarray(entropy).reshape(-1)
+    if entropy.size not in (1, rows):
+        raise ValidationError(f"{entropy.size} entropy values for {rows} spawn keys")
+    if _fits(entropy, 64) and _fits(keys, 32):
+        words = np.zeros((_POOL_SIZE + key_length, rows), np.uint32)
+        wide = entropy.astype(np.uint64)
+        words[0] = wide & _MASK32
+        words[1] = wide >> 32
+        words[_POOL_SIZE:] = keys.T
+        return _generate_state(_mix_entropy(words), n_words)
+    out = np.empty((rows, n_words), np.uint64)
+    e_words, e_counts = _uint32_words(entropy)
     k_words, k_counts = _uint32_words(keys.T)
     # numpy pads the entropy with zero words to the pool size when a spawn key
     # follows; with none, the pool words it lacks start from zero all the same
@@ -191,6 +203,13 @@ def seed_states(entropy, spawn_keys, n_words: int) -> np.ndarray:
         assembled = words[:, group].T[valid[:, group].T].reshape(-1, length)
         out[group] = _generate_state(_mix_entropy(np.ascontiguousarray(assembled.T)), n_words)
     return out
+
+
+def _fits(values: np.ndarray, bits: int) -> bool:
+    """Whether `values` is a non-empty integer array of entries in [0, 2**bits)."""
+    if values.dtype.kind not in "iu" or values.size == 0:
+        return False
+    return int(values.min()) >= 0 and int(values.max()) >> bits == 0
 
 
 @functools.cache

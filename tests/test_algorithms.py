@@ -1,6 +1,8 @@
 """Unit tests for the estimation primitives: SWAP-test overlaps, LCU
 application, and the energy estimator built on them."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gdrq.algorithms import (
     _HADAMARD,
     MAX_ATTEMPTS,
     LcuCircuit,
+    SwapStatistics,
     _prep_unitary,
     _replay_block,
     energy_expectation,
@@ -20,8 +23,10 @@ from gdrq.algorithms import (
     swap_statistics,
     swap_test,
 )
+from gdrq.cli import load_config
 from gdrq.encoding import BasisWindow, build_hamiltonian
 from gdrq.errors import AnnihilatedStateError, PreparationError, SizeError, ValidationError
+from gdrq.experiment import QuantumPlan
 from gdrq.statevector import (
     UNITARY_TOL,
     RngStream,
@@ -417,6 +422,50 @@ class TestReplayPostSelection:
         with pytest.raises(PreparationError, match=f"failed {budget} times"):
             replay_post_selection(p, rng)
         assert rng.draws == budget
+
+
+def shipped_marginals() -> list[np.ndarray]:
+    """The SWAP-test ancilla marginals of the plans of both shipped configs."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    marginals = []
+    for nucleus in ("sn120", "pb208"):
+        plan = QuantumPlan.build(load_config(configs / f"{nucleus}.cfg"))
+        for sp in plan.species:
+            overlaps = (sp.reference.statistics, sp.excited.statistics, sp.strength)
+            marginals += [overlap.swap.marginal for overlap in overlaps]
+    return marginals
+
+
+EDGE_MARGINALS = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1e-12, 1 - 1e-12]]
+
+
+class TestTwoOutcomeShots:
+    """numpy's multinomial over two outcomes draws its first count as one
+    binomial; SwapStatistics.zero_count relies on it, draw for draw."""
+
+    @pytest.mark.parametrize("shots", [1, 7, 8000, 10**6])
+    def test_binomial_is_the_first_multinomial_count(self, shots):
+        marginals = [np.array(m) for m in EDGE_MARGINALS] + shipped_marginals()
+        assert len(marginals) == len(EDGE_MARGINALS) + 12
+        for m in marginals:
+            for seed in range(200):
+                rng, twin = RngStream(seed, (shots,)).generator, RngStream(seed, (shots,)).generator
+                assert rng.binomial(shots, m[0]) == twin.multinomial(shots, m)[0]
+                assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("shots", [1, 8000])
+    def test_zero_count_draws_the_multinomial_count(self, shots):
+        for m in shipped_marginals()[:3] + [np.array(EDGE_MARGINALS[2])]:
+            stats = SwapStatistics(p0=float(m[0]), marginal=m)
+            for seed in range(20):
+                rng, twin = RngStream(seed).generator, RngStream(seed).generator
+                assert stats.zero_count(shots, rng) == twin.multinomial(shots, m)[0]
+                assert rng.random() == twin.random()
+
+    def test_zero_count_needs_a_shot(self):
+        stats = SwapStatistics(p0=0.5, marginal=np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="shots >= 1"):
+            stats.zero_count(0, np.random.default_rng(0))
 
 
 class TestPlainGenerators:

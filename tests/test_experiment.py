@@ -37,6 +37,7 @@ from gdrq.errors import CapacityError, SchemaError, ValidationError
 from gdrq.experiment import (
     BUNDLED_NUCLEI,
     QuantumPlan,
+    RunRecord,
     bundled_experiment,
     basis_study,
     collect_runs,
@@ -53,6 +54,7 @@ from gdrq.experiment import (
 )
 from gdrq.response import (
     ResponseSpectrum,
+    TransitionSet,
     bare_response,
     classical_transitions,
     cross_section,
@@ -455,6 +457,22 @@ class TestBatchedStreams:
         assert counts["seed_states"] == 1 + 5
         assert transitions == stream_by_stream(plan, 3)
 
+    def test_replay_limits_are_kept_in_the_plan(self, monkeypatch):
+        """A plan fixes each replay's budget and block when it is built; its
+        runs only draw."""
+        plan = QuantumPlan.build(SN_QUANTUM)
+        counts = count_calls(monkeypatch, [(gdrq.algorithms, "replay_limits")])
+        plan.transitions([1, 2, 3])
+        assert counts["replay_limits"] == 0
+        overlaps = [
+            overlap
+            for sp in plan.species
+            for overlap in (sp.reference.statistics, sp.excited.statistics, sp.strength)
+        ]
+        for overlap in overlaps:
+            assert overlap.limits == gdrq.algorithms.replay_limits(overlap.p_success)
+        assert counts["replay_limits"] == len(overlaps) == 6
+
     def test_run_seeds_follow_numpy_seed_sequence(self):
         for master in (0, 5, 2**32, 2**64 + 3, 2**130):
             records = collect_runs(SN_QUANTUM, master, runs=3)
@@ -665,13 +683,99 @@ class TestReadOnlySpectra:
             array[0] = 1.0
 
 
+def bits(values) -> np.ndarray:
+    """The IEEE bits of a float or complex array, as uint64 words."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def column_medians(records):
+    """The median spectrum's columns as np.median gives them column by column:
+    each part of a complex column on its own, joined as real + 1j * imag."""
+
+    def median(rows):
+        return np.median(np.stack(rows), axis=0)
+
+    spectra = [r.spectrum for r in records]
+    out = {}
+    for column in ("r0", "r_dressed"):
+        values = [getattr(s, column) for s in spectra]
+        out[column] = median([v.real for v in values]) + 1j * median([v.imag for v in values])
+    for column in ("sigma_raw", "sigma"):
+        out[column] = median([getattr(s, column) for s in spectra])
+    return out
+
+
+# values a median must carry bit for bit: both zeros, ties and NaN
+SPECIAL = np.array([0.0, -0.0, 1.0, 1.0, -1.0, 2.5, np.nan])
+
+
+def constructed_runs(rng, runs, grid_size=9):
+    """Runs whose columns are drawn from SPECIAL, on one grid; sigma keeps one
+    interior peak (its median must have one) and draws only zeros and ties."""
+    grid = np.linspace(10.0, 18.0, grid_size)
+    peak = np.concatenate([np.arange(grid_size // 2 + 1), np.arange(grid_size // 2)[::-1]])
+
+    def draw():
+        return rng.choice(SPECIAL, grid_size)
+
+    records = []
+    for _ in range(runs):
+        sigma = peak * rng.choice([1.0, 2.0]) + rng.choice([0.0, -0.0], grid_size)
+        sigma[[0, -1]] = rng.choice([0.0, -0.0], 2)
+        columns = (draw() + 1j * draw(), draw() + 1j * draw(), draw(), sigma)
+        spectrum = ResponseSpectrum(grid, *columns, 0.0, 0.0, 0.0)
+        records.append(RunRecord(0, 0, TransitionSet(()), spectrum))
+    return records
+
+
 class TestMedianSpectrum:
-    def test_pointwise_median_of_runs(self):
-        records = collect_runs(SN_QUANTUM, 5, runs=3)
+    @pytest.mark.parametrize("runs", [1, 2, 3, 20])
+    def test_pointwise_median_of_runs(self, runs):
+        """Every column, bit for bit, is np.median of that column alone."""
+        records = collect_runs(SN_QUANTUM, 5, runs=runs)
         spectrum = median_spectrum(records)
-        stack = np.stack([r.spectrum.sigma for r in records])
-        assert np.allclose(spectrum.sigma, np.median(stack, axis=0))
+        for column, expected in column_medians(records).items():
+            assert np.array_equal(bits(getattr(spectrum, column)), bits(expected)), column
         assert spectrum.energies is records[0].spectrum.energies
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 4, 5, 20])
+    def test_zeros_ties_and_nan_keep_their_bits(self, runs):
+        rng = np.random.default_rng(runs)
+        for _ in range(25):
+            records = constructed_runs(rng, runs)
+            spectrum = median_spectrum(records)
+            for column, expected in column_medians(records).items():
+                assert np.array_equal(bits(getattr(spectrum, column)), bits(expected)), column
+
+    def test_constructed_runs_hold_every_special_value(self):
+        records = constructed_runs(np.random.default_rng(3), 20)
+        values = np.concatenate([r.spectrum.r0.real for r in records])
+        assert np.isnan(values).any()
+        assert np.signbit(values[values == 0]).any() and not np.signbit(values[values == 0]).all()
+
+    def test_runs_on_grids_of_different_lengths_are_refused(self):
+        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
+        short = constructed_runs(np.random.default_rng(0), 1, grid_size=7)[0]
+        with pytest.raises(ValidationError, match="one energy grid") as err:
+            median_spectrum([*records, short])
+        assert "\n" not in str(err.value)
+
+    def test_runs_on_grids_of_different_energies_are_refused(self):
+        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
+        s = records[1].spectrum
+        shifted = replace(s, energies=s.energies + 0.05)
+        records[1] = replace(records[1], spectrum=shifted)
+        with pytest.raises(ValidationError, match="one energy grid") as err:
+            median_spectrum(records)
+        assert "\n" not in str(err.value)
+
+    def test_an_equal_grid_need_not_be_the_same_object(self):
+        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
+        s = records[2].spectrum
+        records[2] = replace(records[2], spectrum=replace(s, energies=s.energies.copy()))
+        spectrum = median_spectrum(records)
+        assert spectrum.energies is records[0].spectrum.energies
+        assert np.array_equal(bits(spectrum.sigma), bits(column_medians(records)["sigma"]))
 
     def test_median_is_a_batch_of_one_like_any_spectrum(self, monkeypatch):
         records = collect_runs(SN_QUANTUM, 5, runs=4)
