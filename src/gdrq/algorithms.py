@@ -33,17 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pauli as pl
-from .errors import AnnihilatedStateError, PreparationError, SizeError, ValidationError
-from .statevector import (
-    POSTSELECT_TOL,
-    StateVector,
-    Unitaries,
-    apply_multiplexed,
-    apply_unitary,
-    init_basis_state,
-    outcome_weights,
-    post_select,
+from .errors import (
+    AnnihilatedStateError,
+    ImpossibleOutcomeError,
+    PreparationError,
+    SizeError,
+    ValidationError,
 )
+from .statevector import POSTSELECT_TOL, StateVector, Unitaries
 
 MAX_ATTEMPTS = 1000
 # generators one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
@@ -193,16 +190,20 @@ def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
 
 def _swap_weights(n: int, psi_rows: np.ndarray, phi_rows: np.ndarray) -> np.ndarray:
     """The ancilla's two outcome weights after the SWAP-test circuit of each
-    row pair of two (rows, 2^n) batches."""
-    anc = 2 * n
-    full = StateVector(n, psi_rows).tensor(StateVector(n, phi_rows))
-    full = full.tensor(init_basis_state(1, "0"))
-    full = apply_unitary(full, _HADAMARD, [anc])
-    # axes (row, ancilla, phi register, psi register)
-    halves = full.amplitudes.reshape(-1, 2, 2**n, 2**n)
+    row pair of two (rows, 2^n) batches.
+
+    The register is laid out as (row, ancilla, phi register, psi register),
+    the ancilla being the top qubit: its |0> half holds each row pair's
+    product state and its |1> half starts at zero.  Each Hadamard is one
+    matmul over the ancilla axis.
+    """
+    hadamard = _HADAMARD.blocks[0]
+    register = np.zeros((len(psi_rows), 2, 2**n, 2**n), dtype=complex)
+    np.multiply(phi_rows[:, :, None], psi_rows[:, None, :], out=register[:, 0])
+    halves = (hadamard @ register.reshape(len(register), 2, -1)).reshape(register.shape)
     laddered = np.stack([halves[:, 0], halves[:, 1].transpose(0, 2, 1)], axis=1)
-    full = StateVector(2 * n + 1, laddered.reshape(len(laddered), -1))
-    return outcome_weights(apply_unitary(full, _HADAMARD, [anc]), [anc])
+    out = hadamard @ laddered.reshape(len(laddered), 2, -1)
+    return (np.abs(out) ** 2).sum(axis=-1)
 
 
 def swap_test(
@@ -278,10 +279,7 @@ class LcuCircuit:
         rows, values = op.table
         weights = np.array([t.weight for t in op.terms])[:, None]
         signs = np.sign([t.coefficient for t in op.terms])[:, None]
-        dim = rows.shape[1]
-        stack = np.zeros((k, dim, dim), dtype=complex)
-        stack[np.arange(k)[:, None], rows, np.arange(dim)] = values / weights * signs
-        self.selected = Unitaries(stack)
+        self.selected = Unitaries.from_table(rows, values / weights * signs)
 
     def apply(self, psi: StateVector) -> LcuResult:
         """Run the circuit on psi, or on each row of a batch in one pass, and
@@ -302,17 +300,34 @@ class LcuCircuit:
                 f"operator annihilates the state (p = {p_success.min():.3e})"
             )
         n, na = psi.nqubits, self.n_ancillas
-        full = psi.tensor(init_basis_state(na, "0" * na))
-        ancillas = list(range(n, n + na))
-        full = apply_unitary(full, self.prepare, ancillas)
-        full = apply_multiplexed(full, self.selected, ancillas, list(range(n)))
-        full = apply_unitary(full, self.prepare, ancillas)
+        batch = psi.amplitudes.shape[:-1]
+        # axes (*batch, ancilla pattern, system index): the ancillas are the
+        # top qubits, so pattern 0 holds psi and the others start at zero
+        register = np.zeros((*batch, 2**na, 2**n), dtype=complex)
+        register[..., 0, :] = psi.amplitudes
+        prepare, selected = self.prepare.blocks[0], self.selected.blocks
+        k = len(selected)
+        register = prepare @ register
+        # block i on pattern i's slice, each a matrix-vector product; the
+        # patterns beyond the stack are left as they are
+        columns = register.reshape(*batch, 2**na, 2**n, 1)
+        columns[..., :k, :, :] = np.matmul(selected, columns[..., :k, :, :])
+        amplitudes = (prepare @ register).reshape(*batch, -1)
         total = 1.0
-        for anc in reversed(ancillas):
-            full, prob = post_select(full, anc, 0)
+        # the top ancilla reads |0> on the leading half of the register
+        for anc in reversed(range(n, n + na)):
+            kept = amplitudes[..., : 2**anc]
+            prob = (np.abs(kept) ** 2).sum(axis=-1)
+            if (prob < POSTSELECT_TOL).any():
+                raise ImpossibleOutcomeError(
+                    f"outcome 0 on qubit {anc} has probability {prob.min():.3e}"
+                )
+            amplitudes = kept / np.sqrt(prob)[..., None]
             total *= prob
         assert np.all(np.abs(total - p_success) < 1e-9)
-        return LcuResult(state=full, success_probability=p_success, lam=self.lam)
+        return LcuResult(
+            state=StateVector(n, amplitudes), success_probability=p_success, lam=self.lam
+        )
 
 
 def lcu_apply(op: pl.PauliSum, psi: StateVector) -> LcuResult:

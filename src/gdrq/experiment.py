@@ -20,13 +20,14 @@ stacked median.  Everything a run's draws need that no seed changes (each
 replay's budget and block size included) is fixed in the plan, so a run
 pays for its draws and little else.
 
-Two things are kept per process.  Plans are memoised by config, at most
+Three things are kept per process.  Plans are memoised by config, at most
 PLAN_MEMO_SIZE of them, least recently used out first: every sampled or exact
 run and every ensemble of an equal config, at any seed or run count, reuses
 one plan, whose arrays are read-only.  Configs that differ only in kappa,
 spread, grid or calibration do not share one, although its circuits read
 none of these: a plan holds its config and dresses its runs' poles with it.
-Beside the plans, collect_runs keeps its last ensemble.
+Beside the plans, collect_runs keeps its last ensemble, and each bundled
+experimental curve is parsed once (see bundled_experiment).
 """
 
 from __future__ import annotations
@@ -575,14 +576,27 @@ BUNDLED_NUCLEI = {(120, 50): "sn120", (208, 82): "pb208"}
 
 
 def bundled_experiment(nucleus: str) -> ExperimentalSpectrum:
-    """Packaged photo-absorption reference curve for 'sn120' or 'pb208'."""
+    """Packaged photo-absorption reference curve for 'sn120' or 'pb208'.
+
+    Each curve is parsed on first use and kept for the process; its arrays
+    are read-only.
+    """
     key = nucleus.lower()
     names = sorted(BUNDLED_NUCLEI.values())
     if key not in names:
         raise ValidationError(f"no bundled data for {nucleus!r}; options: {names}")
-    source = resources.files("gdrq").joinpath("data", f"{key}_photoabsorption.csv")
+    return _bundled_curve(key)
+
+
+# The key is validated first, so at most one curve per bundled nucleus is kept.
+@functools.cache
+def _bundled_curve(name: str) -> ExperimentalSpectrum:
+    source = resources.files("gdrq").joinpath("data", f"{name}_photoabsorption.csv")
     with resources.as_file(source) as path:
-        return load_experimental_csv(path)
+        curve = load_experimental_csv(path)
+    curve.energies.setflags(write=False)
+    curve.sigma.setflags(write=False)
+    return curve
 
 
 def compare_with_experiment(

@@ -199,10 +199,7 @@ class PauliSum:
                 raise ValidationError(f"scaling {t.label()} by {factor} overflows")
             if coefficient != 0.0:
                 terms.append(PauliTerm(coefficient, t.axes, t.phase))
-        scaled = object.__new__(PauliSum)
-        object.__setattr__(scaled, "nqubits", self.nqubits)
-        object.__setattr__(scaled, "terms", tuple(terms))
-        return scaled
+        return _canonical(self.nqubits, tuple(terms))
 
     __rmul__ = __mul__
 
@@ -215,7 +212,9 @@ class PauliSum:
         return 0.0
 
     def without_identity(self) -> "PauliSum":
-        return PauliSum(self.nqubits, tuple(t for t in self.terms if t.label() != "I"))
+        """The sum less its identity term: dropping a term keeps the canonical
+        order and leaves nothing to merge, so the other terms are kept as they are."""
+        return _canonical(self.nqubits, tuple(t for t in self.terms if t.label() != "I"))
 
     def is_real_weighted(self) -> bool:
         return all(t.phase == 1 for t in self.terms)
@@ -241,6 +240,14 @@ class PauliSum:
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The sum's signed-permutation table (see permutation_table), compiled on first use."""
         return permutation_table(self)
+
+
+def _canonical(nqubits: int, terms: tuple[PauliTerm, ...]) -> PauliSum:
+    """A sum of terms already in canonical form, taken as they are without a merge."""
+    op = object.__new__(PauliSum)
+    object.__setattr__(op, "nqubits", nqubits)
+    object.__setattr__(op, "terms", terms)
+    return op
 
 
 def permutation_table(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:

@@ -39,8 +39,6 @@ _SHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 # uint64 words of seed state that PCG64 reads, one seed_states row per generator
 STREAM_WORDS = 4
-# the pool words each pool word is mixed into, in numpy's order
-_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE))
 
 
 def non_negative_int(value, name: str) -> int:
@@ -141,8 +139,13 @@ def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
     pool = np.zeros((_POOL_SIZE, rows), np.uint32)
     pool[: min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
     pool = hashmix(pool, _POOL_SIZE)
-    for src, dst in enumerate(_OTHERS):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for src in range(_POOL_SIZE):
+        # the pool words below and above the source, in numpy's order
+        mixed = hashmix(pool[src], _POOL_SIZE - 1)
+        if src > 0:
+            pool[:src] = _mix(pool[:src], mixed[:src])
+        if src < _POOL_SIZE - 1:
+            pool[src + 1 :] = _mix(pool[src + 1 :], mixed[src:])
     for word in entropy[_POOL_SIZE:]:
         pool = _mix(pool, hashmix(word, _POOL_SIZE))
     return pool
@@ -307,7 +310,9 @@ class Unitaries:
     product u^H u - I against UNITARY_TOL, and a NaN or infinite entry fails
     the check.  It is kept as a read-only view of the same memory and layout,
     so products with it keep their bits.  A single matrix u is
-    Unitaries(u[None]).  The gates apply nothing else.
+    Unitaries(u[None]).  A stack of signed permutations is built from its
+    table instead (see from_table), with a check that reads each entry once.
+    The gates apply nothing else.
     """
 
     __slots__ = ("blocks",)
@@ -322,11 +327,51 @@ class Unitaries:
         # subtracting I only changes the diagonal
         diagonal = np.arange(blocks.shape[1])
         gram[:, diagonal, diagonal] -= 1.0
-        defect = np.abs(gram).max(initial=0.0)
-        if not defect <= UNITARY_TOL:
-            raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
+        _refuse_defect(np.abs(gram).max(initial=0.0))
+        self._keep(blocks)
+
+    @classmethod
+    def from_table(cls, rows, entries) -> "Unitaries":
+        """The stack whose block i holds entries[i, c] in row rows[i, c] of column c.
+
+        Such a block is unitary when its rows are a permutation and every entry
+        has modulus one; u^H u - I is then diagonal, |entry|^2 - 1, so the
+        check reads each entry once instead of forming k d^3 products.  A NaN
+        or infinite entry fails it as it fails the Gram check.
+        """
+        rows, entries = np.asarray(rows), np.asarray(entries, dtype=complex)
+        if rows.ndim != 2 or rows.shape != entries.shape or rows.dtype.kind not in "iu":
+            raise ValidationError(
+                "expected (blocks, dim) integer rows and entries, "
+                f"got {rows.shape} and {entries.shape}"
+            )
+        k, dim = rows.shape
+        if rows.size and not (0 <= rows.min() and rows.max() < dim):
+            raise ValidationError(f"matrix is not unitary (a row index outside [0, {dim}))")
+        # dim rows of a block reach all dim indices only as a permutation
+        reached = np.zeros((k, dim), bool)
+        reached[np.arange(k)[:, None], rows] = True
+        if not reached.all():
+            raise ValidationError("matrix is not unitary (a block repeats a row)")
+        # a huge finite entry squares to inf here, which the check refuses
+        with np.errstate(over="ignore"):
+            defect = np.abs(entries.real**2 + entries.imag**2 - 1.0).max(initial=0.0)
+        _refuse_defect(defect)
+        blocks = np.zeros((k, dim, dim), dtype=complex)
+        blocks[np.arange(k)[:, None], rows, np.arange(dim)] = entries
+        stack = object.__new__(cls)
+        stack._keep(blocks)
+        return stack
+
+    def _keep(self, blocks: np.ndarray) -> None:
         self.blocks = blocks.view()
         self.blocks.flags.writeable = False
+
+
+def _refuse_defect(defect: float) -> None:
+    """Refuse a stack whose largest |u^H u - I| entry exceeds UNITARY_TOL or is NaN."""
+    if not defect <= UNITARY_TOL:
+        raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
 
 
 def _blocks_on(unitaries: Unitaries, k: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""sha256 of the bits of sampled ensembles, their median spectra and low-shot runs.
+"""sha256 of the bits of sampled ensembles, their median spectra, low-shot runs and plans.
 
-Two digests that a change meant to keep every bit must leave as they are:
+Three digests that a change meant to keep every bit must leave as they are:
 80 ensembles (both shipped configs, master seeds 0-39, 20 runs each) with
 every run's poles, cross section and bare response and each ensemble's median
-spectrum; and 360 single runs at 20, 100 and 300 shots (seeds 0-59), where a
-run that fails contributes its error message.
+spectrum; 360 single runs at 20, 100 and 300 shots (seeds 0-59), where a
+run that fails contributes its error message; and test_golden's plan digest,
+every number of the quantum plans of 85 windows.
 
 Run from the repository root:
 
@@ -22,6 +23,7 @@ import numpy as np
 from gdrq import cli
 from gdrq.errors import GdrqError
 from gdrq.experiment import collect_runs, median_spectrum, run_quantum
+from test_golden import plan_digest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,3 +81,4 @@ def low_shot_digest() -> str:
 if __name__ == "__main__":
     print("ensembles", ensemble_digest())
     print("low-shot runs", low_shot_digest())
+    print("plans", plan_digest())

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gdrq.algorithms
 from gdrq import pauli as pl
 from gdrq.algorithms import (
     _HADAMARD,
@@ -17,6 +16,7 @@ from gdrq.algorithms import (
     SwapStatistics,
     _prep_unitary,
     _replay_block,
+    _swap_weights,
     energy_expectation,
     lcu_apply,
     replay_post_selection,
@@ -38,7 +38,7 @@ from gdrq.statevector import (
     marginal,
     sample,
 )
-from oracles import measure_probability
+from oracles import lcu_gates, measure_probability, swap_weights_gates
 
 HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
 CONTROLLED_SWAP = Unitaries([np.eye(4), np.eye(4, dtype=complex)[[0, 2, 1, 3]]])
@@ -159,22 +159,18 @@ class TestLcuApply:
         assert result.success_probability == pytest.approx(norm**2 / lam**2, abs=1e-12)
         assert np.allclose(result.state.amplitudes, image / norm, atol=1e-9)
 
-    def test_single_term_runs_on_one_ancilla(self, monkeypatch):
-        selected = []
-        original = gdrq.algorithms.post_select
-
-        def recorded(state, qubit, outcome):
-            selected.append(qubit)
-            return original(state, qubit, outcome)
-
-        monkeypatch.setattr(gdrq.algorithms, "post_select", recorded)
+    def test_single_term_runs_on_one_ancilla(self):
         op = pl.PauliSum(2, (pl.PauliTerm(-2.0, "XI"),))
+        circuit = LcuCircuit(op)
+        assert circuit.n_ancillas == 1
+        assert circuit.prepare.blocks.shape == (1, 2, 2)
         psi = init_basis_state(2, "00")
-        result = lcu_apply(op, psi)
-        assert selected == [2]
+        result = circuit.apply(psi)
         assert result.success_probability == pytest.approx(1.0)
         # -2 X0 |00> normalized = -|01>
         assert np.allclose(result.state.amplitudes, [0, -1, 0, 0])
+        state, _ = lcu_gates(circuit, psi)
+        assert np.array_equal(bits(result.state.amplitudes), bits(state.amplitudes))
 
     def test_annihilating_operator_rejected(self):
         # (I - Z)/2 is the occupation of qubit 0; it kills |00>
@@ -312,6 +308,49 @@ class TestLcuCircuit:
             assert not stack.blocks.flags.writeable
             with pytest.raises(ValueError):
                 stack.blocks[0, 0, 0] = 2.0
+
+
+class TestFixedLayoutCircuits:
+    """LcuCircuit.apply and the SWAP-test pass lay their registers out directly;
+    each gives the bits of its circuit run gate by gate (see oracles)."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_lcu_equals_gate_by_gate_circuit(self, seed, nqubits, rows):
+        rng = np.random.default_rng(seed)
+        circuit = LcuCircuit(random_hermitian_sum(rng, nqubits, 12))
+        amps = np.stack([random_state(rng, nqubits).amplitudes for _ in range(rows)])
+        batch = StateVector(nqubits, amps)
+        states = [batch, StateVector(nqubits, batch.amplitudes[0])]
+        states += [init_basis_state(nqubits, format(i, f"0{nqubits}b")) for i in range(2**nqubits)]
+        for psi in states:
+            try:
+                result = circuit.apply(psi)
+            except AnnihilatedStateError:
+                # a random operator can annihilate a basis state, not a random one
+                assert psi.amplitudes.ndim == 1 and not psi.amplitudes.imag.any()
+                continue
+            state, total = lcu_gates(circuit, psi)
+            assert result.state.nqubits == state.nqubits == nqubits
+            assert result.state.amplitudes.shape == psi.amplitudes.shape
+            assert np.array_equal(bits(result.state.amplitudes), bits(state.amplitudes))
+            assert np.all(np.abs(total - result.success_probability) < 1e-9)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_swap_weights_equal_gate_by_gate_circuit(self, seed, nqubits, rows):
+        rng = np.random.default_rng(seed)
+        psi, phi = (
+            np.stack([random_state(rng, nqubits).amplitudes for _ in range(rows)]) for _ in range(2)
+        )
+        # a basis state pair as well, whose amplitudes are mostly zeros
+        psi[0] = init_basis_state(nqubits, "1" * nqubits).amplitudes
+        weights = _swap_weights(nqubits, psi, phi)
+        assert np.array_equal(bits(weights), bits(swap_weights_gates(nqubits, psi, phi)))
+        single = swap_statistics(StateVector(nqubits, psi[-1]), StateVector(nqubits, phi[-1]))
+        gates = swap_weights_gates(nqubits, psi[-1:], phi[-1:])[0]
+        assert bits(single.p0) == bits(gates[0])
+        assert np.array_equal(bits(single.marginal), bits(gates / gates.sum()))
 
 
 class TestBatchedUnitaryCheck:

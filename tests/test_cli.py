@@ -432,6 +432,12 @@ class TestMainSubcommands:
         assert code == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0] == "energy_mev,sigma_model_mb,sigma_experiment_mb"
+        # a named file is read on every call, unlike a bundled curve
+        exp.write_text("energy_mev,sigma_mb\n10,0.5\n11,3\n12,0.25\n")
+        argv = ["compare", "--config", str(sn_config), "--kappa", "0.4", "--experiment", str(exp)]
+        assert cli.main([*argv, "--out", str(tmp_path / "again")]) == 0
+        rows = (tmp_path / "again" / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.5", "3", "0.25"]
 
     def test_compare_uses_bundled_data_by_nucleus(self, sn_config, tmp_path, capsys):
         out = tmp_path / "out"

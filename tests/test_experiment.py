@@ -205,7 +205,8 @@ class TestQuantumPlan:
         table.  The Hamiltonian circuit runs once, over a batch of every
         configuration; each dipole circuit once, on its species' reference; and
         every SWAP test in one batch.  The plan is kept, so a later ensemble of
-        the config, at more runs, does no circuit work at all."""
+        the config, at more runs, does no circuit work at all.  Circuits are
+        counted, not gates: each lays out its own register."""
         basis = SN_QUANTUM.basis
         hz = build_hamiltonian(basis, hbar_omega(SN_QUANTUM.A)).without_identity()
         dipoles = [
@@ -220,8 +221,6 @@ class TestQuantumPlan:
                 (gdrq.encoding, "build_hamiltonian"),
                 (gdrq.encoding, "build_dipole"),
                 (gdrq.algorithms, "lcu_apply"),
-                (gdrq.statevector, "apply_unitary"),
-                (gdrq.statevector, "apply_multiplexed"),
             ],
         )
         lists = ("circuits", "applied", "swaps", "unitaries", "tables")
@@ -229,12 +228,18 @@ class TestQuantumPlan:
         init, apply = LcuCircuit.__init__, LcuCircuit.apply
         swap_statistics = gdrq.experiment.swap_statistics
         build = gdrq.statevector.Unitaries.__init__
+        from_table = gdrq.statevector.Unitaries.from_table
         compile_table = gdrq.pauli.permutation_table
         matrix = gdrq.pauli.PauliTerm.matrix
 
         def counted_matrix(term):
             work["matrices"] += 1
             return matrix(term)
+
+        def counted_table_stack(rows, entries):
+            stack = from_table(rows, entries)
+            work["unitaries"].append(stack.blocks.shape)
+            return stack
 
         monkeypatch.setattr(
             gdrq.pauli,
@@ -260,6 +265,9 @@ class TestQuantumPlan:
             "__init__",
             lambda u, blocks: work["unitaries"].append(np.shape(blocks)) or build(u, blocks),
         )
+        monkeypatch.setattr(
+            gdrq.statevector.Unitaries, "from_table", staticmethod(counted_table_stack)
+        )
         monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
         dim = 2**basis.nqubits
@@ -267,13 +275,7 @@ class TestQuantumPlan:
         assert work["applied"] == [(hz, (configurations, dim)), *((op, (dim,)) for op in dipoles)]
         # every energy pair and every strength pair
         assert work["swaps"] == [(configurations + species, dim)]
-        # each LCU pass is prepare, select, prepare; the SWAP pass two Hadamards
-        assert counts == {
-            "build_hamiltonian": 1,
-            "build_dipole": 2,
-            "apply_unitary": 2 * 3 + 2,
-            "apply_multiplexed": 3,
-        }
+        assert counts == {"build_hamiltonian": 1, "build_dipole": 2}
         assert work["circuits"] == [hz, *dipoles]
         expected = []
         for op in work["circuits"]:
@@ -939,6 +941,21 @@ class TestExperimentalData:
         pb = bundled_experiment("pb208")
         assert abs(pb.energies[np.argmax(pb.sigma)] - 13.43) < 0.2
         assert "gamma" in sn.source
+
+    def test_bundled_curve_is_parsed_once_and_read_only(self, monkeypatch):
+        parsed = []
+        load = gdrq.experiment.load_experimental_csv
+        monkeypatch.setattr(
+            gdrq.experiment, "load_experimental_csv", lambda path: parsed.append(path) or load(path)
+        )
+        gdrq.experiment._bundled_curve.cache_clear()
+        first = bundled_experiment("pb208")
+        assert bundled_experiment("pb208") is first
+        assert bundled_experiment("PB208") is first
+        assert len(parsed) == 1
+        for array in (first.energies, first.sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_unknown_nucleus_rejected(self):
         with pytest.raises(ValidationError) as info:

@@ -9,10 +9,12 @@ basis study pin the classical path the same way; those commands take no --seed,
 so seed 1 in their keys only names the entry.  The comparison with the bundled
 data is pinned in both modes, the quantum one at seed 1.
 
-Below the CSVs, two digests pin raw float64 bits: every array and number of
-the records of a 50-run collect_runs ensemble per config, and the terms of the
+Below the CSVs, three digests pin raw float64 bits: every array and number of
+the records of a 50-run collect_runs ensemble per config; the terms of the
 window Hamiltonian and both dipole operators on every window the benchmark's
-exact scan visits.
+exact scan visits; and every number of the quantum plan (each LCU's lambda and
+success probability, each SWAP test's p0 and marginal, each energy's sign) on
+those windows and on every 2-5 shell window from n_min 0-7 of both configs.
 """
 
 import ast
@@ -26,7 +28,8 @@ import pytest
 
 from gdrq import cli
 from gdrq.encoding import BasisWindow, build_dipole, build_hamiltonian, hbar_omega
-from gdrq.experiment import collect_runs
+from gdrq.errors import GdrqError
+from gdrq.experiment import QuantumPlan, collect_runs
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -137,6 +140,7 @@ def _floats(digest, *values) -> None:
 ENSEMBLE_SEED = 20260823
 ENSEMBLE_DIGEST = "4f6a8a5990f6bd4f23eb020d1dac083ac84db732196f74ebad65304b9452f70c"
 OPERATOR_DIGEST = "dea024eca5d81c407fb663de3fa0f78975be687b93d7d357f95f08303b74ed70"
+PLAN_DIGEST = "50a96b59375123b733a0e12d7a2ce905d903b7646b2c42577888f2f47725f60e"
 
 
 def test_ensemble_record_bits():
@@ -169,3 +173,44 @@ def test_operator_term_bits():
                     digest.update(t.axes.encode())
                     digest.update(struct.pack("<ddd", t.coefficient, t.phase.real, t.phase.imag))
     assert digest.hexdigest() == OPERATOR_DIGEST, digest.hexdigest()
+
+
+def plan_windows() -> dict[str, list[str]]:
+    """The exact-scan windows of each config, then every 2-5 shell window from n_min 0-7."""
+    grid = [f"{lo}-{lo + shells - 1}" for shells in range(2, 6) for lo in range(8)]
+    return {nucleus: [*windows, *grid] for nucleus, windows in sorted(exact_windows().items())}
+
+
+def plan_digest() -> str:
+    """sha256 of every number of the quantum plan of each window in plan_windows.
+
+    A window whose plan cannot be built contributes its error message.
+    """
+    digest = hashlib.sha256()
+    for nucleus, windows in plan_windows().items():
+        config = cli.load_config(CONFIGS / f"{nucleus}.cfg")
+        for label in windows:
+            digest.update(f"{nucleus} {label};".encode())
+            try:
+                plan = QuantumPlan.build(replace(config, basis=BasisWindow.parse(label)))
+            except GdrqError as exc:
+                digest.update(f"{type(exc).__name__}: {exc};".encode())
+                continue
+            _floats(digest, plan.length)
+            for sp in plan.species:
+                digest.update(f"{sp.spawn_index};".encode())
+                for energy in (sp.reference, sp.excited):
+                    _floats(digest, energy.sign)
+                    _lcu_overlap(digest, energy.statistics)
+                _lcu_overlap(digest, sp.strength)
+    return digest.hexdigest()
+
+
+def _lcu_overlap(digest, overlap) -> None:
+    _floats(digest, overlap.lam, overlap.p_success, overlap.swap.p0, overlap.swap.marginal)
+
+
+def test_plan_bits():
+    """Every LCU and SWAP-test number of the plans of 85 windows, both configs."""
+    digest = plan_digest()
+    assert digest == PLAN_DIGEST, digest

@@ -215,6 +215,28 @@ class TestPauliSum:
         assert s.without_identity().terms[0].axes == "ZI"
         assert pl.PauliSum(2).identity_coefficient() == 0.0
 
+    @given(
+        st.dictionaries(
+            st.text(alphabet="IXYZ", min_size=3, max_size=3),
+            st.tuples(coefficients, st.sampled_from([1 + 0j, 1j])),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_without_identity_equals_merged_sum(self, raw):
+        """Dropping the identity keeps the canonical order: the kept terms equal
+        the merge of the sum's other terms, term for term."""
+        s = pl.PauliSum(3, tuple(pl.PauliTerm(c, axes, ph) for axes, (c, ph) in raw.items()))
+        stripped = s.without_identity()
+        merged = pl.PauliSum(3, tuple(t for t in s.terms if t.axes != "III"))
+        assert stripped == merged
+        assert [(t.coefficient, t.axes, t.phase) for t in stripped.terms] == [
+            (t.coefficient, t.axes, t.phase) for t in merged.terms
+        ]
+        assert [math.copysign(1.0, t.coefficient) for t in stripped.terms] == [
+            math.copysign(1.0, t.coefficient) for t in merged.terms
+        ]
+
     def test_predicates(self):
         diag = pl.PauliSum(2, (pl.PauliTerm(1.0, "ZI"), pl.PauliTerm(1.0, "IZ")))
         assert diag.is_real_weighted()
