@@ -1,12 +1,13 @@
 """Circuit-level estimation primitives.
 
-Three building blocks: the SWAP test (swap_test), linear-combination-of-
-unitaries application (LcuCircuit, lcu_apply), and the energy estimator built
-from the two (energy_expectation).  An estimator that takes a numpy
-Generator draws every classically random step (post-selection attempts, shot
-histograms) from it, modelling a finite-shot experiment; given None instead,
-it returns the analytic values read off the simulated amplitudes, with zero
-variance.
+The quantum plan calls three of them: LcuCircuit applies a Pauli sum as a
+linear combination of unitaries, swap_statistics simulates SWAP tests, and
+LcuOverlap turns the numbers of both into an energy or a strength.
+swap_test, lcu_apply and energy_expectation are one-shot wrappers that build
+and use these once.  An estimator that takes a numpy Generator draws every
+classically random step (post-selection attempts, shot histograms) from it,
+modelling a finite-shot experiment; given None instead, it returns the
+analytic values read off the simulated amplitudes, with zero variance.
 
 All circuits place ancillas above the system register and remove them again by
 post-selection, so callers only ever see system-sized states.  The random
@@ -19,9 +20,9 @@ block size when it is made.  The SWAP test's ancilla has two outcomes, so its
 shots are one binomial draw: the first count numpy's multinomial draws, with
 the generator left where the multinomial leaves it.  Likewise an LcuCircuit
 depends only on its operator: it is built and its matrices checked once,
-then applied to as many states as needed.  The circuits take a batch of states (see StateVector) as
-they take one, so a caller simulates all the states of one circuit in one
-call, and all its SWAP tests in another.
+then applied to as many states as needed.  The circuits take a batch of
+states (see StateVector) as they take one, so a caller simulates all the
+states of one circuit in one call, and all its SWAP tests in another.
 """
 
 from __future__ import annotations
@@ -92,17 +93,16 @@ def replay_limits(p_success: float) -> tuple[int, int]:
 
 
 def replay_post_selection(
-    p_success: float, rng: np.random.Generator, limits: tuple[int, int] | None = None
+    p_success: float, rng: np.random.Generator, limits: tuple[int, int]
 ) -> int:
     """Bernoulli post-selection attempts up to and including the first success.
 
-    `limits` is replay_limits(p_success), computed here when not given.
-    Attempts are drawn in blocks; `random(n)` gives the same doubles as n
-    scalar draws, and the generator is wound back to just after the first
-    success, so it ends where a draw-by-draw loop would and the next draw on
-    it is the same.
+    `limits` is replay_limits(p_success).  Attempts are drawn in blocks;
+    `random(n)` gives the same doubles as n scalar draws, and the generator is
+    wound back to just after the first success, so it ends where a
+    draw-by-draw loop would and the next draw on it is the same.
     """
-    budget, block = limits or replay_limits(p_success)
+    budget, block = limits
     drawn = 0
     while drawn < budget:
         size = min(block, budget - drawn)

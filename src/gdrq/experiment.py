@@ -139,7 +139,7 @@ class ExperimentalSpectrum:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Model vs experiment on the experimental grid."""
+    """Model vs experiment on the experimental points inside the model grid."""
 
     peak_offset: float
     height_ratio: float
@@ -602,21 +602,23 @@ def _bundled_curve(name: str) -> ExperimentalSpectrum:
 def compare_with_experiment(
     spectrum: ResponseSpectrum, experiment: ExperimentalSpectrum
 ) -> ComparisonReport:
-    """Peak offset and height ratio, with both curves on the experimental grid."""
-    lo = max(float(spectrum.energies[0]), float(experiment.energies[0]))
-    hi = min(float(spectrum.energies[-1]), float(experiment.energies[-1]))
-    if lo >= hi:
-        raise ValidationError("model and experimental energy ranges do not overlap")
+    """Peak offset and height ratio against the experimental peak, and both
+    curves on the experimental points inside the model grid: the model is not
+    extrapolated past its ends."""
+    lo, hi = float(spectrum.energies[0]), float(spectrum.energies[-1])
+    inside = (experiment.energies >= lo) & (experiment.energies <= hi)
+    if not inside.any():
+        raise ValidationError(f"no experimental energy inside the model grid [{lo:g}, {hi:g}] MeV")
     exp_e0, exp_height, _ = find_peak(experiment.energies, experiment.sigma)
-    model_sigma = np.interp(experiment.energies, spectrum.energies, spectrum.sigma)
+    energies = experiment.energies[inside]
     return ComparisonReport(
         peak_offset=spectrum.peak_energy - exp_e0,
         height_ratio=spectrum.peak_height / exp_height,
         model_peak=spectrum.peak_energy,
         experiment_peak=exp_e0,
-        energies=experiment.energies,
-        model_sigma=model_sigma,
-        experiment_sigma=experiment.sigma,
+        energies=energies,
+        model_sigma=np.interp(energies, spectrum.energies, spectrum.sigma),
+        experiment_sigma=experiment.sigma[inside],
     )
 
 

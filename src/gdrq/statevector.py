@@ -11,6 +11,11 @@ Every draw takes a numpy Generator.  RngStream addresses a PCG64 generator by
 experiment can be re-derived independently of evaluation order.  Many at once
 are cheaper: seed_states hashes the seed sequences of a whole batch of
 addresses in one numpy pass, and seeded_generator starts a PCG64 from one row.
+gdrq lays out one kind of row itself, a seed below 2**64 with a non-empty key
+of entries below 2**32, as every stream of an ensemble is; numpy's own
+SeedSequence hashes any other row, one at a time, at about 20 us a row.  A
+master seed of 2**64 or more pays that once per ensemble, for its run seeds; a
+run seed that wide pays it for each of its streams.
 """
 
 from __future__ import annotations
@@ -78,25 +83,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def _uint32_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Little-endian 32-bit words of non-negative integers, as SeedSequence splits them.
-
-    Returns the words, word index first and zero above each value's top word,
-    and each value's word count (zero is one word).
-    """
-    if values.dtype.kind in "iu" and not (values < 0).any():
-        wide = values.astype(np.uint64)
-        words = np.array([wide & _MASK32, wide >> 32], np.uint32)
-    else:
-        ints = [non_negative_int(v, "seed sequence entry") for v in values.ravel().tolist()]
-        width = max([1, *(-(-v.bit_length() // 32) for v in ints)])
-        words = np.array([[v >> 32 * w & _MASK32 for v in ints] for w in range(width)], "<u4")
-        words = words.reshape(width, *values.shape)
-    nonzero = words != 0
-    counts = np.where(nonzero.any(axis=0), len(words) - nonzero[::-1].argmax(axis=0), 1)
-    return words[: counts.max(initial=1)], counts
-
-
 @functools.cache
 def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
     """The hash constant before each of `steps` steps and after the last, as a read-only column."""
@@ -122,12 +108,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence's entropy pool of each column of assembled words, (length, rows) -> (4, rows).
 
-    numpy's loops run in the same order; the steps that read one source word
-    into several pool words use consecutive hash constants and are applied
-    together.
+    A column holds at least the pool size of words, as the entropy of a row
+    with a spawn key is padded to it.  numpy's loops run in the same order; the
+    steps that read one source word into several pool words use consecutive
+    hash constants and are applied together.
     """
-    length, rows = entropy.shape
-    steps = _POOL_SIZE**2 + _POOL_SIZE * max(0, length - _POOL_SIZE)
+    steps = _POOL_SIZE**2 + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
     const = _hash_constants(_INIT_A, _MULT_A, steps)
     done = 0
 
@@ -136,9 +122,7 @@ def _mix_entropy(entropy: np.ndarray) -> np.ndarray:
         done += steps
         return _hashmix(value, const[done - steps : done], const[done - steps + 1 : done + 1])
 
-    pool = np.zeros((_POOL_SIZE, rows), np.uint32)
-    pool[: min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
-    pool = hashmix(pool, _POOL_SIZE)
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
     for src in range(_POOL_SIZE):
         # the pool words below and above the source, in numpy's order
         mixed = hashmix(pool[src], _POOL_SIZE - 1)
@@ -163,19 +147,19 @@ def seed_states(entropy, spawn_keys, n_words: int) -> np.ndarray:
 
     `spawn_keys` is a (rows, key length) array of non-negative integers and
     `entropy` one non-negative integer for every row, or one per row.  Returns
-    (rows, n_words) uint64 words, bit for bit numpy's: each row's entropy and
-    key are split into 32-bit words, the entropy is padded with zeros to the
-    pool size, and numpy's hash runs over all rows of one assembled length at
-    once.  When every entropy fits in 64 bits and every key entry in 32, as
-    for the streams of an ensemble, every row assembles to the pool size plus
-    one word per key entry, and the words are laid out directly.
+    (rows, n_words) uint64 words, bit for bit numpy's.  When every entropy
+    fits in 64 bits and every key entry in 32, and the key is not empty, as
+    for every stream of an ensemble, each row assembles to the four entropy
+    words of the pool and one word per key entry: the words are laid out
+    directly and numpy's hash runs over all rows at once.  Any other row (a
+    wider entropy or key entry, an empty key, a float, bool or object entry)
+    is handed to numpy's own SeedSequence one row at a time, about 20 us a
+    row, after each entry is checked to be a non-negative integer.
     """
     keys = np.asarray(spawn_keys)
     if keys.ndim != 2:
         raise ValidationError(f"spawn keys must be a (rows, key length) array, not {keys.shape}")
     rows, key_length = keys.shape
-    if rows == 0:
-        return np.empty((0, n_words), np.uint64)
     entropy = np.asarray(entropy).reshape(-1)
     if entropy.size not in (1, rows):
         raise ValidationError(f"{entropy.size} entropy values for {rows} spawn keys")
@@ -186,26 +170,14 @@ def seed_states(entropy, spawn_keys, n_words: int) -> np.ndarray:
         words[1] = wide >> 32
         words[_POOL_SIZE:] = keys.T
         return _generate_state(_mix_entropy(words), n_words)
-    out = np.empty((rows, n_words), np.uint64)
-    e_words, e_counts = _uint32_words(entropy)
-    k_words, k_counts = _uint32_words(keys.T)
-    # numpy pads the entropy with zero words to the pool size when a spawn key
-    # follows; with none, the pool words it lacks start from zero all the same
-    e_counts = np.maximum(e_counts, _POOL_SIZE)
-    e_width = int(e_counts.max())
-    # assembled words of every row, word position first, and which of them it has
-    words = np.zeros((e_width + key_length * len(k_words), rows), np.uint32)
-    valid = np.empty(words.shape, bool)
-    words[: len(e_words)] = e_words
-    words[e_width:] = k_words.transpose(1, 0, 2).reshape(-1, rows)
-    valid[:e_width] = np.arange(e_width)[:, None] < e_counts
-    valid[e_width:] = (np.arange(len(k_words))[:, None] < k_counts[:, None]).reshape(-1, rows)
-    lengths = valid.sum(axis=0)
-    for length in sorted(set(lengths.tolist())):
-        group = lengths == length
-        assembled = words[:, group].T[valid[:, group].T].reshape(-1, length)
-        out[group] = _generate_state(_mix_entropy(np.ascontiguousarray(assembled.T)), n_words)
-    return out
+    name = "seed sequence entry"
+    seeds = [non_negative_int(e, name) for e in np.broadcast_to(entropy, rows).tolist()]
+    key_tuples = [tuple(non_negative_int(k, name) for k in key) for key in keys.tolist()]
+    states = [
+        np.random.SeedSequence(e, spawn_key=key).generate_state(n_words, np.uint64)
+        for e, key in zip(seeds, key_tuples)
+    ]
+    return np.array(states, np.uint64).reshape(rows, n_words)
 
 
 def _fits(values: np.ndarray, bits: int) -> bool:
@@ -312,7 +284,8 @@ class Unitaries:
     so products with it keep their bits.  A single matrix u is
     Unitaries(u[None]).  A stack of signed permutations is built from its
     table instead (see from_table), with a check that reads each entry once.
-    The gates apply nothing else.
+    What reads the stack afterwards checks nothing again: the gates below,
+    and the LCU and SWAP-test circuits, which multiply by `blocks` directly.
     """
 
     __slots__ = ("blocks",)

@@ -10,11 +10,14 @@ every number of the quantum plans of 85 windows.
 Run from the repository root:
 
     PYTHONPATH=src python tests/record_digest.py
+
+It prints the three digests and exits 1 when any differs from RECORDED.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +29,11 @@ from gdrq.experiment import collect_runs, median_spectrum, run_quantum
 from test_golden import plan_digest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECORDED = {
+    "ensembles": "dfb909c98c9616b6b9bcd37d8793015908752f25056b6a8cabf87394d09a5517",
+    "low-shot runs": "f5a45ddf03d169886e724de8f60d8618eaeb942e4f01f553d2cadd7c0d41a8c8",
+    "plans": "50a96b59375123b733a0e12d7a2ce905d903b7646b2c42577888f2f47725f60e",
+}
 
 
 def _update(digest, *values) -> None:
@@ -79,6 +87,12 @@ def low_shot_digest() -> str:
 
 
 if __name__ == "__main__":
-    print("ensembles", ensemble_digest())
-    print("low-shot runs", low_shot_digest())
-    print("plans", plan_digest())
+    digests = {"ensembles": ensemble_digest, "low-shot runs": low_shot_digest, "plans": plan_digest}
+    differ = []
+    for name, digest in digests.items():
+        value = digest()
+        print(name, value)
+        if value != RECORDED[name]:
+            differ.append(name)
+    if differ:
+        sys.exit(f"digests differ from the recorded ones: {', '.join(differ)}")

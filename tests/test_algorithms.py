@@ -19,6 +19,7 @@ from gdrq.algorithms import (
     _swap_weights,
     energy_expectation,
     lcu_apply,
+    replay_limits,
     replay_post_selection,
     swap_statistics,
     swap_test,
@@ -441,7 +442,7 @@ class TestReplayPostSelection:
         probs = [0.25, 0.5, 0.25]
         for key in range(20):
             rng, twin = RngStream(7, (key,)).generator, RngStream(7, (key,)).generator
-            attempts = replay_post_selection(p, rng)
+            attempts = replay_post_selection(p, rng, replay_limits(p))
             assert attempts == scalar_attempts(p, twin)
             assert rng.random() == twin.random()
             np.testing.assert_array_equal(rng.multinomial(8000, probs), twin.multinomial(8000, probs))
@@ -459,7 +460,7 @@ class TestReplayPostSelection:
     def test_budget_runs_out_after_documented_attempts(self, p, budget):
         rng = _NeverBelow()
         with pytest.raises(PreparationError, match=f"failed {budget} times"):
-            replay_post_selection(p, rng)
+            replay_post_selection(p, rng, replay_limits(p))
         assert rng.draws == budget
 
 
@@ -518,15 +519,15 @@ class TestPlainGenerators:
         k0 = twin.multinomial(500, stats.marginal)[0]
         assert swap_test(psi, phi, 500, np.random.default_rng(0)).raw == 2.0 * k0 / 500 - 1.0
 
-        assert replay_post_selection(0.05, np.random.default_rng(0)) == scalar_attempts(
-            0.05, np.random.default_rng(0)
-        )
+        attempts = replay_post_selection(0.05, np.random.default_rng(0), replay_limits(0.05))
+        assert attempts == scalar_attempts(0.05, np.random.default_rng(0))
 
         h = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
         state = init_basis_state(3, "011")
         result = LcuCircuit(h).apply(state)
         twin = np.random.default_rng(0)
-        replay_post_selection(result.success_probability, twin)
+        p = result.success_probability
+        replay_post_selection(p, twin, replay_limits(p))
         k0 = twin.multinomial(500, swap_statistics(state, result.state).marginal)[0]
         p_hat = twin.binomial(500, result.success_probability) / 500
         clamped = min(max(2.0 * k0 / 500 - 1.0, 0.0), 1.0)

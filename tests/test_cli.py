@@ -447,6 +447,26 @@ class TestMainSubcommands:
         assert code == 0
         assert "vs experiment 15.4" in capsys.readouterr().out
 
+    def test_compare_writes_only_points_inside_the_model_grid(self, sn_config, tmp_path):
+        """The shipped grid runs 5-30 MeV; the model is not extrapolated past it."""
+        exp = tmp_path / "wide.csv"
+        exp.write_text("energy_mev,sigma_mb\n2,1\n10,4\n15,9\n20,4\n40,1\n")
+        argv = ["compare", "--config", str(sn_config), "--kappa", "0.4", "--experiment", str(exp)]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["10", "15", "20"]
+        assert [row.split(",")[2] for row in rows] == ["4", "9", "4"]
+
+    def test_compare_with_no_point_inside_the_grid_is_one_line(self, sn_config, tmp_path, capsys):
+        exp = tmp_path / "outside.csv"
+        exp.write_text("energy_mev,sigma_mb\n2,1\n3,4\n40,1\n")
+        argv = ["compare", "--config", str(sn_config), "--kappa", "0.4", "--experiment", str(exp)]
+        assert cli.main([*argv, "--out", str(tmp_path / "none")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "no experimental energy inside the model grid [5, 30] MeV" in err
+        assert not (tmp_path / "none").exists()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = small_quantum_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -36,6 +36,7 @@ from gdrq.encoding import (
 from gdrq.errors import CapacityError, SchemaError, ValidationError
 from gdrq.experiment import (
     BUNDLED_NUCLEI,
+    ExperimentalSpectrum,
     QuantumPlan,
     RunRecord,
     bundled_experiment,
@@ -398,19 +399,6 @@ class TestExactQuantumEqualsClassicalOnFullShells:
         assert seen == compared
 
 
-def count_seed_sequences(monkeypatch):
-    """Spawn keys of every np.random.SeedSequence built from now on."""
-    built = []
-    original = np.random.SeedSequence
-
-    def counting(*args, **kwargs):
-        built.append(kwargs.get("spawn_key", ()))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "SeedSequence", counting)
-    return built
-
-
 def generators(species: RngStream):
     """The generator of every child of one species' stream, in measurement order."""
     return (species.child(k).generator for k in itertools.count())
@@ -427,22 +415,20 @@ REDRAWING = replace(SN_QUANTUM, shots=20)
 
 
 class TestBatchedStreams:
-    def test_collect_runs_builds_no_seed_sequence(self, monkeypatch):
-        built = count_seed_sequences(monkeypatch)
+    def test_collect_runs_builds_no_seed_sequence(self, seed_sequences):
         records = collect_runs(SN_QUANTUM, 5, runs=4)
-        assert built == []
+        assert seed_sequences == []
         assert [r.seed for r in records] == [
             int(np.random.SeedSequence(5, spawn_key=(i,)).generate_state(1, np.uint64)[0])
             for i in range(4)
         ]
 
-    def test_exact_run_hashes_nothing(self, monkeypatch):
-        built = count_seed_sequences(monkeypatch)
+    def test_exact_run_hashes_nothing(self, monkeypatch, seed_sequences):
         counts = count_calls(monkeypatch, [(gdrq.statevector, "seed_states")])
         run_quantum(SN_QUANTUM, 1, mode="exact")
-        assert built == [] and counts["seed_states"] == 0
+        assert seed_sequences == [] and counts["seed_states"] == 0
         run_quantum(SN_QUANTUM, 1)
-        assert built == [] and counts["seed_states"] == 1
+        assert seed_sequences == [] and counts["seed_states"] == 1
 
     @pytest.mark.parametrize(
         "config, seed", [(SN_QUANTUM, 5), (SN_QUANTUM, 2**64 + 1), (HE4_QUANTUM, 0)]
@@ -1030,6 +1016,19 @@ class TestCompareWithExperiment:
         )
         with pytest.raises(ValidationError):
             compare_with_experiment(fake, bundled_experiment("sn120"))
+
+    def test_points_outside_the_model_grid_are_dropped(self):
+        spectrum = run_classical(SN_CLASSICAL)
+        energies = np.array([2.0, 10.0, 15.0, 20.0, 40.0])
+        report = compare_with_experiment(
+            spectrum, ExperimentalSpectrum(energies, np.array([1.0, 4.0, 9.0, 4.0, 1.0]), "wide")
+        )
+        np.testing.assert_array_equal(report.energies, [10.0, 15.0, 20.0])
+        np.testing.assert_array_equal(report.experiment_sigma, [4.0, 9.0, 4.0])
+        np.testing.assert_array_equal(
+            report.model_sigma, np.interp(report.energies, spectrum.energies, spectrum.sigma)
+        )
+        assert report.experiment_peak == 15.0
 
 
 class TestCsvWriters:

@@ -160,19 +160,6 @@ def key_rows(key, rows):
     return np.array([key] * rows, dtype=np.int64).reshape(rows, len(key))
 
 
-def count_word_splits(monkeypatch):
-    """Names of the arrays the general path of seed_states splits into 32-bit words."""
-    calls = []
-    original = statevector._uint32_words
-
-    def counted(values):
-        calls.append("entropy" if values.ndim == 1 else "keys")
-        return original(values)
-
-    monkeypatch.setattr(statevector, "_uint32_words", counted)
-    return calls
-
-
 class TestSeedStates:
     @pytest.mark.parametrize("n_words", [1, 4])
     def test_random_rows_match_numpy(self, n_words):
@@ -247,19 +234,22 @@ class TestSeedStates:
             seed_states(entropy, keys, 4)
 
     @pytest.mark.parametrize("n_words", [1, 4])
-    def test_64_bit_rows_are_laid_out_directly(self, monkeypatch, n_words):
-        """Entropy below 2**64 and key entries below 2**32 skip the word split."""
+    def test_64_bit_rows_are_laid_out_directly(self, seed_sequences, n_words):
+        """Entropy below 2**64 and key entries below 2**32 build no SeedSequence."""
         entropy = np.array([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
         keys = [(0,), (2**32 - 1,), (0, 2**32 - 1), (2**32 - 1, 0, 2**32 - 1)]
-        splits = count_word_splits(monkeypatch)
-        for key in keys:
-            got = seed_states(entropy, key_rows(key, len(entropy)), n_words)
-            for row, e in zip(got, entropy.tolist()):
+        got = {
+            key: (
+                seed_states(entropy, key_rows(key, len(entropy)), n_words),
+                [seed_states(e, key_rows(key, 1), n_words)[0] for e in entropy],
+            )
+            for key in keys
+        }
+        assert seed_sequences == []
+        for key, (rows, singles) in got.items():
+            for e, row, single in zip(entropy.tolist(), rows, singles):
                 np.testing.assert_array_equal(row, numpy_states(e, key, n_words))
-            for e in entropy.tolist():
-                single = seed_states(np.uint64(e), key_rows(key, 1), n_words)[0]
                 np.testing.assert_array_equal(single, numpy_states(e, key, n_words))
-        assert splits == []
 
     @pytest.mark.parametrize(
         "entropy, key",
@@ -269,26 +259,33 @@ class TestSeedStates:
             (2**64, (0,)),
             (2**64 + 2**33, (2**32 - 1,)),
             (np.array([1, 2**64], dtype=object), (3,)),
+            (5, ()),
+            (np.uint64(2**64 - 1), ()),
         ],
     )
-    def test_wider_rows_take_the_general_path(self, monkeypatch, entropy, key):
-        splits = count_word_splits(monkeypatch)
+    def test_other_rows_are_hashed_by_numpy(self, seed_sequences, entropy, key):
+        """Each row the direct layout does not cover builds one SeedSequence of its own."""
         values = np.asarray(entropy).reshape(-1).tolist()
         got = seed_states(entropy, key_rows(key, len(values)), 4)
+        assert seed_sequences == [key] * len(values)
         for row, e in zip(got, values):
             np.testing.assert_array_equal(row, numpy_states(e, key, 4))
-        assert splits == ["entropy", "keys"]
 
     @pytest.mark.parametrize(
         "entropy, keys",
-        [(-1, [(0,)]), (np.array([3, -1]), [(0,), (1,)]), (1, [(0,), (-1,)]), (1, [(0, -5)])],
+        [
+            (-1, [(0,)]),
+            (np.array([3, -1]), [(0,), (1,)]),
+            (1, [(0,), (-1,)]),
+            (1, [(0, -5)]),
+            (1, [(0, 2.0)]),
+        ],
     )
-    def test_negative_rows_give_one_line(self, monkeypatch, entropy, keys):
-        splits = count_word_splits(monkeypatch)
+    def test_negative_rows_give_one_line(self, seed_sequences, entropy, keys):
         with pytest.raises(ValidationError, match="must be a non-negative integer") as err:
             seed_states(entropy, keys, 4)
         assert "\n" not in str(err.value)
-        assert splits
+        assert seed_sequences == []
 
     def test_state_words_serve_only_their_own_request(self):
         words = statevector._state_words_type()(seed_states(1, [(0,)], 4)[0])
