@@ -28,6 +28,9 @@ MAX_SHOTS = 2**63 - 1
 # largest run count: an ensemble holds every run's record at once, about 15 KB
 # each, so the cap keeps one to about 1.5 GB
 MAX_RUNS = 100_000
+# highest shell a window may reach: filling shells takes time and memory linear
+# in n_max, and the shipped studies stop at 12
+MAX_SHELL = 100
 
 
 def hbar_omega(a: int) -> float:
@@ -60,6 +63,8 @@ class BasisWindow:
         n_min = non_negative_int(self.n_min, "n_min")
         if non_negative_int(self.n_max, "n_max") < n_min:
             raise ValidationError(f"bad shell window [{self.n_min}, {self.n_max}]")
+        if self.n_max > MAX_SHELL:
+            raise ValidationError(f"n_max must be at most {MAX_SHELL}, got {self.n_max}")
 
     @classmethod
     def parse(cls, text: str) -> "BasisWindow":

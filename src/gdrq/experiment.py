@@ -20,14 +20,14 @@ stacked median.  Everything a run's draws need that no seed changes (each
 replay's budget and block size included) is fixed in the plan, so a run
 pays for its draws and little else.
 
-Three things are kept per process.  Plans are memoised by config, at most
-PLAN_MEMO_SIZE of them, least recently used out first: every sampled or exact
-run and every ensemble of an equal config, at any seed or run count, reuses
-one plan, whose arrays are read-only.  Configs that differ only in kappa,
-spread, grid or calibration do not share one, although its circuits read
-none of these: a plan holds its config and dresses its runs' poles with it.
-Beside the plans, collect_runs keeps its last ensemble, and each bundled
-experimental curve is parsed once (see bundled_experiment).
+Three things are kept per process.  Plans are memoised by nucleus and window,
+all that their circuits read, at most PLAN_MEMO_SIZE of them, least recently
+used out first: every run and ensemble of one nucleus on one window, whatever
+its seed, run or shot count, kappa, spread, grid or calibration, reuses one
+plan, whose arrays are read-only.  A plan holds no config: its caller passes
+the shot count and dresses the poles.  Beside the plans, collect_runs keeps
+its last ensemble, and each bundled experimental curve is parsed once (see
+bundled_experiment).
 """
 
 from __future__ import annotations
@@ -235,16 +235,15 @@ def _species_streams(
 
 @dataclass(frozen=True)
 class QuantumPlan:
-    """The seed-free half of a quantum run, built once per config.
+    """The seed-free half of a quantum run, built once per nucleus and window.
 
-    Building validates the config, constructs the operators and simulates
+    Building validates the window, constructs the operators and simulates
     every LCU and SWAP-test circuit, as batches: the Hamiltonian circuit once
     over every configuration, each dipole circuit once, and every SWAP test in
-    one pass.  `run` only replays the random draws.  `length` is the
+    one pass.  A run only replays the random draws.  `length` is the
     oscillator length b (fm) that scales the strengths.
     """
 
-    config: NucleusConfig
     length: float
     species: tuple[_SpeciesPlan, ...]
 
@@ -299,9 +298,11 @@ class QuantumPlan:
         for k, ((sp_index, *_), lcu) in enumerate(zip(active, dipoles)):
             strength = LcuOverlap(lcu.lam, float(lcu.success_probability), overlaps[len(rows) + k])
             species.append(_SpeciesPlan(sp_index, energy[2 * k], energy[2 * k + 1], strength))
-        return cls(config=config, length=b, species=tuple(species))
+        return cls(length=b, species=tuple(species))
 
-    def _measure(self, streams: Sequence[Iterator[np.random.Generator | None]]) -> TransitionSet:
+    def _measure(
+        self, shots: int, streams: Sequence[Iterator[np.random.Generator | None]]
+    ) -> TransitionSet:
         """The poles one quantum experiment measures.
 
         Per species: measure the reference and the excited energy (redrawing
@@ -311,7 +312,6 @@ class QuantumPlan:
         of its species' streams; an item None reads the analytic value
         instead.
         """
-        shots = self.config.shots
         b = self.length
         measured: list[tuple[float, float]] = []
         for sp, streams in zip(self.species, streams):
@@ -326,8 +326,9 @@ class QuantumPlan:
             measured.append((delta, sp.strength.lam**2 * p_hat * overlap * b**2))
         return quantum_transitions(measured)
 
-    def transitions(self, seeds: Sequence[int]) -> list[TransitionSet]:
-        """The poles that sampled experiments at the given seeds measure.
+    def transitions(self, seeds: Sequence[int], shots: int) -> list[TransitionSet]:
+        """The poles that sampled experiments at the given seeds measure, at
+        `shots` shots per measurement.
 
         Measurement k of species s at seed x draws from the stream
         RngStream(x, (s, k)).  The seed sequences of every planned stream of
@@ -340,6 +341,7 @@ class QuantumPlan:
         states = states.reshape(runs, len(self.species), _PLANNED_STREAMS, STREAM_WORDS)
         return [
             self._measure(
+                shots,
                 [
                     _species_streams(seed, rows, sp.spawn_index)
                     for sp, rows in zip(self.species, states[run])
@@ -348,25 +350,6 @@ class QuantumPlan:
             for run, seed in enumerate(seeds)
         ]
 
-    def run(self, seed: int, run_index: int = 0, mode: str = "sampled") -> RunRecord:
-        """One full quantum experiment at a given seed: the measured poles
-        (see `transitions`), dressed exactly like the classical ones.  An
-        "exact" run reads the analytic values and draws nothing."""
-        if mode not in ("exact", "sampled"):
-            raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-        seed = non_negative_int(seed, "seed")
-        run_index = non_negative_int(run_index, "run index")
-        if mode == "exact":
-            transitions = self._measure([itertools.repeat(None)] * len(self.species))
-        else:
-            (transitions,) = self.transitions([seed])
-        return RunRecord(
-            run_index=run_index,
-            seed=seed,
-            transitions=transitions,
-            spectrum=assemble_spectrum(self.config, transitions),
-        )
-
 
 def run_quantum(
     config: NucleusConfig,
@@ -374,20 +357,35 @@ def run_quantum(
     run_index: int = 0,
     mode: str = "sampled",
 ) -> RunRecord:
-    """One full quantum experiment at a given seed (see QuantumPlan.run), on
-    the kept plan of the config."""
-    return _plan(config).run(seed, run_index, mode)
+    """One full quantum experiment at a given seed on the kept plan (see
+    _plan): the measured poles, dressed exactly like the classical ones.  An
+    "exact" run reads the analytic values and draws nothing."""
+    if mode not in ("exact", "sampled"):
+        raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    seed = non_negative_int(seed, "seed")
+    run_index = non_negative_int(run_index, "run index")
+    plan = _plan(config)
+    if mode == "exact":
+        transitions = plan._measure(config.shots, [itertools.repeat(None)] * len(plan.species))
+    else:
+        (transitions,) = plan.transitions([seed], config.shots)
+    return RunRecord(
+        run_index=run_index,
+        seed=seed,
+        transitions=transitions,
+        spectrum=assemble_spectrum(config, transitions),
+    )
 
 
 def _plan(config: NucleusConfig) -> QuantumPlan:
-    """The kept plan of a config, built on first use; a plan reads no run
-    count, so configs that differ only in runs share it."""
-    return _kept_plan(replace(config, runs=1))
+    """The kept plan of a config's nucleus and window, built on first use."""
+    return _kept_plan(config.A, config.Z, config.basis)
 
 
 @functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
-def _kept_plan(config: NucleusConfig) -> QuantumPlan:
-    return QuantumPlan.build(config)
+def _kept_plan(a: int, z: int, basis: BasisWindow) -> QuantumPlan:
+    # kappa is a required config field, but no plan reads it
+    return QuantumPlan.build(NucleusConfig(A=a, Z=z, kappa=0.0, basis=basis))
 
 
 def collect_runs(
@@ -399,8 +397,8 @@ def collect_runs(
 
     `runs` overrides config.runs and is checked as the config checks it.
     Every run's poles are drawn first, their streams hashed in one pass; their
-    spectra are then assembled as one batch, each record equal to plan.run at
-    its own seed.  The runs come from the kept plan of the config, so an
+    spectra are then assembled as one batch, each record equal to run_quantum
+    at its own seed.  The runs come from the kept plan of the config, so an
     ensemble at a new master seed or run count simulates no circuit again.
     The last ensemble is kept too: asking again for the same (config, master
     seed) returns the same records, whose arrays are read-only.
@@ -414,7 +412,7 @@ def collect_runs(
 @functools.lru_cache(maxsize=1)
 def _ensemble(config: NucleusConfig, master_seed: int) -> tuple[RunRecord, ...]:
     seeds = _run_seeds(master_seed, np.arange(config.runs))
-    poles = _plan(config).transitions(seeds)
+    poles = _plan(config).transitions(seeds, config.shots)
     spectra = assemble_spectra(config, poles)
     return tuple(
         RunRecord(run_index=index, seed=int(seed), transitions=transitions, spectrum=spectrum)

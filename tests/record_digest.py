@@ -11,7 +11,8 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/record_digest.py
 
-It prints the three digests and exits 1 when any differs from RECORDED.
+It prints the three digests and exits 1 when any differs from RECORDED; the
+plan digest is recorded once, as test_golden.PLAN_DIGEST.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ import numpy as np
 from gdrq import cli
 from gdrq.errors import GdrqError
 from gdrq.experiment import collect_runs, median_spectrum, run_quantum
-from test_golden import plan_digest
+from test_golden import PLAN_DIGEST, plan_digest
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED = {
     "ensembles": "dfb909c98c9616b6b9bcd37d8793015908752f25056b6a8cabf87394d09a5517",
     "low-shot runs": "f5a45ddf03d169886e724de8f60d8618eaeb942e4f01f553d2cadd7c0d41a8c8",
-    "plans": "50a96b59375123b733a0e12d7a2ce905d903b7646b2c42577888f2f47725f60e",
+    "plans": PLAN_DIGEST,
 }
 
 

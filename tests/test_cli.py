@@ -589,6 +589,9 @@ class TestMainErrors:
             ["basis-study", "--bases", "0-10,x"],
             ["basis-study", "--bases", ","],
             ["basis-study", "--bases", ""],
+            ["classical", "--basis", "0-101"],
+            ["quantum", "--basis", "999999995-999999999"],
+            ["basis-study", "--bases", "0-10,0-1000000000"],
             ["quantum", "--shots", "0"],
             ["quantum", "--runs", "0"],
             ["quantum", "--shots", "100000000000000000000"],
@@ -665,6 +668,7 @@ class TestMainErrors:
             ({"runs": "-2"}, "runs must be a non-negative integer, got -2"),
             ({"runs": "100001"}, "runs must be at most 100000, got 100001"),
             ({"Z": "-50"}, "Z must be a non-negative integer, got -50"),
+            ({"basis": "0-1000000000"}, "n_max must be at most 100, got 1000000000"),
         ],
     )
     def test_out_of_range_file_value_is_data_error(self, tmp_path, capsys, edits, message):

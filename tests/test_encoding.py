@@ -14,6 +14,7 @@ from gdrq import pauli as pl
 from gdrq.encoding import (
     MAX_GRID_POINTS,
     MAX_RUNS,
+    MAX_SHELL,
     MAX_SHOTS,
     BasisWindow,
     NucleusConfig,
@@ -69,6 +70,7 @@ class TestBasisWindow:
             BasisWindow(-1, 2)
         with pytest.raises(ValidationError):
             BasisWindow(4, 3)
+        assert BasisWindow(0, MAX_SHELL).n_max == MAX_SHELL == 100
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -83,6 +85,8 @@ class TestBasisWindow:
             ((1, "3"), "n_max must be a non-negative integer, got '3'"),
             ((-1, 2), "n_min must be a non-negative integer, got -1"),
             ((4, 3), "bad shell window [4, 3]"),
+            ((0, MAX_SHELL + 1), f"n_max must be at most {MAX_SHELL}, got {MAX_SHELL + 1}"),
+            ((999999995, 999999999), f"n_max must be at most {MAX_SHELL}, got 999999999"),
         ],
     )
     def test_bounds_are_integers(self, bounds, message):

@@ -1,6 +1,7 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
 import itertools
+import math
 import operator
 import re
 import statistics
@@ -33,7 +34,7 @@ from gdrq.encoding import (
     hbar_omega,
     oscillator_length,
 )
-from gdrq.errors import CapacityError, SchemaError, ValidationError
+from gdrq.errors import CapacityError, GdrqError, SchemaError, ValidationError
 from gdrq.experiment import (
     BUNDLED_NUCLEI,
     ExperimentalSpectrum,
@@ -62,6 +63,8 @@ from gdrq.response import (
     find_peak,
 )
 from gdrq.statevector import RngStream
+from oracles import closed_form_plan
+from test_golden import plan_windows
 
 SN_CLASSICAL = NucleusConfig(A=120, Z=50, kappa=0.4, basis=BasisWindow(0, 10))
 PB_CLASSICAL = NucleusConfig(A=208, Z=82, kappa=0.4, basis=BasisWindow(0, 10))
@@ -295,11 +298,10 @@ class TestQuantumPlan:
         assert work == idle
 
     def test_bad_mode_and_seed_rejected(self):
-        plan = QuantumPlan.build(SN_QUANTUM)
         with pytest.raises(ValidationError):
-            plan.run(1, mode="bogus")
+            run_quantum(SN_QUANTUM, 1, mode="bogus")
         with pytest.raises(ValidationError):
-            plan.run(-1)
+            run_quantum(SN_QUANTUM, -1)
 
 
 def nuclei():
@@ -307,9 +309,9 @@ def nuclei():
     return st.integers(2, 398).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, a - 1)))
 
 
-def exact_poles(plan):
+def exact_poles(plan, shots):
     """The poles of an exact run, without dressing them into a spectrum."""
-    return plan._measure([itertools.repeat(None)] * len(plan.species)).entries
+    return plan._measure(shots, [itertools.repeat(None)] * len(plan.species)).entries
 
 
 class TestOneTransitionPerSpecies:
@@ -350,7 +352,7 @@ class TestOneTransitionPerSpecies:
         plan = QuantumPlan.build(config)
         assert [sp.spawn_index for sp in plan.species] == partial
         # one pole and its mirror per species, one shell (hbar*omega) up
-        poles = exact_poles(plan)
+        poles = exact_poles(plan, config.shots)
         assert len(poles) == 2 * len(partial)
         for pole in poles:
             assert pole.energy * pole.weight == pytest.approx(hbar_omega(a), rel=1e-9)
@@ -404,10 +406,10 @@ def generators(species: RngStream):
     return (species.child(k).generator for k in itertools.count())
 
 
-def stream_by_stream(plan, seed):
+def stream_by_stream(plan, seed, shots):
     """The poles at `seed` with every measurement generator from its own RngStream."""
     root = RngStream(seed)
-    return plan._measure([generators(root.child(sp.spawn_index)) for sp in plan.species])
+    return plan._measure(shots, [generators(root.child(sp.spawn_index)) for sp in plan.species])
 
 
 # few shots make energy redraws common: seed 3 redraws five times in its first species
@@ -435,22 +437,22 @@ class TestBatchedStreams:
     )
     def test_batch_equals_one_rng_stream_per_measurement(self, config, seed):
         plan = QuantumPlan.build(config)
-        assert plan.transitions([seed]) == [stream_by_stream(plan, seed)]
+        assert plan.transitions([seed], config.shots) == [stream_by_stream(plan, seed, config.shots)]
 
     def test_streams_past_the_planned_ones_are_hashed_alike(self, monkeypatch):
         plan = QuantumPlan.build(REDRAWING)
         counts = count_calls(monkeypatch, [(gdrq.statevector, "seed_states")])
-        (transitions,) = plan.transitions([3])
+        (transitions,) = plan.transitions([3], REDRAWING.shots)
         # one pass for the planned streams, one row for each stream past them
         assert counts["seed_states"] == 1 + 5
-        assert transitions == stream_by_stream(plan, 3)
+        assert transitions == stream_by_stream(plan, 3, REDRAWING.shots)
 
     def test_replay_limits_are_kept_in_the_plan(self, monkeypatch):
         """A plan fixes each replay's budget and block when it is built; its
         runs only draw."""
         plan = QuantumPlan.build(SN_QUANTUM)
         counts = count_calls(monkeypatch, [(gdrq.algorithms, "replay_limits")])
-        plan.transitions([1, 2, 3])
+        plan.transitions([1, 2, 3], SN_QUANTUM.shots)
         assert counts["replay_limits"] == 0
         overlaps = [
             overlap
@@ -486,13 +488,13 @@ class TestSeedAndRunValidation:
             lambda: collect_runs(SN_QUANTUM, 5, runs=2.7),
             lambda: collect_runs(SN_QUANTUM, 5, runs=True),
             lambda: collect_runs(SN_QUANTUM, 5, runs=-3),
-            lambda: QuantumPlan.build(SN_QUANTUM).run(1.5),
-            lambda: QuantumPlan.build(SN_QUANTUM).run(True, mode="exact"),
+            lambda: run_quantum(SN_QUANTUM, 1.5),
+            lambda: run_quantum(SN_QUANTUM, True, mode="exact"),
             lambda: run_quantum(SN_QUANTUM, -2, mode="exact"),
             lambda: derive_run_seed(-1, 0),
             lambda: derive_run_seed(5, 0.5),
-            lambda: QuantumPlan.build(SN_QUANTUM).run(1, run_index=-2.5, mode="exact"),
-            lambda: QuantumPlan.build(SN_QUANTUM).run(1, run_index=1.5),
+            lambda: run_quantum(SN_QUANTUM, 1, run_index=-2.5, mode="exact"),
+            lambda: run_quantum(SN_QUANTUM, 1, run_index=1.5),
             lambda: run_quantum(SN_QUANTUM, 1, run_index=-1, mode="exact"),
             lambda: run_quantum(SN_QUANTUM, 1, run_index=True),
         ],
@@ -503,13 +505,13 @@ class TestSeedAndRunValidation:
             "runs-float",
             "runs-bool",
             "runs-negative",
-            "plan-seed-float",
-            "plan-exact-seed-bool",
+            "run-quantum-seed-float",
+            "run-quantum-exact-seed-bool",
             "run-quantum-exact-negative",
             "derive-master-negative",
             "derive-index-float",
-            "plan-run-index-negative-float",
-            "plan-run-index-float",
+            "run-quantum-run-index-negative-float",
+            "run-quantum-run-index-float",
             "run-quantum-run-index-negative",
             "run-quantum-run-index-bool",
         ],
@@ -575,6 +577,11 @@ def count_builds(monkeypatch):
     return built
 
 
+def plan_config(config):
+    """The config a kept plan of `config` is built from: its nucleus and window."""
+    return NucleusConfig(A=config.A, Z=config.Z, kappa=0.0, basis=config.basis)
+
+
 def record_bits(record):
     """The IEEE bits of a record's poles and cross section, as uint64 words."""
     poles = [(t.energy, t.strength, t.weight) for t in record.transitions.entries]
@@ -590,15 +597,15 @@ def plan_marginals(plan):
 
 
 class TestPlanMemo:
-    """Every run and ensemble of an equal config shares one kept plan, whatever
-    its seed, mode or run count; a config that differs in any other field
-    builds its own."""
+    """Every run and ensemble of one nucleus on one window shares one kept plan,
+    whatever its seed, mode, run or shot count, kappa, spread, grid or
+    calibration; a changed nucleus or window builds its own."""
 
     def test_an_ensemble_at_a_new_master_seed_builds_no_plan(self, monkeypatch):
         built = count_builds(monkeypatch)
         collect_runs(SN_QUANTUM, 5, runs=3)
         warm = collect_runs(SN_QUANTUM, 6, runs=7)
-        assert built == [replace(SN_QUANTUM, runs=1)]
+        assert built == [plan_config(SN_QUANTUM)]
         gdrq.experiment._ensemble.cache_clear()
         gdrq.experiment._kept_plan.cache_clear()
         cold = collect_runs(SN_QUANTUM, 6, runs=7)
@@ -620,22 +627,54 @@ class TestPlanMemo:
 
     @pytest.mark.parametrize(
         "changed",
-        [replace(SN_QUANTUM, kappa=0.6), replace(SN_QUANTUM, shots=4000)],
-        ids=["kappa", "shots"],
+        [
+            replace(SN_QUANTUM, kappa=0.6),
+            replace(SN_QUANTUM, gamma_spread=3.0),
+            replace(SN_QUANTUM, grid_min=8.0, grid_max=25.0, grid_step=0.05),
+            replace(SN_QUANTUM, calibration=0.2),
+            replace(SN_QUANTUM, shots=4000),
+        ],
+        ids=["kappa", "spread", "grid", "calibration", "shots"],
     )
-    def test_a_changed_config_builds_its_own_plan(self, monkeypatch, changed):
+    def test_a_changed_run_setting_shares_the_plan(self, monkeypatch, changed):
+        """The shared plan's runs take the shot count and the dressing of
+        their own config: each comes out bit for bit as from a plan of its own."""
+        built = count_builds(monkeypatch)
+        base = run_quantum(SN_QUANTUM, 3)
+        shared = [run_quantum(changed, 3, mode=mode) for mode in ("exact", "sampled")]
+        ensemble = collect_runs(changed, 2, runs=2)
+        assert built == [plan_config(SN_QUANTUM)]
+        # the changed setting reaches the run
+        assert not all(map(np.array_equal, record_bits(base), record_bits(shared[1])))
+        gdrq.experiment._ensemble.cache_clear()
+        gdrq.experiment._kept_plan.cache_clear()
+        own = [run_quantum(changed, 3, mode=mode) for mode in ("exact", "sampled")]
+        for a, b in zip([*shared, *ensemble], [*own, *collect_runs(changed, 2, runs=2)]):
+            assert a.spectrum.energies.size == changed.energy_grid().size
+            for x, y in zip(record_bits(a), record_bits(b), strict=True):
+                assert np.array_equal(x, y)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize(
+        "changed",
+        [replace(SN_QUANTUM, basis=BasisWindow(2, 5)), replace(SN_QUANTUM, A=122)],
+        ids=["window", "nucleus"],
+    )
+    def test_a_changed_nucleus_or_window_builds_its_own_plan(self, monkeypatch, changed):
         built = count_builds(monkeypatch)
         run_quantum(SN_QUANTUM, 1, mode="exact")
         run_quantum(changed, 1, mode="exact")
         collect_runs(changed, 2, runs=2)
-        assert built == [replace(config, runs=1) for config in (SN_QUANTUM, changed)]
+        assert built == [plan_config(config) for config in (SN_QUANTUM, changed)]
 
     def test_the_memo_stays_within_its_bound(self):
         bound = gdrq.experiment.PLAN_MEMO_SIZE
         kept = gdrq.experiment._kept_plan.cache_info
         assert kept().maxsize == bound
-        for k in range(bound + 3):
-            run_quantum(replace(HE4_QUANTUM, kappa=0.1 * k), 1, mode="exact")
+        windows = ("3-4", "4-5", "2-4", "3-5", "4-6")
+        assert len(windows) == bound + 3
+        for k, label in enumerate(windows):
+            run_quantum(replace(SN_QUANTUM, basis=BasisWindow.parse(label)), 1, mode="exact")
             assert kept().currsize == min(k + 1, bound)
 
     def test_a_kept_plan_cannot_be_written(self):
@@ -648,6 +687,46 @@ class TestPlanMemo:
                 marginal[0] = 1.0
             with pytest.raises(ValueError):
                 marginal.flags.writeable = True
+
+
+def assert_closed_form(overlap, closed):
+    """lambda, p_success and SWAP p0 of a plan's LcuOverlap against the closed form."""
+    got = (overlap.lam, overlap.p_success, overlap.swap.p0)
+    assert got == pytest.approx(closed[:3], rel=1e-13, abs=0)
+
+
+class TestPlanInClosedForm:
+    """The plan's numbers against tests/oracles.closed_form_plan, which reads
+    them off the occupations and the operator terms and shares no circuit,
+    state or gate with the plan."""
+
+    def test_every_buildable_digest_window_matches(self):
+        built = 0
+        for nucleus, windows in plan_windows().items():
+            shipped = load_config(CONFIGS / f"{nucleus}.cfg")
+            for label in windows:
+                config = replace(shipped, basis=BasisWindow.parse(label))
+                try:
+                    plan = QuantumPlan.build(config)
+                except GdrqError:
+                    continue
+                built += 1
+                closed = closed_form_plan(config)
+                assert [sp.spawn_index for sp in plan.species] == [c.spawn_index for c in closed]
+                for sp, c in zip(plan.species, closed):
+                    for energy, want in ((sp.reference, c.reference), (sp.excited, c.excited)):
+                        assert energy.sign == math.copysign(1.0, want.amplitude.real)
+                        assert_closed_form(energy.statistics, want)
+                    assert_closed_form(sp.strength, c.strength)
+        assert built == 45
+
+    @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
+    def test_shipped_marginals_put_all_weight_on_zero(self, nucleus):
+        plan = QuantumPlan.build(load_config(CONFIGS / f"{nucleus}.cfg"))
+        marginals = list(plan_marginals(plan))
+        assert len(marginals) == 3 * len(plan.species)
+        for marginal in marginals:
+            assert marginal[0] == 1.0
 
 
 SPECTRUM_ARRAYS = ("energies", "r0", "r_dressed", "sigma_raw", "sigma")
