@@ -27,7 +27,9 @@ states of one circuit in one call, and all its SWAP tests in another.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -220,23 +222,6 @@ def swap_test(
     return swap_statistics(psi, phi).estimate(shots, rng)
 
 
-def _prep_unitary(amps: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix with first column `amps` (Householder reflection).
-
-    I - 2 v v^T is exactly symmetric, since np.outer(v, v) is, so the matrix
-    is its own adjoint to the bit.
-    """
-    dim = amps.size
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    v = e0 - amps
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-14:
-        return np.eye(dim, dtype=complex)
-    v = v / nrm
-    return (np.eye(dim) - 2.0 * np.outer(v, v)).astype(complex)
-
-
 class LcuCircuit:
     """Prepare-select-unprepare circuit of a real-weighted Pauli sum A.
 
@@ -246,9 +231,11 @@ class LcuCircuit:
     probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  None of this
     depends on the state, so the prepare unitary and the stack of selected
     blocks are built and checked once, and kept read-only; the prepare
-    unitary is a real symmetric reflection, so it unprepares as well.  The
-    selected blocks are scattered from the operator's table (PauliSum.table),
-    the one that pauli.apply reads too.
+    unitary is a real symmetric reflection (Unitaries.reflection, checked on
+    its first column), so it unprepares as well.  lambda, the prepare
+    amplitudes and the select weights and signs are read off the operator's
+    coefficient column, and the selected blocks are scattered from its table
+    (PauliSum.table), the one that pauli.apply reads too.
     """
 
     __slots__ = ("op", "lam", "n_ancillas", "prepare", "selected")
@@ -256,30 +243,33 @@ class LcuCircuit:
     def __init__(self, op: pl.PauliSum) -> None:
         if not op.is_real_weighted():
             raise ValidationError("LCU needs a real-weighted (Hermitian-combination) Pauli sum")
-        if len(op.terms) == 0:
+        if len(op) == 0:
             raise AnnihilatedStateError("empty operator annihilates every state")
-        for t in op.terms:
-            # a select block divides by the weight; below the smallest normal
-            # double (numpy's finfo(float).tiny), 1 / weight can overflow
-            if abs(t.coefficient) < sys.float_info.min:
-                raise ValidationError(
-                    f"LCU cannot load the subnormal coefficient {t.coefficient!r} of {t.label()}"
-                )
+        magnitudes = [abs(c) for c in op.coefficients]
+        # a select block divides by the weight; below the smallest normal
+        # double (numpy's finfo(float).tiny), 1 / weight can overflow
+        if min(magnitudes) < sys.float_info.min:
+            t = next(t for t in op.terms if abs(t.coefficient) < sys.float_info.min)
+            raise ValidationError(
+                f"LCU cannot load the subnormal coefficient {t.coefficient!r} of {t.label()}"
+            )
         self.op = op
-        self.lam = float(sum(abs(t.coefficient) for t in op.terms))
+        # added left to right: the builtin sum() of floats compensates its
+        # rounding since Python 3.12, which would move lambda's last bits
+        self.lam = functools.reduce(operator.add, magnitudes, 0.0)
         # the success probability divides by lambda**2, which must not overflow
         if not math.isfinite(self.lam * self.lam):
             raise ValidationError(f"LCU weight sum lambda = {self.lam!r} overflows when squared")
-        k = len(op.terms)
+        k = len(op)
         na = self.n_ancillas = max(1, (k - 1).bit_length())
         amps = np.zeros(2**na)
-        amps[:k] = [np.sqrt(abs(t.coefficient) / self.lam) for t in op.terms]
-        self.prepare = Unitaries(_prep_unitary(amps)[None])
+        amps[:k] = np.sqrt(np.array(magnitudes) / self.lam)
+        self.prepare = Unitaries.reflection(amps)
         # block i holds term i's table entries / w_i * sign(c_i) in its permuted rows
         rows, values = op.table
-        weights = np.array([t.weight for t in op.terms])[:, None]
-        signs = np.sign([t.coefficient for t in op.terms])[:, None]
-        self.selected = Unitaries.from_table(rows, values / weights * signs)
+        weights = np.array([c * phase for c, phase in zip(op.coefficients, op.phases)])
+        signs = np.sign(op.coefficients)
+        self.selected = Unitaries.from_table(rows, values / weights[:, None] * signs[:, None])
 
     def apply(self, psi: StateVector) -> LcuResult:
         """Run the circuit on psi, or on each row of a batch in one pass, and

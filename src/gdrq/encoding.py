@@ -4,14 +4,18 @@ One qubit per major oscillator shell N inside a chosen window; qubit q of the
 window [n_min, n_max] is shell N = n_min + q.  An occupied shell is |1>, so a
 Z eigenvalue of -1 marks occupation.  Ladder operators follow the standard
 fermionic chain ordering (Z string on lower qubits); for the number operators
-and nearest-neighbor hops used here the strings cancel, so the operators are
-built from their closed 1- and 2-local forms; the tests keep the ladder
-operators as the oracle those forms are compared against.
+and nearest-neighbor hops used here the strings cancel, so the window
+operators are emitted straight from their closed 1- and 2-local forms as the
+columns of a Pauli sum (masks and coefficients, see pauli.PauliSum), already
+in canonical order.  The tests keep the ladder operators, and the same forms
+term by term, as the oracles those columns are compared against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,53 +200,21 @@ def fill_occupations(config: NucleusConfig) -> OccupationTable:
     return OccupationTable(_fill(config.Z, n_max), _fill(config.n_neutrons, n_max))
 
 
-def _axes(nqubits: int, letters: dict[int, str]) -> str:
-    return "".join(letters.get(k, "I") for k in range(nqubits))
-
-
-def number_operator(mode: int, nqubits: int, factor: float) -> tuple[pl.PauliTerm, ...]:
-    """Terms of factor * a^dag_q a_q in closed form: the Z strings cancel, leaving (I - Z_q)/2.
-
-    The window operators are sums of these terms and the hop terms; the tests
-    compare both with the ladder products.
-    """
-    if not 0 <= mode < nqubits:
-        raise ValidationError(f"mode {mode} out of range for {nqubits} qubits")
-    return (
-        pl.PauliTerm(0.5 * factor, _axes(nqubits, {})),
-        pl.PauliTerm(-0.5 * factor, _axes(nqubits, {mode: "Z"})),
-    )
-
-
-def hop_operator(mode: int, nqubits: int, factor: float) -> tuple[pl.PauliTerm, ...]:
-    """Terms of factor * (a^dag_{q+1} a_q + a^dag_q a_{q+1}) in closed form.
-
-    That is factor * (X_q X_{q+1} + Y_q Y_{q+1})/2: the strings below q cancel,
-    and the imaginary X_q Y_{q+1} and Y_q X_{q+1} parts of the two orderings
-    cancel each other.
-    """
-    if not 0 <= mode < nqubits - 1:
-        raise ValidationError(f"hop from mode {mode} out of range for {nqubits} qubits")
-    return tuple(
-        pl.PauliTerm(0.5 * factor, _axes(nqubits, {mode: letter, mode + 1: letter}))
-        for letter in "XY"
-    )
-
-
 def build_hamiltonian(basis: BasisWindow, homega: float) -> pl.PauliSum:
-    """Window Hamiltonian sum_N (N + 3/2) hbar*omega a^dag_N a_N.
+    """Window Hamiltonian sum_N (N + 3/2) hbar*omega a^dag_N a_N, as columns.
 
-    Each number operator is (I - Z)/2, so all coefficients are exact binary
-    fractions of hbar*omega; the identity parts add up in shell order.  Every
-    shell's terms go straight into the one sum.
+    Each number operator is (I - Z_q)/2, so the sum is one identity term, the
+    halves added up left to right in shell order, then -half * Z_q for each
+    qubit: canonical order, every coefficient an exact binary fraction of
+    (N + 3/2) hbar*omega.
     """
     if homega <= 0:
         raise ValidationError("hbar*omega must be positive")
+    halves = [0.5 * ((shell + 1.5) * homega) for shell in basis.shells()]
+    identity = functools.reduce(operator.add, halves, 0.0)
     n = basis.nqubits
-    terms = []
-    for q, shell in enumerate(basis.shells()):
-        terms += number_operator(q, n, (shell + 1.5) * homega)
-    return pl.PauliSum(n, tuple(terms))
+    zmasks = [0, *(1 << q for q in range(n))]
+    return pl.PauliSum.from_canonical(n, [0] * (n + 1), zmasks, [identity, *(-h for h in halves)])
 
 
 def effective_charge(config: NucleusConfig, species: str) -> float:
@@ -255,18 +227,26 @@ def effective_charge(config: NucleusConfig, species: str) -> float:
 
 
 def build_dipole(basis: BasisWindow, config: NucleusConfig, species: str) -> pl.PauliSum:
-    """Dipole operator of one species on the window, in fm.
+    """Dipole operator of one species on the window, in fm, as columns.
 
     Adjacent shells are coupled with the collective hop amplitude of the
     species: its effective charge (see effective_charge) times
     sqrt((N+1)(N+2)) for the shell degeneracy times the radial element
     b*sqrt((N+1)/2), so one hop carries the summed strength of the shell.
+    A hop of amplitude t between qubits q and q+1 is
+    t * (X_q X_{q+1} + Y_q Y_{q+1})/2: the Z strings of its ladder operators
+    cancel below q, and so do the imaginary X_q Y_{q+1} and Y_q X_{q+1} parts
+    of its two orderings.  Its XX then its YY term, hop by hop, is canonical
+    order.
     """
     charge = effective_charge(config, species)
-    n = basis.nqubits
     b = oscillator_length(config.A)
-    terms = []
-    for q, shell in enumerate(list(basis.shells())[:-1]):
+    flips, zmasks, halves = [], [], []
+    for q, shell in enumerate(basis.shells()[:-1]):
         amplitude = charge * math.sqrt(shell_capacity(shell)) * math.sqrt((shell + 1) / 2.0) * b
-        terms += hop_operator(q, n, amplitude)
-    return pl.PauliSum(n, tuple(terms))
+        # X_q X_{q+1} then Y_q Y_{q+1}: both flip the pair, and Y reads its signs too
+        pair = 3 << q
+        flips += [pair, pair]
+        zmasks += [0, pair]
+        halves += [0.5 * amplitude] * 2
+    return pl.PauliSum.from_canonical(basis.nqubits, flips, zmasks, halves)

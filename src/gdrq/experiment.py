@@ -83,7 +83,9 @@ _FULL_TOL = 1e-12
 _MIN_GAP_MEV = 1e-9
 # plans kept per process: one per nucleus of the shipped protocol.  A plan
 # holds a few hundred numbers and no circuit, but one kept for a config that
-# never comes back (a scan) is dead weight
+# never comes back (a scan) is dead weight.  A scan that cycles through more
+# than two windows therefore builds each plan anew; the exact-scan benchmark
+# does, and times exactly those cold builds, which a larger memo would hide
 PLAN_MEMO_SIZE = 2
 # streams a sampled run draws per species when no energy is redrawn: the
 # reference energy, the excited energy and the strength factors

@@ -13,13 +13,21 @@ Conventions used across the package:
   exactly in {1, i}.  Products track phases through the single-qubit table
   (X*Y = iZ and cyclic), so no rounding ever touches the phase group.
 
-Sums are kept in canonical form by construction: duplicate axes merged,
-zero-weight terms dropped, terms ordered by (qubit support, axes letters).
+A PauliSum holds its terms as columns: flip masks, Z masks, real
+coefficients and phases, built and checked once per sum.  It is kept in
+canonical form: duplicate axes merged, zero-weight terms dropped, terms
+ordered by (qubit support, axes letters).  PauliSum(n, terms) merges and sorts
+PauliTerm objects into the columns; PauliSum.from_canonical takes columns a
+closed form already lists in that order (the window operators of encoding),
+and makes no per-term object.  Scaling, dropping the identity, the table and
+the LCU circuit read the columns; `terms` shows them as PauliTerm objects, for
+rendering and for the term-by-term algebra (multiply_sums, dense_matrix).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
@@ -165,20 +173,100 @@ def _merge(nqubits: int, terms: Iterable[PauliTerm]) -> tuple[PauliTerm, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
+def _axes_of(nqubits: int, flip: int, zmask: int) -> str:
+    """The axes string of a term's masks, the inverse of masks."""
+    return "".join("IXZY"[(flip >> j & 1) | (zmask >> j & 1) << 1] for j in range(nqubits))
+
+
 class PauliSum:
-    """Canonical sum of Pauli terms on a fixed register size."""
+    """Canonical sum of Pauli terms on a fixed register size, held as columns.
 
-    nqubits: int
-    terms: tuple[PauliTerm, ...] = ()
+    Entry i of the tuples `flips` and `zmasks` (see masks), `coefficients`
+    (float) and `phases` (exactly 1 or i) describes term i.  PauliSum(n,
+    terms) merges and sorts PauliTerm objects into them, and from_canonical
+    takes the columns of a closed form as they are.  Two sums are equal when
+    their sizes and columns are.
+    """
 
-    def __post_init__(self) -> None:
-        if self.nqubits < 1:
+    def __init__(self, nqubits: int, terms: Iterable[PauliTerm] = ()) -> None:
+        if nqubits < 1:
             raise ValidationError("nqubits must be >= 1")
-        object.__setattr__(self, "terms", _merge(self.nqubits, tuple(self.terms)))
+        merged = _merge(nqubits, tuple(terms))
+        term_masks = [masks(t) for t in merged]
+        self._set(
+            nqubits,
+            tuple(flip for flip, _, _ in term_masks),
+            tuple(zmask for _, zmask, _ in term_masks),
+            tuple(t.coefficient for t in merged),
+            tuple(t.phase for t in merged),
+        )
+
+    @classmethod
+    def from_canonical(cls, nqubits: int, flips, zmasks, coefficients) -> "PauliSum":
+        """The real-weighted sum of the strings with these masks and coefficients.
+
+        The caller lists distinct strings in canonical order, so nothing is
+        merged or sorted and no PauliTerm is made.  The coefficients are
+        checked as one column: each must be finite, and a zero one is dropped.
+        """
+        if nqubits < 1:
+            raise ValidationError("nqubits must be >= 1")
+        flips, zmasks = tuple(map(int, flips)), tuple(map(int, zmasks))
+        coefficients = tuple(map(float, coefficients))
+        if not all(map(math.isfinite, coefficients)):
+            j = [math.isfinite(c) for c in coefficients].index(False)
+            axes = _axes_of(nqubits, flips[j], zmasks[j])
+            raise ValidationError(f"coefficient of {axes!r} must be finite, got {coefficients[j]}")
+        phases = (1 + 0j,) * len(coefficients)
+        return object.__new__(cls)._set(nqubits, flips, zmasks, coefficients, phases)
+
+    def _set(self, nqubits: int, flips, zmasks, coefficients, phases) -> "PauliSum":
+        """Take the canonical columns as this sum's own, less every term whose
+        coefficient is zero: dropping terms keeps the order canonical and
+        leaves nothing to merge."""
+        if not all(coefficients):
+            kept = [c != 0.0 for c in coefficients]
+            flips, zmasks, coefficients, phases = (
+                tuple(itertools.compress(column, kept))
+                for column in (flips, zmasks, coefficients, phases)
+            )
+        self.nqubits = nqubits
+        self.flips, self.zmasks = flips, zmasks
+        self.coefficients, self.phases = coefficients, phases
+        return self
+
+    def _with(self, coefficients: tuple[float, ...], kept=slice(None)) -> "PauliSum":
+        """The kept terms (a slice) with these coefficients in place of their own."""
+        return object.__new__(PauliSum)._set(
+            self.nqubits, self.flips[kept], self.zmasks[kept], coefficients, self.phases[kept]
+        )
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coefficients)
+
+    def _key(self) -> tuple:
+        return (self.nqubits, self.flips, self.zmasks, self.coefficients, self.phases)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PauliSum):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"PauliSum({self.nqubits}, {self.terms!r})"
+
+    @functools.cached_property
+    def terms(self) -> tuple[PauliTerm, ...]:
+        """The columns as PauliTerm objects, in canonical order, made on first use."""
+        return tuple(
+            PauliTerm(coefficient, _axes_of(self.nqubits, flip, zmask), phase)
+            for flip, zmask, coefficient, phase in zip(
+                self.flips, self.zmasks, self.coefficients, self.phases
+            )
+        )
 
     def __mul__(self, factor: float) -> "PauliSum":
         """The sum scaled by a finite real factor.
@@ -192,32 +280,33 @@ class PauliSum:
         factor = float(factor)
         if not math.isfinite(factor):
             raise ValidationError(f"scalar factors must be finite, got {factor}")
-        terms = []
-        for t in self.terms:
-            coefficient = t.coefficient * factor
-            if math.isinf(coefficient):
-                raise ValidationError(f"scaling {t.label()} by {factor} overflows")
-            if coefficient != 0.0:
-                terms.append(PauliTerm(coefficient, t.axes, t.phase))
-        return _canonical(self.nqubits, tuple(terms))
+        coefficients = tuple(c * factor for c in self.coefficients)
+        if not all(map(math.isfinite, coefficients)):
+            label = self.terms[[math.isfinite(c) for c in coefficients].index(False)].label()
+            raise ValidationError(f"scaling {label} by {factor} overflows")
+        return self._with(coefficients)
 
     __rmul__ = __mul__
 
+    def _has_identity(self) -> bool:
+        """Whether the sum holds the identity string, which sorts first when it does."""
+        return len(self) > 0 and self.flips[0] == 0 and self.zmasks[0] == 0
+
     def identity_coefficient(self) -> float:
-        for t in self.terms:
-            if t.label() == "I":
-                if t.phase != 1:
-                    raise ValidationError("identity term with imaginary weight")
-                return t.coefficient
-        return 0.0
+        if not self._has_identity():
+            return 0.0
+        if self.phases[0] != 1:
+            raise ValidationError("identity term with imaginary weight")
+        return self.coefficients[0]
 
     def without_identity(self) -> "PauliSum":
-        """The sum less its identity term: dropping a term keeps the canonical
-        order and leaves nothing to merge, so the other terms are kept as they are."""
-        return _canonical(self.nqubits, tuple(t for t in self.terms if t.label() != "I"))
+        """The sum less its identity term, the other terms kept as they are."""
+        if not self._has_identity():
+            return self
+        return self._with(self.coefficients[1:], slice(1, None))
 
     def is_real_weighted(self) -> bool:
-        return all(t.phase == 1 for t in self.terms)
+        return all(phase == 1 for phase in self.phases)
 
     def render(self) -> str:
         """Fixed-format text form, e.g. "6.000*I - 0.750*Z0 - ..."."""
@@ -242,14 +331,6 @@ class PauliSum:
         return permutation_table(self)
 
 
-def _canonical(nqubits: int, terms: tuple[PauliTerm, ...]) -> PauliSum:
-    """A sum of terms already in canonical form, taken as they are without a merge."""
-    op = object.__new__(PauliSum)
-    object.__setattr__(op, "nqubits", nqubits)
-    object.__setattr__(op, "terms", terms)
-    return op
-
-
 def permutation_table(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """(rows, values) of a sum's terms as signed permutations, read-only (k, 2^n) arrays.
 
@@ -258,14 +339,10 @@ def permutation_table(op: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     same product that PauliTerm.matrix writes into its one entry per column.
     """
     idx = np.arange(2**op.nqubits, dtype=np.uint64)
-    term_masks = [masks(term) for term in op.terms]
-    flips = np.array([flip for flip, _, _ in term_masks], dtype=np.uint64).reshape(-1, 1)
-    zmasks = np.array([zmask for _, zmask, _ in term_masks], dtype=np.uint64).reshape(-1, 1)
-    phases = np.array(
-        [t.weight * (1j**n_y) for t, (_, _, n_y) in zip(op.terms, term_masks)], dtype=complex
-    )
-    rows = (idx ^ flips).astype(np.intp)
-    values = phases[:, None] * _signs(idx, zmasks)
+    columns = zip(op.flips, op.zmasks, op.coefficients, op.phases)
+    phases = np.array([c * ph * 1j ** (f & z).bit_count() for f, z, c, ph in columns], complex)
+    rows = (idx ^ np.array(op.flips, dtype=np.uint64)[:, None]).astype(np.intp)
+    values = phases[:, None] * _signs(idx, np.array(op.zmasks, dtype=np.uint64)[:, None])
     rows.flags.writeable = values.flags.writeable = False
     return rows, values
 

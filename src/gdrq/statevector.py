@@ -21,6 +21,7 @@ run seed that wide pays it for each of its streams.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -283,7 +284,9 @@ class Unitaries:
     the check.  It is kept as a read-only view of the same memory and layout,
     so products with it keep their bits.  A single matrix u is
     Unitaries(u[None]).  A stack of signed permutations is built from its
-    table instead (see from_table), with a check that reads each entry once.
+    table instead (see from_table), with a check that reads each entry once,
+    and a Householder reflection from its first column (see reflection), with
+    a check of that vector.
     What reads the stack afterwards checks nothing again: the gates below,
     and the LCU and SWAP-test circuits, which multiply by `blocks` directly.
     """
@@ -334,6 +337,37 @@ class Unitaries:
         blocks[np.arange(k)[:, None], rows, np.arange(dim)] = entries
         stack = object.__new__(cls)
         stack._keep(blocks)
+        return stack
+
+    @classmethod
+    def reflection(cls, column) -> "Unitaries":
+        """The one-block stack of the real Householder reflection I - 2 v v^T
+        whose first column is `column`, v being e0 - column normalized.
+
+        The reflection is unitary for any v; it has that first column only
+        when the column is a unit vector, so the column is what is checked:
+        its norm must lie within UNITARY_TOL of 1, and a NaN or infinite
+        entry fails as it fails the Gram check.  I - 2 v v^T is exactly
+        symmetric, since the outer product v v^T is, so the block is its own
+        adjoint to the bit.
+        """
+        column = np.asarray(column, dtype=float)
+        # hypot neither overflows nor warns on a huge entry
+        _refuse_defect(abs(math.hypot(*column.tolist()) - 1.0))
+        dim = column.size
+        v = np.zeros(dim)
+        v[0] = 1.0
+        v -= column
+        # sqrt(v . v) is how np.linalg.norm takes it, so the block keeps its bits
+        nrm = math.sqrt(v.dot(v))
+        block = np.eye(dim, dtype=complex)
+        if nrm >= 1e-14:
+            v /= nrm
+            twice_outer = v[:, None] * v
+            twice_outer *= 2.0
+            block.real -= twice_outer
+        stack = object.__new__(cls)
+        stack._keep(block[None])
         return stack
 
     def _keep(self, blocks: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Unit tests for the estimation primitives: SWAP-test overlaps, LCU
 application, and the energy estimator built on them."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from gdrq.algorithms import (
     MAX_ATTEMPTS,
     LcuCircuit,
     SwapStatistics,
-    _prep_unitary,
     _replay_block,
     _swap_weights,
     energy_expectation,
@@ -265,9 +265,35 @@ class TestLcuCircuit:
         if not amps.any():
             amps[0] = 1.0
         amps = np.sqrt(amps / amps.sum())
-        prep = _prep_unitary(amps)
+        prep = Unitaries.reflection(amps).blocks[0]
         assert not prep.imag.any()
         assert np.array_equal(bits(prep.real), bits(prep.real.T))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[0.6, np.nan, 0.0, 0.0], [0.6 * (1 + 1e-6), 0.8 * (1 + 1e-6)], [np.inf, 0.0]],
+        ids=["nan", "norm-1+1e-6", "inf"],
+    )
+    def test_prepare_is_checked_on_its_column(self, amps):
+        """The prepare reflection is checked on its first column, with the
+        one-line error of the Gram check: a NaN or infinite amplitude fails,
+        and so does a column of norm 1 + 1e-6, whose reflection is unitary but
+        does not load it."""
+        with pytest.raises(ValidationError, match=r"^matrix is not unitary \(defect ") as info:
+            Unitaries.reflection(np.array(amps))
+        assert "\n" not in str(info.value)
+        # within the tolerance of a unit norm, the column loads as the first column
+        column = np.array([0.6, 0.8]) * (1 + 1e-12)
+        assert np.allclose(Unitaries.reflection(column).blocks[0][:, 0], column, atol=1e-15)
+
+    def test_lambda_is_summed_left_to_right(self):
+        """lambda adds |c_i| left to right, as the builtin sum() did before
+        Python 3.12; a compensated sum of these weights rounds up instead."""
+        weights = [1.0, 1e-16, 1e-16]
+        op = pl.PauliSum(1, tuple(pl.PauliTerm(c, axes) for c, axes in zip(weights, "XYZ")))
+        assert [t.coefficient for t in op.terms] == weights
+        assert math.fsum(weights) > 1.0
+        assert LcuCircuit(op).lam == 1.0
 
     def test_hamiltonian_circuit_serves_every_configuration(self):
         """One pass over a batch of configurations gives each row, bit for bit,

@@ -23,15 +23,21 @@ from gdrq.encoding import (
     effective_charge,
     fill_occupations,
     hbar_omega,
-    hop_operator,
-    number_operator,
     oscillator_length,
     shell_capacity,
 )
+from gdrq.cli import load_config
 from gdrq.constants import HBARC_MEV_FM, NUCLEON_MASS_MEV
 from gdrq.errors import CapacityError, ValidationError
-from ladders import jw_annihilation, jw_creation
-from test_golden import exact_windows
+from ladders import (
+    hop_operator,
+    jw_annihilation,
+    jw_creation,
+    number_operator,
+    term_dipole,
+    term_hamiltonian,
+)
+from test_golden import CONFIGS, exact_windows
 
 
 class TestOscillator:
@@ -440,3 +446,30 @@ class TestClosedForms:
             hop_operator(2, 3, 1.0)
         with pytest.raises(ValidationError):
             hop_operator(-1, 3, 1.0)
+
+
+# every window from 0-1 to 0-12, then every 2-5 shell window from n_min 0-7
+COLUMN_WINDOWS = [f"0-{hi}" for hi in range(1, 13)] + [
+    f"{lo}-{lo + shells - 1}" for shells in range(2, 6) for lo in range(8)
+]
+
+
+class TestColumns:
+    """The window operators, emitted as columns, equal the merge of their
+    closed-form terms (see ladders), bit for bit."""
+
+    @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
+    def test_equal_the_merged_terms(self, nucleus):
+        config = load_config(CONFIGS / f"{nucleus}.cfg")
+        homega = hbar_omega(config.A)
+        for label in COLUMN_WINDOWS:
+            basis = BasisWindow.parse(label)
+            window = replace(config, basis=basis)
+            pairs = [(build_hamiltonian(basis, homega), term_hamiltonian(basis, homega))]
+            pairs += [
+                (build_dipole(basis, window, species), term_dipole(basis, window, species))
+                for species in ("proton", "neutron")
+            ]
+            for columns, terms in pairs:
+                assert term_bits(columns) == term_bits(terms), label
+                assert columns == terms, label

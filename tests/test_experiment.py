@@ -204,9 +204,10 @@ def count_calls(monkeypatch, targets):
 class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
         """One Hamiltonian circuit per plan and one dipole circuit per species, each
-        built with two checked Unitaries: the prepare unitary, which also unprepares,
-        and one stack of all selected blocks, scattered from the operator's one
-        table.  The Hamiltonian circuit runs once, over a batch of every
+        built with two checked Unitaries: the prepare reflection, which also
+        unprepares and is checked on its first column, and one stack of all
+        selected blocks, scattered from the operator's one table; neither gets
+        the dense Gram check.  The Hamiltonian circuit runs once, over a batch of every
         configuration; each dipole circuit once, on its species' reference; and
         every SWAP test in one batch.  The plan is kept, so a later ensemble of
         the config, at more runs, does no circuit work at all.  Circuits are
@@ -227,12 +228,13 @@ class TestQuantumPlan:
                 (gdrq.algorithms, "lcu_apply"),
             ],
         )
-        lists = ("circuits", "applied", "swaps", "unitaries", "tables")
+        lists = ("circuits", "applied", "swaps", "unitaries", "grams", "tables")
         work = {**{name: [] for name in lists}, "matrices": 0}
         init, apply = LcuCircuit.__init__, LcuCircuit.apply
         swap_statistics = gdrq.experiment.swap_statistics
         build = gdrq.statevector.Unitaries.__init__
         from_table = gdrq.statevector.Unitaries.from_table
+        reflection = gdrq.statevector.Unitaries.reflection
         compile_table = gdrq.pauli.permutation_table
         matrix = gdrq.pauli.PauliTerm.matrix
 
@@ -242,6 +244,11 @@ class TestQuantumPlan:
 
         def counted_table_stack(rows, entries):
             stack = from_table(rows, entries)
+            work["unitaries"].append(stack.blocks.shape)
+            return stack
+
+        def counted_reflection(column):
+            stack = reflection(column)
             work["unitaries"].append(stack.blocks.shape)
             return stack
 
@@ -267,10 +274,13 @@ class TestQuantumPlan:
         monkeypatch.setattr(
             gdrq.statevector.Unitaries,
             "__init__",
-            lambda u, blocks: work["unitaries"].append(np.shape(blocks)) or build(u, blocks),
+            lambda u, blocks: work["grams"].append(np.shape(blocks)) or build(u, blocks),
         )
         monkeypatch.setattr(
             gdrq.statevector.Unitaries, "from_table", staticmethod(counted_table_stack)
+        )
+        monkeypatch.setattr(
+            gdrq.statevector.Unitaries, "reflection", staticmethod(counted_reflection)
         )
         monkeypatch.setattr(gdrq.pauli.PauliTerm, "matrix", counted_matrix)
         collect_runs(SN_QUANTUM, 5, runs=1)
@@ -286,6 +296,7 @@ class TestQuantumPlan:
             prepare = 2 ** max(1, (len(op) - 1).bit_length())
             expected += [(1, prepare, prepare), (len(op), 2**op.nqubits, 2**op.nqubits)]
         assert work["unitaries"] == expected
+        assert work["grams"] == []
         # each circuit operator compiles one table, which pauli.apply and the
         # select stack share; no dense term matrix is built
         assert work["tables"] == work["circuits"]
@@ -296,6 +307,21 @@ class TestQuantumPlan:
         collect_runs(SN_QUANTUM, 5, runs=10)
         assert sum(counts.values()) == 0
         assert work == idle
+
+    def test_a_build_makes_no_pauli_term(self, monkeypatch):
+        """The window operators are columns from their closed forms to the LCU
+        circuits: building a plan of either nucleus makes no PauliTerm."""
+        made = []
+        post_init = gdrq.pauli.PauliTerm.__post_init__
+        monkeypatch.setattr(
+            gdrq.pauli.PauliTerm, "__post_init__", lambda t: made.append(t.axes) or post_init(t)
+        )
+        for config in (SN_QUANTUM, replace(PB_CLASSICAL, basis=BasisWindow(4, 7))):
+            QuantumPlan.build(config)
+        assert made == []
+        # the spy sees a term that is made
+        gdrq.pauli.PauliTerm(1.0, "XZ")
+        assert made == ["XZ"]
 
     def test_bad_mode_and_seed_rejected(self):
         with pytest.raises(ValidationError):

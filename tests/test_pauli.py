@@ -237,6 +237,40 @@ class TestPauliSum:
             math.copysign(1.0, t.coefficient) for t in merged.terms
         ]
 
+    @given(
+        st.dictionaries(
+            st.text(alphabet="IXYZ", min_size=3, max_size=3),
+            st.tuples(coefficients, st.sampled_from([1 + 0j, 1j])),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_terms_view_rebuilds_the_columns(self, raw):
+        """`terms` reads the columns back as the canonical PauliTerm objects
+        they were merged from, and merging those again changes no column."""
+        s = pl.PauliSum(3, tuple(pl.PauliTerm(c, axes, ph) for axes, (c, ph) in raw.items()))
+        assert [pl.masks(t)[:2] for t in s.terms] == list(zip(s.flips, s.zmasks))
+        assert tuple(t.coefficient for t in s.terms) == s.coefficients
+        assert tuple(t.phase for t in s.terms) == s.phases
+        assert pl.PauliSum(3, s.terms) == s
+
+    def test_from_canonical_takes_the_columns_as_they_are(self):
+        """Columns listed in canonical order make the sum the merge makes, a
+        zero coefficient dropped; a non-finite one is refused by name."""
+        op = pl.PauliSum.from_canonical(2, [0, 1, 3], [0, 0, 3], [1.5, 0.0, -0.25])
+        assert op == pl.PauliSum(2, (pl.PauliTerm(-0.25, "YY"), pl.PauliTerm(1.5, "II")))
+        assert op.is_real_weighted() and len(op) == 2
+        with pytest.raises(ValidationError, match=r"^coefficient of 'YY' must be finite, got nan$"):
+            pl.PauliSum.from_canonical(2, [0, 3], [0, 3], [1.0, math.nan])
+
+    def test_wide_registers_keep_their_terms(self):
+        """The mask columns hold Python integers, so a sum wider than 64 qubits
+        keeps its terms as the merge made them."""
+        wide = pl.PauliSum(70, (pl.PauliTerm(1.0, "Y" * 70), pl.PauliTerm(2.0, "I" * 69 + "Z")))
+        # support (0, ..., 69) sorts before (69,)
+        assert wide.flips == (2**70 - 1, 0) and wide.zmasks == (2**70 - 1, 2**69)
+        assert [t.axes for t in wide.terms] == ["Y" * 70, "I" * 69 + "Z"]
+
     def test_predicates(self):
         diag = pl.PauliSum(2, (pl.PauliTerm(1.0, "ZI"), pl.PauliTerm(1.0, "IZ")))
         assert diag.is_real_weighted()
