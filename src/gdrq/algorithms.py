@@ -19,10 +19,11 @@ it once and keeps them.  An LcuOverlap also fixes its replay's budget and
 block size when it is made.  The SWAP test's ancilla has two outcomes, so its
 shots are one binomial draw: the first count numpy's multinomial draws, with
 the generator left where the multinomial leaves it.  Likewise an LcuCircuit
-depends only on its operator: it is built and its matrices checked once,
-then applied to as many states as needed.  The circuits take a batch of
-states (see StateVector) as they take one, so a caller simulates all the
-states of one circuit in one call, and all its SWAP tests in another.
+depends only on its operator: its prepare reflection and its select, the
+operator's own table, are checked once, then applied to as many states as
+needed.  The circuits take a batch of states (see StateVector) as they take
+one, so a caller simulates all the states of one circuit in one call, and
+all its SWAP tests in another.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     SizeError,
     ValidationError,
 )
-from .statevector import POSTSELECT_TOL, StateVector, Unitaries
+from .statevector import POSTSELECT_TOL, StateVector, Unitaries, check_unit_moduli
 
 MAX_ATTEMPTS = 1000
 # generators one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
@@ -226,19 +227,18 @@ class LcuCircuit:
     """Prepare-select-unprepare circuit of a real-weighted Pauli sum A.
 
     Over max(1, ceil(log2 k)) ancillas for k terms: the prepare unitary loads
-    sqrt(|c_i| / lambda), the multiplexer applies sign(c_i) * P_i, and
-    post-selecting all ancillas on |0> leaves A|psi>/||A|psi>|| with success
-    probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.  None of this
-    depends on the state, so the prepare unitary and the stack of selected
-    blocks are built and checked once, and kept read-only; the prepare
-    unitary is a real symmetric reflection (Unitaries.reflection, checked on
-    its first column), so it unprepares as well.  lambda, the prepare
-    amplitudes and the select weights and signs are read off the operator's
-    coefficient column, and the selected blocks are scattered from its table
-    (PauliSum.table), the one that pauli.apply reads too.
+    sqrt(|c_i| / lambda), the select applies sign(c_i) * P_i on ancilla
+    pattern i, and post-selecting all ancillas on |0> leaves A|psi>/||A|psi>||
+    with success probability ||A|psi>||^2 / lambda^2, lambda = sum |c_i|.
+    None of this depends on the state, so it is built and checked once, and
+    kept read-only.  The prepare is a real symmetric reflection
+    (Unitaries.reflection), so it unprepares as well.  Each P_i is a signed
+    permutation, so the select is the operator's table (PauliSum.table):
+    its `rows`, and its entries over each term's weight times its sign,
+    `entries`, checked to have modulus one; no dense block is made.
     """
 
-    __slots__ = ("op", "lam", "n_ancillas", "prepare", "selected")
+    __slots__ = ("op", "lam", "n_ancillas", "prepare", "rows", "entries")
 
     def __init__(self, op: pl.PauliSum) -> None:
         if not op.is_real_weighted():
@@ -266,10 +266,14 @@ class LcuCircuit:
         amps[:k] = np.sqrt(np.array(magnitudes) / self.lam)
         self.prepare = Unitaries.reflection(amps)
         # block i holds term i's table entries / w_i * sign(c_i) in its permuted rows
-        rows, values = op.table
+        self.rows, values = op.table
         weights = np.array([c * phase for c, phase in zip(op.coefficients, op.phases)])
         signs = np.sign(op.coefficients)
-        self.selected = Unitaries.from_table(rows, values / weights[:, None] * signs[:, None])
+        # a non-finite entry of a corrupted table divides to a NaN part, which the check refuses
+        with np.errstate(invalid="ignore"):
+            self.entries = values / weights[:, None] * signs[:, None]
+        check_unit_moduli(self.entries)
+        self.entries.flags.writeable = False
 
     def apply(self, psi: StateVector) -> LcuResult:
         """Run the circuit on psi, or on each row of a batch in one pass, and
@@ -291,17 +295,13 @@ class LcuCircuit:
             )
         n, na = psi.nqubits, self.n_ancillas
         batch = psi.amplitudes.shape[:-1]
+        prepare, k = self.prepare.blocks[0], len(self.rows)
         # axes (*batch, ancilla pattern, system index): the ancillas are the
-        # top qubits, so pattern 0 holds psi and the others start at zero
-        register = np.zeros((*batch, 2**na, 2**n), dtype=complex)
-        register[..., 0, :] = psi.amplitudes
-        prepare, selected = self.prepare.blocks[0], self.selected.blocks
-        k = len(selected)
-        register = prepare @ register
-        # block i on pattern i's slice, each a matrix-vector product; the
-        # patterns beyond the stack are left as they are
-        columns = register.reshape(*batch, 2**na, 2**n, 1)
-        columns[..., :k, :, :] = np.matmul(selected, columns[..., :k, :, :])
+        # top qubits, so only pattern 0 holds psi, and the prepare sends it to
+        # its first column times psi
+        register = prepare[:, :1] * psi.amplitudes[..., None, :]
+        # block i on pattern i's slice; the patterns beyond the table are left as they are
+        register[..., :k, :] = pl.permute(self.rows, self.entries, register[..., :k, :])
         amplitudes = (prepare @ register).reshape(*batch, -1)
         total = 1.0
         # the top ancilla reads |0> on the leading half of the register

@@ -8,7 +8,8 @@ Conventions used across the package:
   it is built from the string's bit masks (see masks), not from kron;
 - a string is a signed permutation: column c holds one entry, in row c ^ flip.
   Each sum compiles its terms once into a table of those rows and entries
-  (permutation_table, PauliSum.table); apply and the LCU select stack read it;
+  (permutation_table, PauliSum.table).  Row c ^ flip is its own inverse, so a
+  table acts as a gather (permute); apply and the LCU select act through it;
 - each term factors as (signed real coefficient) * (phase), with the phase kept
   exactly in {1, i}.  Products track phases through the single-qubit table
   (X*Y = iZ and cyclic), so no rounding ever touches the phase group.
@@ -206,13 +207,26 @@ class PauliSum:
         """The real-weighted sum of the strings with these masks and coefficients.
 
         The caller lists distinct strings in canonical order, so nothing is
-        merged or sorted and no PauliTerm is made.  The coefficients are
-        checked as one column: each must be finite, and a zero one is dropped.
+        merged or sorted and no PauliTerm is made.  The three columns must be
+        of one length, each mask must lie in [0, 2^n) and no string may repeat,
+        so every table row is a permutation.  The coefficients must be finite,
+        and a zero one is dropped.
         """
         if nqubits < 1:
             raise ValidationError("nqubits must be >= 1")
         flips, zmasks = tuple(map(int, flips)), tuple(map(int, zmasks))
         coefficients = tuple(map(float, coefficients))
+        if not len(flips) == len(zmasks) == len(coefficients):
+            lengths = f"{len(flips)}, {len(zmasks)} and {len(coefficients)}"
+            raise ValidationError(f"flip masks, Z masks and coefficients number {lengths}")
+        for name, column in (("flip", flips), ("Z", zmasks)):
+            outside = [mask for mask in column if not 0 <= mask < 1 << nqubits]
+            if outside:
+                raise ValidationError(f"{name} mask {outside[0]} is outside [0, 2^{nqubits})")
+        pairs = list(zip(flips, zmasks))
+        if len(set(pairs)) < len(pairs):
+            flip, zmask = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
+            raise ValidationError(f"string {_axes_of(nqubits, flip, zmask)!r} is listed twice")
         if not all(map(math.isfinite, coefficients)):
             j = [math.isfinite(c) for c in coefficients].index(False)
             axes = _axes_of(nqubits, flips[j], zmasks[j])
@@ -365,20 +379,26 @@ def dense_matrix(op: PauliSum) -> np.ndarray:
     return out
 
 
+def permute(rows: np.ndarray, entries: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Block i of a (k, d) table, column c to row rows[i, c] with entries[i, c],
+    applied to amps[..., i, :] (or to a single row for every block): rows are
+    their own inverse, so output r is the one product at c = rows[i, r]."""
+    return (entries * amps)[..., np.arange(len(rows))[:, None], rows]
+
+
 def apply(op: PauliSum, state: "StateVector") -> "StateVector":
     """Apply the sum to a statevector, or to each row of a batch: sum_i w_i U_i |s>,
     possibly unnormalized.
 
-    Each term adds its table row's entries times the amplitudes into its
-    permuted amplitude indices, in term order; the transposes put the
-    amplitude index first, so the rows of a batch ride along.
+    Every term's image is gathered from the table (see permute), and the
+    images are added up in term order.
     """
     from .statevector import StateVector
 
     if op.nqubits != state.nqubits:
         raise SizeError(f"operator on {op.nqubits} qubits, state on {state.nqubits}")
-    amps = state.amplitudes
-    out = np.zeros_like(amps)
-    for rows, values in zip(*op.table):
-        out.T[rows] += (values * amps).T
+    images = permute(*op.table, state.amplitudes[..., None, :])
+    out = np.zeros_like(state.amplitudes)
+    for term in range(len(op)):
+        out += images[..., term, :]
     return StateVector(state.nqubits, out)

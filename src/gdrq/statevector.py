@@ -283,12 +283,11 @@ class Unitaries:
     product u^H u - I against UNITARY_TOL, and a NaN or infinite entry fails
     the check.  It is kept as a read-only view of the same memory and layout,
     so products with it keep their bits.  A single matrix u is
-    Unitaries(u[None]).  A stack of signed permutations is built from its
-    table instead (see from_table), with a check that reads each entry once,
-    and a Householder reflection from its first column (see reflection), with
-    a check of that vector.
-    What reads the stack afterwards checks nothing again: the gates below,
-    and the LCU and SWAP-test circuits, which multiply by `blocks` directly.
+    Unitaries(u[None]), and a Householder reflection is built from its first
+    column (see reflection), with a check of that vector.  What reads the
+    stack afterwards checks nothing again: the gates below, and the LCU and
+    SWAP-test circuits, which multiply by `blocks` directly.  A signed
+    permutation is not made dense (see check_unit_moduli).
     """
 
     __slots__ = ("blocks",)
@@ -305,39 +304,6 @@ class Unitaries:
         gram[:, diagonal, diagonal] -= 1.0
         _refuse_defect(np.abs(gram).max(initial=0.0))
         self._keep(blocks)
-
-    @classmethod
-    def from_table(cls, rows, entries) -> "Unitaries":
-        """The stack whose block i holds entries[i, c] in row rows[i, c] of column c.
-
-        Such a block is unitary when its rows are a permutation and every entry
-        has modulus one; u^H u - I is then diagonal, |entry|^2 - 1, so the
-        check reads each entry once instead of forming k d^3 products.  A NaN
-        or infinite entry fails it as it fails the Gram check.
-        """
-        rows, entries = np.asarray(rows), np.asarray(entries, dtype=complex)
-        if rows.ndim != 2 or rows.shape != entries.shape or rows.dtype.kind not in "iu":
-            raise ValidationError(
-                "expected (blocks, dim) integer rows and entries, "
-                f"got {rows.shape} and {entries.shape}"
-            )
-        k, dim = rows.shape
-        if rows.size and not (0 <= rows.min() and rows.max() < dim):
-            raise ValidationError(f"matrix is not unitary (a row index outside [0, {dim}))")
-        # dim rows of a block reach all dim indices only as a permutation
-        reached = np.zeros((k, dim), bool)
-        reached[np.arange(k)[:, None], rows] = True
-        if not reached.all():
-            raise ValidationError("matrix is not unitary (a block repeats a row)")
-        # a huge finite entry squares to inf here, which the check refuses
-        with np.errstate(over="ignore"):
-            defect = np.abs(entries.real**2 + entries.imag**2 - 1.0).max(initial=0.0)
-        _refuse_defect(defect)
-        blocks = np.zeros((k, dim, dim), dtype=complex)
-        blocks[np.arange(k)[:, None], rows, np.arange(dim)] = entries
-        stack = object.__new__(cls)
-        stack._keep(blocks)
-        return stack
 
     @classmethod
     def reflection(cls, column) -> "Unitaries":
@@ -373,6 +339,17 @@ class Unitaries:
     def _keep(self, blocks: np.ndarray) -> None:
         self.blocks = blocks.view()
         self.blocks.flags.writeable = False
+
+
+def check_unit_moduli(entries: np.ndarray) -> None:
+    """Refuse the entries of signed permutations unless each has modulus one:
+    u^H u - I of such a block is diagonal, |entry|^2 - 1, so that is the Gram
+    check, read off each entry once, and NaN or inf fails it alike."""
+    moduli = np.abs(entries)
+    # the extreme moduli give the largest defect, and a NaN is the extreme of
+    # both; a Python float squares a huge modulus to inf with no warning
+    low, high = float(moduli.min(initial=1.0)), float(moduli.max(initial=1.0))
+    _refuse_defect(max(1.0 - low * low, high * high - 1.0))
 
 
 def _refuse_defect(defect: float) -> None:

@@ -7,6 +7,8 @@ lcu_gates and swap_weights_gates run the LCU and SWAP-test circuits gate by
 gate through the general statevector gates (tensor, apply_unitary,
 apply_multiplexed, post_select, outcome_weights); LcuCircuit.apply and
 _swap_weights, which lay their registers out directly, must give their bits.
+The LCU select goes through them as the dense stack that select_stack
+scatters from the circuit's table, checked by the dense Gram check.
 
 closed_form_plan gives every number of a quantum plan from the occupation
 table and the operator terms alone, with no circuit, state or gate: an LCU of
@@ -33,6 +35,7 @@ from gdrq.errors import ValidationError
 from gdrq.pauli import PauliSum
 from gdrq.statevector import (
     StateVector,
+    Unitaries,
     apply_multiplexed,
     apply_unitary,
     init_basis_state,
@@ -51,15 +54,24 @@ def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
     return float(np.take(arr, outcome, axis=state.nqubits - 1 - qubit).sum())
 
 
+def select_stack(circuit: LcuCircuit) -> np.ndarray:
+    """The circuit's select as a dense (k, 2^n, 2^n) stack: block i holds
+    entries[i, c] in row rows[i, c] of column c."""
+    k, dim = circuit.rows.shape
+    blocks = np.zeros((k, dim, dim), dtype=complex)
+    blocks[np.arange(k)[:, None], circuit.rows, np.arange(dim)] = circuit.entries
+    return blocks
+
+
 def lcu_gates(circuit: LcuCircuit, psi: StateVector):
     """(state, product of post-selection probabilities) of the circuit on psi:
-    ancillas joined above the system, prepare, select, prepare, then each
-    ancilla post-selected on |0>, the top one first."""
+    ancillas joined above the system, prepare, the Gram-checked select stack,
+    prepare, then each ancilla post-selected on |0>, the top one first."""
     n, na = psi.nqubits, circuit.n_ancillas
     full = psi.tensor(init_basis_state(na, "0" * na))
     ancillas = list(range(n, n + na))
     full = apply_unitary(full, circuit.prepare, ancillas)
-    full = apply_multiplexed(full, circuit.selected, ancillas, list(range(n)))
+    full = apply_multiplexed(full, Unitaries(select_stack(circuit)), ancillas, list(range(n)))
     full = apply_unitary(full, circuit.prepare, ancillas)
     total = 1.0
     for anc in reversed(ancillas):

@@ -2,7 +2,9 @@
 application, and the energy estimator built on them."""
 
 import math
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from gdrq.statevector import (
     marginal,
     sample,
 )
-from oracles import lcu_gates, measure_probability, swap_weights_gates
+from oracles import lcu_gates, measure_probability, select_stack, swap_weights_gates
 
 HADAMARD = Unitaries(np.array([[[1, 1], [1, -1]]], dtype=complex) / np.sqrt(2.0))
 CONTROLLED_SWAP = Unitaries([np.eye(4), np.eye(4, dtype=complex)[[0, 2, 1, 3]]])
@@ -239,7 +241,7 @@ class TestLcuCircuit:
             LcuCircuit(mixed)
         # the smallest normal weight still loads, with exact select blocks
         circuit = LcuCircuit(pl.PauliSum(1, (pl.PauliTerm(tiny, "Y"),)))
-        assert np.array_equal(circuit.selected.blocks[0], pl.PauliTerm(1.0, "Y").matrix())
+        assert np.array_equal(select_stack(circuit)[0], pl.PauliTerm(1.0, "Y").matrix())
 
     def test_overflowing_lambda_refused(self):
         """The success probability divides by lambda**2; a weight sum that
@@ -318,23 +320,85 @@ class TestLcuCircuit:
         with pytest.raises(AnnihilatedStateError, match="annihilates"):
             circuit.apply(StateVector(4, rows))
 
-    def test_non_unitary_block_rejected_at_build(self):
+    @staticmethod
+    def corrupted(entry=None, scale=1.0):
+        """A three-term operator whose compiled table has entry (1, 3) set to
+        `entry`, or multiplied by `scale`; the operator reads its table from
+        here on, as it would a compiled one."""
         terms = (pl.PauliTerm(1.0, "XI"), pl.PauliTerm(-0.5, "ZZ"), pl.PauliTerm(2.0, "IY"))
         op = pl.PauliSum(2, terms)
         rows, values = pl.permutation_table(op)
         bad = values.copy()
-        bad[[t.axes for t in op.terms].index("ZZ")] *= 1.0 + 1e-6
-        # the operator reads its table from here on, as it would a compiled one
+        bad[1, 3] = bad[1, 3] * scale if entry is None else entry
         op.__dict__["table"] = (rows, bad)
-        with pytest.raises(ValidationError, match="not unitary"):
-            LcuCircuit(op)
+        return op
 
-    def test_checked_matrices_are_read_only(self):
-        circuit = LcuCircuit(build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity())
-        for stack in (circuit.prepare, circuit.selected, _HADAMARD):
-            assert not stack.blocks.flags.writeable
+    @pytest.mark.parametrize(
+        "entry, scale",
+        [
+            (None, 1.0 + 1e-6),
+            (None, 1.0 + 1e-9),
+            (None, 1e200),
+            (None, 0.0),
+            (np.nan, 1.0),
+            (np.inf, 1.0),
+            (-np.inf, 1.0),
+            (complex(0.0, np.nan), 1.0),
+            (complex(np.inf, np.nan), 1.0),
+        ],
+        ids=["modulus", "modulus-1e-9", "huge", "zero", "nan", "inf", "-inf", "complex-nan",
+             "complex-inf-nan"],
+    )
+    def test_non_unitary_select_rejected_at_build(self, entry, scale):
+        """Each defect of a select entry fails the modulus check with the
+        one-line error of the dense Gram check, and a huge entry warns of no
+        overflow on the way (warnings fail the suite)."""
+        LcuCircuit(self.corrupted())
+        with pytest.raises(ValidationError, match=r"^matrix is not unitary \(defect [^\n]*\)$"):
+            LcuCircuit(self.corrupted(entry, scale))
+
+    def test_select_check_follows_the_tolerance(self):
+        """|entry|^2 - 1 is the Gram defect of a signed permutation: a modulus off
+        by far less than UNITARY_TOL passes the entry check and the dense Gram
+        check of the scattered stack, one off by far more fails both."""
+        good = LcuCircuit(self.corrupted())
+        for scale in (1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-8, 1.0 - 1e-8):
+            entries = good.entries.copy()
+            entries[1, 3] *= scale
+            stack = select_stack(SimpleNamespace(rows=good.rows, entries=entries))
+            for check, value in ((LcuCircuit, self.corrupted(scale=scale)), (Unitaries, stack)):
+                if abs(scale - 1.0) < 1e-12:
+                    check(value)
+                else:
+                    with pytest.raises(ValidationError, match="not unitary"):
+                        check(value)
+
+    def test_a_circuit_makes_no_dense_select(self):
+        """Building a circuit of 16 terms on 8 qubits and applying it allocates
+        less than a sixteenth of one dense (16, 256, 256) select stack."""
+        rng = np.random.default_rng(5)
+        strings = {"".join(rng.choice(list("IXYZ"), 8)) for _ in range(16)}
+        op = pl.PauliSum(8, tuple(pl.PauliTerm(rng.uniform(0.5, 2.0), a) for a in strings))
+        psi = random_state(rng, 8)
+        tracemalloc.start()
+        try:
+            LcuCircuit(op).apply(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(op) * 256 * 256 * 16 / 16
+
+    def test_select_holds_the_table_read_only(self):
+        """The select is the operator's own table rows and its entries, (k, 2^n)
+        arrays, read-only like the checked matrices; no dense stack is kept."""
+        op = build_hamiltonian(BasisWindow(3, 5), 1.0).without_identity()
+        circuit = LcuCircuit(op)
+        assert circuit.rows is op.table[0]
+        assert circuit.entries.shape == circuit.rows.shape == (len(op), 2**op.nqubits)
+        for array in (circuit.rows, circuit.entries, circuit.prepare.blocks, _HADAMARD.blocks):
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                stack.blocks[0, 0, 0] = 2.0
+                array[0, 0] = 2
 
 
 class TestFixedLayoutCircuits:

@@ -204,10 +204,11 @@ def count_calls(monkeypatch, targets):
 class TestQuantumPlan:
     def test_circuit_work_is_done_once_per_config(self, monkeypatch):
         """One Hamiltonian circuit per plan and one dipole circuit per species, each
-        built with two checked Unitaries: the prepare reflection, which also
-        unprepares and is checked on its first column, and one stack of all
-        selected blocks, scattered from the operator's one table; neither gets
-        the dense Gram check.  The Hamiltonian circuit runs once, over a batch of every
+        built with one checked Unitaries, the prepare reflection, which also
+        unprepares and is checked on its first column, and one check of its
+        select entries' moduli, a (terms, 2^n) array read with the operator's
+        one table; nothing gets the dense Gram check, and no dense select stack
+        is made.  The Hamiltonian circuit runs once, over a batch of every
         configuration; each dipole circuit once, on its species' reference; and
         every SWAP test in one batch.  The plan is kept, so a later ensemble of
         the config, at more runs, does no circuit work at all.  Circuits are
@@ -228,12 +229,12 @@ class TestQuantumPlan:
                 (gdrq.algorithms, "lcu_apply"),
             ],
         )
-        lists = ("circuits", "applied", "swaps", "unitaries", "grams", "tables")
+        lists = ("circuits", "applied", "swaps", "unitaries", "moduli", "grams", "tables")
         work = {**{name: [] for name in lists}, "matrices": 0}
         init, apply = LcuCircuit.__init__, LcuCircuit.apply
         swap_statistics = gdrq.experiment.swap_statistics
         build = gdrq.statevector.Unitaries.__init__
-        from_table = gdrq.statevector.Unitaries.from_table
+        check_moduli = gdrq.algorithms.check_unit_moduli
         reflection = gdrq.statevector.Unitaries.reflection
         compile_table = gdrq.pauli.permutation_table
         matrix = gdrq.pauli.PauliTerm.matrix
@@ -241,11 +242,6 @@ class TestQuantumPlan:
         def counted_matrix(term):
             work["matrices"] += 1
             return matrix(term)
-
-        def counted_table_stack(rows, entries):
-            stack = from_table(rows, entries)
-            work["unitaries"].append(stack.blocks.shape)
-            return stack
 
         def counted_reflection(column):
             stack = reflection(column)
@@ -277,7 +273,9 @@ class TestQuantumPlan:
             lambda u, blocks: work["grams"].append(np.shape(blocks)) or build(u, blocks),
         )
         monkeypatch.setattr(
-            gdrq.statevector.Unitaries, "from_table", staticmethod(counted_table_stack)
+            gdrq.algorithms,
+            "check_unit_moduli",
+            lambda entries: work["moduli"].append(entries.shape) or check_moduli(entries),
         )
         monkeypatch.setattr(
             gdrq.statevector.Unitaries, "reflection", staticmethod(counted_reflection)
@@ -291,14 +289,12 @@ class TestQuantumPlan:
         assert work["swaps"] == [(configurations + species, dim)]
         assert counts == {"build_hamiltonian": 1, "build_dipole": 2}
         assert work["circuits"] == [hz, *dipoles]
-        expected = []
-        for op in work["circuits"]:
-            prepare = 2 ** max(1, (len(op) - 1).bit_length())
-            expected += [(1, prepare, prepare), (len(op), 2**op.nqubits, 2**op.nqubits)]
-        assert work["unitaries"] == expected
+        prepares = [2 ** max(1, (len(op) - 1).bit_length()) for op in work["circuits"]]
+        assert work["unitaries"] == [(1, dim, dim) for dim in prepares]
+        assert work["moduli"] == [(len(op), 2**op.nqubits) for op in work["circuits"]]
         assert work["grams"] == []
         # each circuit operator compiles one table, which pauli.apply and the
-        # select stack share; no dense term matrix is built
+        # select share; no dense term matrix is built
         assert work["tables"] == work["circuits"]
         assert work["matrices"] == 0
         counts.clear()
@@ -753,6 +749,119 @@ class TestPlanInClosedForm:
         assert len(marginals) == 3 * len(plan.species)
         for marginal in marginals:
             assert marginal[0] == 1.0
+
+
+def binomial_cdf(n: int, p: float) -> np.ndarray:
+    """P(K <= k) for k = 0..n of K ~ Binomial(n, p), summed from log-gamma pmfs."""
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(n + 1)
+    ]
+    return np.cumsum(np.exp(log_pmf))
+
+
+def chi_square_statistic(counts: list[int], n: int, p: float, bins: int) -> float:
+    """Pearson's statistic of draws `counts` against Binomial(n, p), over `bins`
+    bins of nearly equal probability cut at the law's quantiles j / bins; it
+    has bins - 1 degrees of freedom."""
+    cdf = binomial_cdf(n, p)
+    edges = np.searchsorted(cdf, np.arange(1, bins) / bins)
+    assert np.all(np.diff(edges) > 0), "a bin holds no value of k"
+    expected = len(counts) * np.diff(cdf[edges], prepend=0.0, append=1.0)
+    # bin j holds k in (edges[j - 1], edges[j]]
+    observed = np.bincount(np.searchsorted(edges, counts), minlength=bins)
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+def chi_square_survival(statistic: float, freedom: int) -> float:
+    """P(X >= statistic) for X ~ chi-square with an even number of degrees of
+    freedom: exp(-x/2) * sum_{j < freedom/2} (x/2)^j / j!."""
+    assert freedom % 2 == 0
+    half, term, total = statistic / 2, 1.0, 0.0
+    for j in range(freedom // 2):
+        term = term * half / j if j else 1.0
+        total += term
+    return math.exp(-half) * total
+
+
+class TestSampledLaw:
+    """The exact law of a sampled energy (see oracles.closed_form_plan).  On the
+    shipped configs every SWAP overlap is exactly 1, so an energy measured at N
+    shots is sign * lambda * sqrt(k / N), k being the post-selection hits of its
+    success-rate estimate, and k ~ Binomial(N, p_success).  Unlike the digests,
+    this holds under any draw order that draws the right law, and fails on a
+    wrong one."""
+
+    RUNS = 2000
+    BINS = 11
+    # a correct sampler fails the test with this probability; the seeds are
+    # fixed, so the test always passes or always fails
+    FALSE_ALARM = 1e-3
+
+    @pytest.fixture(scope="class")
+    def measured_hits(self):
+        """Per shipped config: the shot count and, for each energy measurement,
+        its closed-form overlap and its hits over RUNS sampled runs of the
+        ensemble at master seed 77."""
+        measured = {}
+        for nucleus in ("sn120", "pb208"):
+            config = load_config(CONFIGS / f"{nucleus}.cfg")
+            plan = QuantumPlan.build(config)
+            closed = closed_form_plan(config)
+            hits = {
+                id(energy): (want, [])
+                for sp, c in zip(plan.species, closed)
+                for energy, want in ((sp.reference, c.reference), (sp.excited, c.excited))
+            }
+            measure = gdrq.experiment._Energy.measure
+
+            def recorded(energy, shots, rng):
+                value = measure(energy, shots, rng)
+                want, found = hits[id(energy)]
+                lam = energy.statistics.lam
+                k = round(shots * (value / lam) ** 2)
+                assert 0 <= k <= shots
+                sign = math.copysign(1.0, want.amplitude.real)
+                assert value == sign * lam * math.sqrt(k / shots)
+                found.append(k)
+                return value
+
+            seeds = gdrq.experiment._run_seeds(77, np.arange(self.RUNS))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gdrq.experiment._Energy, "measure", recorded)
+                plan.transitions(seeds, config.shots)
+            # the gap of a transition is hbar*omega, tens of standard deviations
+            # at 8000 shots: no excited energy is redrawn, so each list holds
+            # one unconditioned draw per run
+            assert [len(found) for _, found in hits.values()] == [self.RUNS] * len(hits)
+            measured[nucleus] = config.shots, list(hits.values())
+        return measured
+
+    def test_energies_are_binomial_hits(self, measured_hits):
+        statistic, freedom = 0.0, 0
+        for shots, measured in measured_hits.values():
+            for want, found in measured:
+                statistic += chi_square_statistic(found, shots, want.p_success, self.BINS)
+                freedom += self.BINS - 1
+        assert freedom == 80
+        assert chi_square_survival(statistic, freedom) > self.FALSE_ALARM, statistic
+
+    def test_a_wrong_law_fails(self, measured_hits):
+        """The same hits against success rates off by 1 % fail the test by far."""
+        statistic = sum(
+            chi_square_statistic(found, shots, 1.01 * want.p_success, self.BINS)
+            for shots, measured in measured_hits.values()
+            for want, found in measured
+        )
+        assert chi_square_survival(statistic, 80) < self.FALSE_ALARM**4
+
+    def test_survival_function(self):
+        """exp(-x/2) at two degrees of freedom; 1 at zero; the 99.9th percentile
+        of chi-square with ten degrees of freedom, 29.588."""
+        assert chi_square_survival(3.0, 2) == pytest.approx(math.exp(-1.5))
+        assert chi_square_survival(0.0, 10) == 1.0
+        assert chi_square_survival(29.588, 10) == pytest.approx(1e-3, rel=1e-3)
 
 
 SPECTRUM_ARRAYS = ("energies", "r0", "r_dressed", "sigma_raw", "sigma")

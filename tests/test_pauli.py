@@ -12,6 +12,7 @@ from gdrq import pauli as pl
 from gdrq.algorithms import LcuCircuit
 from gdrq.errors import CapacityError, SizeError, ValidationError
 from gdrq.statevector import StateVector
+from oracles import select_stack
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -263,6 +264,45 @@ class TestPauliSum:
         with pytest.raises(ValidationError, match=r"^coefficient of 'YY' must be finite, got nan$"):
             pl.PauliSum.from_canonical(2, [0, 3], [0, 3], [1.0, math.nan])
 
+    @pytest.mark.parametrize(
+        "flips, zmasks, message",
+        [
+            ([4], [0], r"^flip mask 4 is outside \[0, 2\^2\)$"),
+            ([0, 1], [0, 8], r"^Z mask 8 is outside \[0, 2\^2\)$"),
+            ([-1], [0], r"^flip mask -1 is outside \[0, 2\^2\)$"),
+            ([0], [-2], r"^Z mask -2 is outside \[0, 2\^2\)$"),
+        ],
+        ids=["flip-4", "z-8", "flip-negative", "z-negative"],
+    )
+    def test_from_canonical_refuses_masks_outside_the_register(self, flips, zmasks, message):
+        """A mask outside [0, 2^n) names no string on n qubits: its table row
+        would leave the register, so it is refused in one line."""
+        with pytest.raises(ValidationError, match=message):
+            pl.PauliSum.from_canonical(2, flips, zmasks, [1.0] * len(flips))
+
+    @pytest.mark.parametrize(
+        "flips, zmasks, coefficients",
+        [([0, 1], [0], [1.0]), ([0], [0, 1], [1.0]), ([0, 1], [0, 1], [1.0])],
+        ids=["short-z", "short-flips", "short-coefficients"],
+    )
+    def test_from_canonical_refuses_ragged_columns(self, flips, zmasks, coefficients):
+        """Columns zipped term by term would drop the unmatched entries from
+        some readers (render) and not from others (the table)."""
+        lengths = f"{len(flips)}, {len(zmasks)} and {len(coefficients)}"
+        message = rf"^flip masks, Z masks and coefficients number {lengths}$"
+        with pytest.raises(ValidationError, match=message):
+            pl.PauliSum.from_canonical(2, flips, zmasks, coefficients)
+
+    def test_from_canonical_refuses_a_repeated_string(self):
+        """A string listed twice would give the table a repeated row per column
+        of its pair, so it is refused by name, even when one copy's coefficient
+        is zero; the same masks on another string are fine."""
+        for coefficients in ([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]):
+            with pytest.raises(ValidationError, match=r"^string 'YY' is listed twice$"):
+                pl.PauliSum.from_canonical(2, [3, 1, 3], [3, 0, 3], coefficients)
+        op = pl.PauliSum.from_canonical(2, [3, 3], [0, 3], [1.0, 2.0])
+        assert [t.axes for t in op.terms] == ["XX", "YY"]
+
     def test_wide_registers_keep_their_terms(self):
         """The mask columns hold Python integers, so a sum wider than 64 qubits
         keeps its terms as the merge made them."""
@@ -409,8 +449,10 @@ class TestPermutationTable:
     @given(real_sums())
     @settings(max_examples=80, deadline=None)
     def test_lcu_select_stack_equals_the_term_matrices(self, op):
+        """The select's rows and entries, scattered into dense blocks, are each
+        term's matrix divided by its weight and multiplied by its sign."""
         old = np.array([t.matrix() / t.weight * np.sign(t.coefficient) for t in op.terms])
-        assert np.array_equal(bits(LcuCircuit(op).selected.blocks), bits(old))
+        assert np.array_equal(bits(select_stack(LcuCircuit(op))), bits(old))
 
     def test_compiled_once_read_only_and_per_sum(self, monkeypatch):
         compiled = []

@@ -513,66 +513,6 @@ class TestUnitaries:
         with pytest.raises(ValueError):
             stack.blocks[0, 0, 0] = 2.0
 
-    def test_table_stack_equals_dense_stack(self):
-        """A stack built from its signed-permutation table holds the blocks that
-        the dense constructor checks and keeps, read-only."""
-        rng = np.random.default_rng(4)
-        rows = np.array([rng.permutation(8) for _ in range(5)])
-        entries = np.exp(1j * rng.uniform(0, 2 * np.pi, size=rows.shape))
-        dense = np.zeros((5, 8, 8), dtype=complex)
-        dense[np.arange(5)[:, None], rows, np.arange(8)] = entries
-        stack = Unitaries.from_table(rows, entries)
-        assert np.array_equal(stack.blocks.view(np.uint64), Unitaries(dense).blocks.view(np.uint64))
-        assert not stack.blocks.flags.writeable
-        with pytest.raises(ValueError):
-            stack.blocks[0, 0, 0] = 2.0
-        empty = Unitaries.from_table(np.empty((0, 4), int), np.empty((0, 4)))
-        assert empty.blocks.shape == (0, 4, 4)
-
-    @pytest.mark.parametrize(
-        "defect",
-        ["repeated row", "row out of range", "modulus", "nan", "inf", "-inf", "complex nan"],
-    )
-    def test_table_check_refuses_non_unitary_blocks(self, defect):
-        """Each defect fails the check with the one-line error of the dense check."""
-        rows = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 1, 0]])
-        entries = np.array([[1, -1, 1j, -1j]] * 3, dtype=complex)
-        Unitaries.from_table(rows, entries)
-        rows, entries = rows.copy(), entries.copy()
-        if defect == "repeated row":
-            rows[1, 2] = rows[1, 0]
-        elif defect == "row out of range":
-            rows[2, 0] = 4
-        elif defect == "modulus":
-            entries[1, 3] *= 1.0 + 1e-9
-        else:
-            entries[2, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}.get(
-                defect, complex(0.0, np.nan)
-            )
-        with pytest.raises(ValidationError, match=r"^matrix is not unitary \([^\n]*\)$"):
-            Unitaries.from_table(rows, entries)
-
-    def test_table_check_follows_the_tolerance(self):
-        """|entry|^2 - 1 is the Gram defect of a signed permutation: a modulus off
-        by far less than UNITARY_TOL passes both checks, one off by far more
-        fails both."""
-        rows = np.array([[1, 0]])
-        for scale, accepted in ((1e-13, True), (1e-8, False)):
-            entries = np.array([[1.0 + scale, -1.0]], dtype=complex)
-            dense = np.array([[[0, -1.0], [1.0 + scale, 0]]], dtype=complex)
-            for build in (lambda: Unitaries.from_table(rows, entries), lambda: Unitaries(dense)):
-                if accepted:
-                    build()
-                else:
-                    with pytest.raises(ValidationError, match="not unitary"):
-                        build()
-
-    @pytest.mark.parametrize("shapes", [((4,), (4,)), ((2, 4), (2, 3)), ((1, 2, 2), (1, 2, 2))])
-    def test_table_needs_matching_two_dimensional_arrays(self, shapes):
-        rows_shape, entries_shape = shapes
-        with pytest.raises(ValidationError, match="integer rows and entries"):
-            Unitaries.from_table(np.zeros(rows_shape, int), np.ones(entries_shape))
-
     @pytest.mark.parametrize("raw", [X, X[None], [X], [[0, 1], [1, 0]]])
     def test_gates_refuse_raw_arrays_and_lists(self, raw):
         for gate in (
