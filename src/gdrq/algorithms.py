@@ -47,8 +47,6 @@ from .errors import (
 from .statevector import POSTSELECT_TOL, StateVector, Unitaries, check_unit_moduli
 
 MAX_ATTEMPTS = 1000
-# generators one sampled LcuOverlap.factors call draws from: replay, SWAP shots, success rate
-FACTOR_STREAMS = 3
 # the Bernoulli post-selection replay runs out of attempts at most this often
 _EXHAUST_PROBABILITY = 1e-12
 
@@ -343,26 +341,28 @@ class LcuOverlap:
     def factors(
         self,
         shots: int,
-        replay: np.random.Generator | None,
         swap: np.random.Generator | None,
         rate: np.random.Generator | None,
     ) -> tuple[float, float]:
         """(success rate, clamped overlap) as one repeat of the experiment measures them.
 
-        If `replay` is None, the analytic values.  Otherwise it replays the
-        LCU post-selection, `swap` shoots the SWAP test and `rate`
-        re-estimates the success rate from `shots` Bernoulli draws.
+        If `swap` is None, the analytic values.  Otherwise `swap` shoots the
+        SWAP test and `rate` re-estimates the success rate from `shots`
+        Bernoulli draws.  The post-selection that precedes them reads neither:
+        its attempt count is drawn, if at all, by the caller (see energy).
         """
-        if replay is None:
+        if swap is None:
             return self.p_success, self.swap.estimate(shots).clamped
-        replay_post_selection(self.p_success, replay, self.limits)
         k0 = self.swap.zero_count(shots, swap)
         hits = rate.binomial(shots, self.p_success)
         return hits / shots, _clamp(2.0 * k0 / shots - 1.0)
 
     def energy(self, shots: int, rng: np.random.Generator | None) -> float:
-        """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from `rng`."""
-        p_hat, overlap = self.factors(shots, rng, rng, rng)
+        """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from
+        `rng`: the post-selection replay, then the SWAP shots and the success rate."""
+        if rng is not None:
+            replay_post_selection(self.p_success, rng, self.limits)
+        p_hat, overlap = self.factors(shots, rng, rng)
         return self.lam * math.sqrt(p_hat) * math.sqrt(overlap)
 
 

@@ -9,16 +9,22 @@ post-selection odds than the raw one) on both configurations, its strength
 from the LCU success rate times a SWAP-test overlap with the excited one.
 
 A QuantumPlan builds the operators and simulates every circuit of a config
-once; a run then only draws the classically random steps (post-selection
-replays, shot counts, success-rate estimates) from spawn-keyed streams of its
-seed.  Runs are therefore reproducible bit for bit, and independent of how
-many runs share a plan or in which order they are drawn; an ensemble hashes
-the seed sequences of all its runs' streams in one pass and assembles the
-spectra of all its runs in one batch.  A single run is a batch of one, and so
-is the median spectrum of an ensemble, whose six real columns take one
-stacked median.  Everything a run's draws need that no seed changes (each
-replay's budget and block size included) is fixed in the plan, so a run
-pays for its draws and little else.
+once; a run then only draws the classically random steps (the energies'
+post-selection replays, shot counts, success-rate estimates) from
+spawn-keyed streams of its seed.  Runs are therefore reproducible bit for
+bit, and independent of how many runs share a plan or in which order they
+are drawn.  Everything a run's draws need that no seed changes (each
+replay's budget and block size included) is fixed in the plan, so a run pays
+for its draws and little else.
+
+An ensemble (collect_runs) is its columns: each run's seed, poles and peak,
+and the median spectrum's six columns; no run's spectrum is kept.  It hashes
+its runs' seeds and streams and draws them a bounded block of runs at a
+time, then assembles the spectra of a block of runs at once only to find
+their peaks.  Its runs are RunRecord views that rebuild their spectrum from
+their poles when read; a single run is a batch of one, and so is the median
+spectrum, whose six real columns take one stacked median.  Memory then grows
+with the run count by the columns alone.
 
 Three things are kept per process.  Plans are memoised by nucleus and window,
 all that their circuits read, at most PLAN_MEMO_SIZE of them, least recently
@@ -34,16 +40,14 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .algorithms import (
-    FACTOR_STREAMS,
     MAX_ATTEMPTS,
     LcuCircuit,
     LcuOverlap,
@@ -62,12 +66,14 @@ from .encoding import (
 from .errors import PreparationError, SchemaError, ValidationError
 from .response import (
     ResponseSpectrum,
+    Transition,
     TransitionSet,
-    assemble_spectra,
     assemble_spectrum,
     classical_transitions,
     find_peak,
+    pole_columns,
     quantum_transitions,
+    response_rows,
     spectrum_rows,
 )
 from .statevector import (
@@ -87,9 +93,20 @@ _MIN_GAP_MEV = 1e-9
 # than two windows therefore builds each plan anew; the exact-scan benchmark
 # does, and times exactly those cold builds, which a larger memo would hide
 PLAN_MEMO_SIZE = 2
-# streams a sampled run draws per species when no energy is redrawn: the
-# reference energy, the excited energy and the strength factors
-_PLANNED_STREAMS = 2 + FACTOR_STREAMS
+# streams a sampled run has per species when no energy is redrawn, in draw
+# order: the reference energy, the excited energy, then the strength's
+# post-selection replay, SWAP shots and success rate.  Nothing reads the
+# replay's attempt count, so it is not drawn, but its stream keeps its address
+# and every other stream keeps its own
+_PLANNED_STREAMS = 5
+# bytes of spectra an ensemble assembles at once: a block of its runs on the
+# whole grid, or every run on a block of grid columns.  A run's point holds
+# r0 and r_dressed (complex), sigma_raw and sigma, _POINT_BYTES in all; the
+# temporaries of the assembly and the median's stack come on top, about as
+# much again each.  The 100 runs of a shipped config on its 251 points fit
+# one block, so they are assembled once
+_ENSEMBLE_BLOCK_BYTES = 2**21
+_POINT_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,93 @@ class RunRecord:
     @property
     def width_fwhm(self) -> float:
         return self.spectrum.width_fwhm
+
+
+@dataclass(frozen=True, eq=False)
+class Ensemble(Sequence[RunRecord]):
+    """The runs of one collect_runs call as columns, one row per run.
+
+    Each run's index and seed, its poles ((runs, poles) energies, strengths
+    and signed weights) and the peak energy, height and FWHM of its spectrum
+    are kept; the spectra are not.  Indexing and iteration give RunRecord
+    views of the columns, made on access, whose spectrum is rebuilt from
+    their poles when read (see _EnsembleRun).  `medians` holds the six real
+    median columns of the runs' spectra (see _medians), taken while the
+    spectra existed; `median` is their spectrum, its peak found when first
+    read.  Every array is read-only.
+    """
+
+    config: NucleusConfig
+    grid: np.ndarray
+    run_indices: np.ndarray
+    seeds: np.ndarray
+    energies: np.ndarray
+    strengths: np.ndarray
+    weights: np.ndarray
+    peak_energies: np.ndarray
+    peak_heights: np.ndarray
+    widths: np.ndarray
+    medians: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return tuple(_EnsembleRun(self, i) for i in picked)
+        return _EnsembleRun(self, picked)
+
+    def __iter__(self):
+        return (_EnsembleRun(self, i) for i in range(len(self)))
+
+    @functools.cached_property
+    def median(self) -> ResponseSpectrum:
+        return _median_spectrum(self.grid, self.medians)
+
+
+class _EnsembleRun(RunRecord):
+    """Run `index` of an ensemble, read off its columns.
+
+    Its poles become a TransitionSet, and its spectrum is rebuilt from them as
+    a batch of one, when first read.  Every stage of the assembly works point
+    by point (see response_rows), so the spectrum has the bits its run had in
+    the ensemble's block.
+    """
+
+    def __init__(self, ensemble: Ensemble, index: int) -> None:
+        object.__setattr__(self, "_ensemble", ensemble)
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def run_index(self) -> int:
+        return int(self._ensemble.run_indices[self._index])
+
+    @property
+    def seed(self) -> int:
+        return int(self._ensemble.seeds[self._index])
+
+    @property
+    def peak_energy(self) -> float:
+        return float(self._ensemble.peak_energies[self._index])
+
+    @property
+    def width_fwhm(self) -> float:
+        return float(self._ensemble.widths[self._index])
+
+    @functools.cached_property
+    def transitions(self) -> TransitionSet:
+        ensemble, i = self._ensemble, self._index
+        columns = (ensemble.energies[i], ensemble.strengths[i], ensemble.weights[i])
+        return TransitionSet(tuple(map(Transition, *(c.tolist() for c in columns))))
+
+    @functools.cached_property
+    def spectrum(self) -> ResponseSpectrum:
+        ensemble, row = self._ensemble, slice(self._index, self._index + 1)
+        weighted = ensemble.strengths[row] * ensemble.weights[row]
+        rows = response_rows(ensemble.config, ensemble.grid, ensemble.energies[row], weighted)
+        (spectrum,) = spectrum_rows(ensemble.grid, *rows)
+        return spectrum
 
 
 @dataclass(frozen=True)
@@ -220,19 +324,26 @@ class _SpeciesPlan:
 
 def _species_streams(
     seed: int, states: np.ndarray, spawn_index: int
-) -> Iterator[np.random.Generator]:
-    """Measurement generators of one species in one run, in draw order.
+) -> Callable[[int], np.random.Generator]:
+    """Measurement generator k of one species in one run, built when asked for.
 
-    Generator k draws what RngStream(seed, (spawn_index, k)) draws.  The
-    planned ones start from their precomputed `states` rows; one past them,
-    drawn only after an energy redraw, hashes its own row.
+    Generator k draws what RngStream(seed, (spawn_index, k)) draws.  A planned
+    one starts from its precomputed `states` row; one past them, drawn only
+    after an energy redraw, hashes its own row.
     """
-    planned = [seeded_generator(row) for row in states]
-    further = (
-        seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
-        for k in itertools.count(len(states))
-    )
-    return itertools.chain(planned, further)
+
+    def stream(k: int) -> np.random.Generator:
+        if k < len(states):
+            return seeded_generator(states[k])
+        return seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
+
+    return stream
+
+
+def _analytic(k: int) -> None:
+    """The stream of every measurement of an exact run: none, so each reads
+    its analytic value."""
+    return None
 
 
 @dataclass(frozen=True)
@@ -303,28 +414,29 @@ class QuantumPlan:
         return cls(length=b, species=tuple(species))
 
     def _measure(
-        self, shots: int, streams: Sequence[Iterator[np.random.Generator | None]]
+        self, shots: int, streams: Sequence[Callable[[int], np.random.Generator | None]]
     ) -> TransitionSet:
         """The poles one quantum experiment measures.
 
         Per species: measure the reference and the excited energy (redrawing
         the excited one while the excitation energy comes out non-positive),
         then estimate the transition strength from the dipole LCU success rate
-        and a SWAP overlap.  Every measurement step draws from the next item
-        of its species' streams; an item None reads the analytic value
-        instead.
+        and a SWAP overlap.  The measurement steps of a species take its
+        streams 0, 1, 2, ... in draw order, stream k from streams(k); a
+        stream None reads the analytic value instead.
         """
         b = self.length
         measured: list[tuple[float, float]] = []
-        for sp, streams in zip(self.species, streams):
-            e_ref = sp.reference.measure(shots, next(streams))
-            for _attempt in range(MAX_ATTEMPTS):
-                delta = sp.excited.measure(shots, next(streams)) - e_ref
+        for sp, stream in zip(self.species, streams):
+            e_ref = sp.reference.measure(shots, stream(0))
+            for k in range(1, MAX_ATTEMPTS + 1):
+                delta = sp.excited.measure(shots, stream(k)) - e_ref
                 if delta > _MIN_GAP_MEV:
                     break
             else:
                 raise PreparationError("could not resolve a positive excitation energy")
-            p_hat, overlap = sp.strength.factors(shots, next(streams), next(streams), next(streams))
+            # stream k + 1 is the strength's post-selection replay, which is not drawn
+            p_hat, overlap = sp.strength.factors(shots, stream(k + 2), stream(k + 3))
             measured.append((delta, sp.strength.lam**2 * p_hat * overlap * b**2))
         return quantum_transitions(measured)
 
@@ -334,8 +446,8 @@ class QuantumPlan:
 
         Measurement k of species s at seed x draws from the stream
         RngStream(x, (s, k)).  The seed sequences of every planned stream of
-        the batch are hashed in one seed_states pass, and each run starts its
-        generators only when it is drawn.
+        the batch are hashed in one seed_states pass, and each run starts each
+        generator only when it draws from it.
         """
         keys = [(sp.spawn_index, k) for sp in self.species for k in range(_PLANNED_STREAMS)]
         runs = len(seeds)
@@ -368,7 +480,7 @@ def run_quantum(
     run_index = non_negative_int(run_index, "run index")
     plan = _plan(config)
     if mode == "exact":
-        transitions = plan._measure(config.shots, [itertools.repeat(None)] * len(plan.species))
+        transitions = plan._measure(config.shots, [_analytic] * len(plan.species))
     else:
         (transitions,) = plan.transitions([seed], config.shots)
     return RunRecord(
@@ -394,16 +506,20 @@ def collect_runs(
     config: NucleusConfig,
     master_seed: int,
     runs: int | None = None,
-) -> tuple[RunRecord, ...]:
+) -> Ensemble:
     """Independent repeats of one plan with seeds derived from the master seed.
 
     `runs` overrides config.runs and is checked as the config checks it.
-    Every run's poles are drawn first, their streams hashed in one pass; their
-    spectra are then assembled as one batch, each record equal to run_quantum
-    at its own seed.  The runs come from the kept plan of the config, so an
-    ensemble at a new master seed or run count simulates no circuit again.
-    The last ensemble is kept too: asking again for the same (config, master
-    seed) returns the same records, whose arrays are read-only.
+    The runs come from the kept plan of the config, so an ensemble at a new
+    master seed or run count simulates no circuit again.  Every run's poles
+    are drawn first; then the spectra are assembled, block by block, only to
+    find each run's peak, and dropped.  Each run equals run_quantum at its own
+    seed.  An ensemble that fits one block (_ENSEMBLE_BLOCK_BYTES) takes its
+    median spectrum from that block's spectra; a larger one rebuilds every
+    run's spectrum a block of grid columns at a time for it.  So the memory of
+    an ensemble grows with its run count only by its columns.  The last
+    ensemble is kept: asking again for the same (config, master seed) returns
+    the same Ensemble.
     """
     if runs is not None:
         config = replace(config, runs=runs)
@@ -412,24 +528,84 @@ def collect_runs(
 
 # The key is validated first: lru_cache takes True and 1.0 for the key 1.
 @functools.lru_cache(maxsize=1)
-def _ensemble(config: NucleusConfig, master_seed: int) -> tuple[RunRecord, ...]:
-    seeds = _run_seeds(master_seed, np.arange(config.runs))
-    poles = _plan(config).transitions(seeds, config.shots)
-    spectra = assemble_spectra(config, poles)
-    return tuple(
-        RunRecord(run_index=index, seed=int(seed), transitions=transitions, spectrum=spectrum)
-        for index, (seed, transitions, spectrum) in enumerate(zip(seeds, poles, spectra))
-    )
+def _ensemble(config: NucleusConfig, master_seed: int) -> Ensemble:
+    runs = config.runs
+    grid = config.energy_grid()
+    step = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * grid.size))
+    blocks = [slice(lo, lo + step) for lo in range(0, runs, step)]
+    plan = _plan(config)
+    indices = np.arange(runs)
+    seeds = np.empty(runs, dtype=np.uint64)
+    # a pole and its mirror per species (see quantum_transitions)
+    poles = np.empty((3, runs, 2 * len(plan.species)))
+    for block in blocks:
+        seeds[block] = _run_seeds(master_seed, indices[block])
+        poles[:, block] = pole_columns(plan.transitions(seeds[block], config.shots))
+    energies, strengths, weights = poles
+    weighted = strengths * weights
+    peaks = np.empty((runs, 3))
+    for block in blocks:
+        rows = response_rows(config, grid, energies[block], weighted[block])
+        peaks[block] = [find_peak(grid, sigma) for sigma in rows[-1]]
+        if len(blocks) == 1:
+            stack = _stack(*rows)
+        del rows  # before the next block's spectra, or the median, take their place
+    if len(blocks) == 1:
+        medians = _medians(stack)
+    else:
+        medians = np.empty((6, grid.size))
+        width = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * runs))
+        for lo in range(0, grid.size, width):
+            part = slice(lo, lo + width)
+            medians[:, part] = _medians(_stack(*response_rows(config, grid[part], energies, weighted)))
+    for array in (grid, indices, seeds, poles, peaks, medians):
+        array.setflags(write=False)
+    return Ensemble(config, grid, indices, seeds, *poles, *peaks.T, medians)
+
+
+def _stack(
+    r0: np.ndarray, r_dressed: np.ndarray, sigma_raw: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """The six real columns of (runs, points) response rows, each part of r0
+    and of r_dressed, sigma_raw and sigma, as one (runs, 6, points) array."""
+    return np.stack([r0.real, r0.imag, r_dressed.real, r_dressed.imag, sigma_raw, sigma], axis=1)
+
+
+def _medians(stack: np.ndarray) -> np.ndarray:
+    """The (6, points) pointwise medians over the runs of a _stack, which it
+    reorders: np.median(stack, axis=0, overwrite_input=True) step for step.
+
+    The runs are partitioned at the middle rank or ranks and at the last;
+    the middle one or two are averaged, and a column whose last value is NaN
+    (NaN sorts last) takes that NaN.  np.median's check for a masked array
+    is left out, as it imports numpy.ma (about 12 ms and 1.2 MB) on first
+    use.  Each step works column by column, so each point gets the bits a
+    median of its own column gets, whatever is stacked with it.
+    """
+    runs = len(stack)
+    middle = [runs // 2 - 1, runs // 2] if runs % 2 == 0 else [runs // 2]
+    stack.partition([*middle, -1], axis=0)
+    medians = stack[middle[0] : middle[-1] + 1].mean(axis=0)
+    np.copyto(medians, stack[-1], where=np.isnan(stack[-1]))
+    return medians
+
+
+def _median_spectrum(grid: np.ndarray, medians: np.ndarray) -> ResponseSpectrum:
+    """The spectrum of the columns _medians gives, peak re-found: a batch of one."""
+    r0, r_dressed = (medians[i : i + 1] + 1j * medians[i + 1 : i + 2] for i in (0, 2))
+    (spectrum,) = spectrum_rows(grid, r0, r_dressed, medians[4:5], medians[5:6])
+    return spectrum
 
 
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
     """Pointwise median of every response column across runs, peak re-found.
 
-    The six real columns (each part of r0 and of r_dressed, sigma_raw and
-    sigma) of every run are stacked into one (runs, 6, grid) array and take
-    one np.median over the runs; each point gets the bits a median of its own
-    column gets.  The runs must share one energy grid.
+    An ensemble's is the one it kept (see Ensemble).  Other records are
+    stacked from their spectra, which must share one energy grid, and take
+    the same medians (see _medians).
     """
+    if isinstance(records, Ensemble):
+        return records.median
     if not records:
         raise ValidationError("median spectrum needs at least one run")
     grid = records[0].spectrum.energies
@@ -437,14 +613,10 @@ def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
         energies = record.spectrum.energies
         if energies is not grid and not np.array_equal(energies, grid):
             raise ValidationError("median spectrum needs runs on one energy grid")
-    parts = [
-        (s.r0.real, s.r0.imag, s.r_dressed.real, s.r_dressed.imag, s.sigma_raw, s.sigma)
-        for s in (record.spectrum for record in records)
-    ]
-    median = np.median(np.array(parts), axis=0, overwrite_input=True)
-    r0, r_dressed = (median[i : i + 1] + 1j * median[i + 1 : i + 2] for i in (0, 2))
-    (spectrum,) = spectrum_rows(grid, r0, r_dressed, median[4:5], median[5:6])
-    return spectrum
+    spectra = [record.spectrum for record in records]
+    columns = ("r0", "r_dressed", "sigma_raw", "sigma")
+    stack = _stack(*(np.array([getattr(s, column) for s in spectra]) for column in columns))
+    return _median_spectrum(grid, _medians(stack))
 
 
 def check_mad_runs(runs: int) -> None:
@@ -490,10 +662,14 @@ def mad_series(records: Sequence[RunRecord]) -> MadSeries:
     sorted, so no prefix is sorted again.
     """
     check_mad_runs(len(records))
+    if isinstance(records, Ensemble):
+        peaks = records.peak_energies.tolist()
+    else:
+        peaks = [record.peak_energy for record in records]
     ordered: list[float] = []
     ms, medians, deviations = [], [], []
-    for m, record in enumerate(records, start=1):
-        bisect.insort(ordered, record.peak_energy)
+    for m, peak in enumerate(peaks, start=1):
+        bisect.insort(ordered, peak)
         if m < 2:
             continue
         center = _middle(m, ordered.__getitem__)
@@ -645,27 +821,29 @@ def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
         "sigma_raw_mb",
         "sigma_mb",
     ]
-    columns = zip(
-        spectrum.energies.tolist(),
-        spectrum.r0.imag.tolist(),
-        spectrum.r_dressed.imag.tolist(),
-        spectrum.sigma_raw.tolist(),
-        spectrum.sigma.tolist(),
+    columns = (
+        spectrum.energies,
+        spectrum.r0.imag,
+        spectrum.r_dressed.imag,
+        spectrum.sigma_raw,
+        spectrum.sigma,
     )
+    # each distinct cell is formatted once, then repeated
+    cells = zip(*(["%.9g" % value for value in column.tolist()] for column in columns))
     rows = (
         (e, im_r0, im_r0, im_r0, im_r, im_r, im_r, raw, sigma)
-        for e, im_r0, im_r, raw, sigma in columns
+        for e, im_r0, im_r, raw, sigma in cells
     )
-    _write_rows(path, header, ",".join(["%.9g"] * 9), rows)
+    _write_rows(path, header, ",".join(["%s"] * 9), rows)
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
-    _write_rows(
-        path,
-        ["run_index", "seed", "e0_mev"],
-        "%d,%d,%.9g",
-        ((r.run_index, r.seed, r.peak_energy) for r in records),
-    )
+    if isinstance(records, Ensemble):
+        columns = (records.run_indices, records.seeds, records.peak_energies)
+        rows = zip(*(column.tolist() for column in columns))
+    else:
+        rows = ((r.run_index, r.seed, r.peak_energy) for r in records)
+    _write_rows(path, ["run_index", "seed", "e0_mev"], "%d,%d,%.9g", rows)
 
 
 def write_mad_csv(path, series: MadSeries) -> None:

@@ -119,19 +119,38 @@ def bare_response(
 def bare_responses(
     transition_sets: Sequence[TransitionSet], grid: np.ndarray, gamma_spread: float
 ) -> np.ndarray:
-    """R0 of several equally long pole lists, one row each.
-
-    The poles are added in list order, each as one division over rows x grid,
-    so every row holds the bits of its own list's sum.
-    """
+    """R0 of several equally long pole lists, one row each (see pole_rows)."""
     if gamma_spread <= 0:
         raise ValidationError("gamma_spread must be positive")
+    energies, strengths, weights = pole_columns(transition_sets)
+    return pole_rows(energies, strengths * weights, grid, gamma_spread)
+
+
+def pole_columns(
+    transition_sets: Sequence[TransitionSet],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, poles) energies, strengths and weights of equally long pole lists."""
     if len({len(ts.entries) for ts in transition_sets}) != 1:
         raise ValidationError("batched transition sets must be non-empty and equally long")
+    poles = np.array(
+        [[(t.energy, t.strength, t.weight) for t in ts.entries] for ts in transition_sets],
+        dtype=float,
+    ).reshape(len(transition_sets), -1, 3)
+    return poles[..., 0], poles[..., 1], poles[..., 2]
+
+
+def pole_rows(
+    energies: np.ndarray, weighted: np.ndarray, grid: np.ndarray, gamma_spread: float
+) -> np.ndarray:
+    """R0 of (rows, poles) pole energies and signed strengths (strength times
+    weight) on the grid.
+
+    The poles are added in column order, each as one division over rows x grid,
+    so every row holds the bits of its own list's sum, and every point those
+    of any other grid that holds it.
+    """
     grid = np.asarray(grid, dtype=float)
-    weighted = np.array([[t.strength * t.weight for t in ts.entries] for ts in transition_sets])
-    energies = np.array([[t.energy for t in ts.entries] for ts in transition_sets])
-    out = np.zeros((len(transition_sets), grid.size), dtype=complex)
+    out = np.zeros((len(energies), grid.size), dtype=complex)
     for j in range(weighted.shape[1]):
         out += weighted[:, j, None] / (grid - energies[:, j, None] + 1j * gamma_spread)
     return out
@@ -245,13 +264,25 @@ def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> Resp
 def assemble_spectra(
     config: NucleusConfig, transition_sets: Sequence[TransitionSet]
 ) -> tuple[ResponseSpectrum, ...]:
-    """assemble_spectrum of equally long pole lists as one batch: bare
-    response, dressing, cross section and calibration each run once over
-    rows x grid, elementwise, so every row holds the bits of its own
-    spectrum.  Only the peaks are then found row by row, so a pole crossing
-    in any row is raised before a degenerate peak in an earlier one."""
+    """assemble_spectrum of equally long pole lists as one batch (see
+    response_rows).  Only the peaks are then found row by row, so a pole
+    crossing in any row is raised before a degenerate peak in an earlier one."""
     grid = config.energy_grid()
-    r0 = bare_responses(transition_sets, grid, config.gamma_spread)
+    energies, strengths, weights = pole_columns(transition_sets)
+    return spectrum_rows(grid, *response_rows(config, grid, energies, strengths * weights))
+
+
+def response_rows(
+    config: NucleusConfig, grid: np.ndarray, energies: np.ndarray, weighted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (rows, grid) r0, r_dressed, sigma_raw and sigma of pole rows (see
+    pole_rows) on the config's energy grid, or on any part of it.
+
+    Bare response, dressing, cross section and calibration each run once over
+    rows x grid, elementwise, so every point holds the bits it has in its own
+    row's spectrum on the whole grid.
+    """
+    r0 = pole_rows(energies, weighted, grid, config.gamma_spread)
     r_dressed = dress_response(r0, coupling(config), grid)
     sigma_raw = cross_section(grid, r_dressed)
-    return spectrum_rows(grid, r0, r_dressed, sigma_raw, config.calibration * sigma_raw)
+    return r0, r_dressed, sigma_raw, config.calibration * sigma_raw

@@ -763,7 +763,8 @@ class TestPostSelectionBudget:
         assert "E0 = 16.3531 MeV" in capsys.readouterr().out
 
 
-# the commands run in order in one interpreter; after each, whether numpy.random is loaded
+# the commands run in order in one interpreter; after each, whether numpy.random and
+# numpy.ma are loaded
 LAZY_RANDOM_SCRIPT = """
 import contextlib, io, json, sys
 from gdrq import cli
@@ -778,7 +779,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*argv, "--config", config, "--out", out])
-    loaded.append([" ".join(argv), code, "numpy.random" in sys.modules])
+    loaded.append([" ".join(argv), code, "numpy.random" in sys.modules, "numpy.ma" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -789,12 +790,13 @@ class TestLazyRandomImport:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         argv = [sys.executable, "-c", LAZY_RANDOM_SCRIPT, str(CONFIGS / "sn120.cfg"), str(tmp_path)]
         result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        # no median spectrum imports numpy.ma, which np.median's masked-array check does
         assert json.loads(result.stdout) == [
-            ["classical", 0, False],
-            ["basis-study", 0, False],
-            ["quantum --exact", 0, False],
-            ["compare --mode quantum --exact", 0, False],
-            ["quantum --runs 2", 0, True],
+            ["classical", 0, False, False],
+            ["basis-study", 0, False, False],
+            ["quantum --exact", 0, False, False],
+            ["compare --mode quantum --exact", 0, False, False],
+            ["quantum --runs 2", 0, True, False],
         ]
 
 
@@ -812,13 +814,22 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 class TestOneProcessEqualsThree:
     @pytest.mark.parametrize("nucleus", ["sn120", "pb208"])
-    def test_shared_ensemble_writes_the_bytes_of_fresh_processes(self, tmp_path, capsys, nucleus):
+    def test_shared_ensemble_writes_the_bytes_of_fresh_processes(
+        self, tmp_path, capsys, monkeypatch, nucleus
+    ):
         flags = ["--config", str(CONFIGS / f"{nucleus}.cfg"), "--seed", "9", "--runs", "5"]
+        medians = []
+        spectrum_of = experiment._median_spectrum
+        monkeypatch.setattr(
+            experiment, "_median_spectrum", lambda *args: medians.append(1) or spectrum_of(*args)
+        )
         for name, argv in SAMPLED_STEPS.items():
             assert cli.main([*argv, *flags, "--out", str(tmp_path / "one" / name)]) == 0
         capsys.readouterr()
         memo = experiment._ensemble.cache_info()
         assert (memo.misses, memo.hits) == (1, 2)
+        # compare --mode quantum reads the median spectrum that quantum took
+        assert len(medians) == 1
         paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         for name, argv in SAMPLED_STEPS.items():

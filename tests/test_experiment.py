@@ -1,11 +1,11 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
-import itertools
 import math
 import operator
 import re
 import statistics
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +37,7 @@ from gdrq.encoding import (
 from gdrq.errors import CapacityError, GdrqError, SchemaError, ValidationError
 from gdrq.experiment import (
     BUNDLED_NUCLEI,
+    Ensemble,
     ExperimentalSpectrum,
     QuantumPlan,
     RunRecord,
@@ -333,7 +334,7 @@ def nuclei():
 
 def exact_poles(plan, shots):
     """The poles of an exact run, without dressing them into a spectrum."""
-    return plan._measure(shots, [itertools.repeat(None)] * len(plan.species)).entries
+    return plan._measure(shots, [lambda k: None] * len(plan.species)).entries
 
 
 class TestOneTransitionPerSpecies:
@@ -424,8 +425,8 @@ class TestExactQuantumEqualsClassicalOnFullShells:
 
 
 def generators(species: RngStream):
-    """The generator of every child of one species' stream, in measurement order."""
-    return (species.child(k).generator for k in itertools.count())
+    """Measurement k's generator of one species: that of its stream's child k."""
+    return lambda k: species.child(k).generator
 
 
 def stream_by_stream(plan, seed, shots):
@@ -465,9 +466,32 @@ class TestBatchedStreams:
         plan = QuantumPlan.build(REDRAWING)
         counts = count_calls(monkeypatch, [(gdrq.statevector, "seed_states")])
         (transitions,) = plan.transitions([3], REDRAWING.shots)
-        # one pass for the planned streams, one row for each stream past them
-        assert counts["seed_states"] == 1 + 5
+        # one pass for the planned streams, one row for each drawn stream past
+        # them: five energy redraws take streams 2-6, and of the strength's
+        # streams 7-9 the replay's is not drawn
+        assert counts["seed_states"] == 1 + 4
         assert transitions == stream_by_stream(plan, 3, REDRAWING.shots)
+
+    def test_a_run_draws_no_strength_replay(self, monkeypatch):
+        """A run with no energy redraw builds the generators of the two
+        energies and of the strength's SWAP shots and success rate per
+        species, 8 in all, and replays only the energies' post-selections;
+        the strength replay's stream keeps its address (see
+        test_batch_equals_one_rng_stream_per_measurement)."""
+        counts = count_calls(
+            monkeypatch,
+            [(gdrq.statevector, "seeded_generator"), (gdrq.algorithms, "replay_post_selection")],
+        )
+        measured = []
+        measure = gdrq.experiment._Energy.measure
+        monkeypatch.setattr(
+            gdrq.experiment._Energy,
+            "measure",
+            lambda energy, *args: measured.append(energy) or measure(energy, *args),
+        )
+        run_quantum(SN_QUANTUM, 1)
+        assert len(measured) == 4  # no redraw
+        assert counts == {"seeded_generator": 8, "replay_post_selection": 4}
 
     def test_replay_limits_are_kept_in_the_plan(self, monkeypatch):
         """A plan fixes each replay's budget and block when it is built; its
@@ -930,6 +954,12 @@ def constructed_runs(rng, runs, grid_size=9):
     return records
 
 
+def held_records(runs):
+    """Records that hold their spectra, as run_quantum gives them: the runs of
+    the ensemble of SN_QUANTUM at master seed 5."""
+    return [run_quantum(SN_QUANTUM, derive_run_seed(5, i), i) for i in range(runs)]
+
+
 class TestMedianSpectrum:
     @pytest.mark.parametrize("runs", [1, 2, 3, 20])
     def test_pointwise_median_of_runs(self, runs):
@@ -963,7 +993,7 @@ class TestMedianSpectrum:
         assert "\n" not in str(err.value)
 
     def test_runs_on_grids_of_different_energies_are_refused(self):
-        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
+        records = held_records(3)
         s = records[1].spectrum
         shifted = replace(s, energies=s.energies + 0.05)
         records[1] = replace(records[1], spectrum=shifted)
@@ -972,7 +1002,7 @@ class TestMedianSpectrum:
         assert "\n" not in str(err.value)
 
     def test_an_equal_grid_need_not_be_the_same_object(self):
-        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
+        records = held_records(3)
         s = records[2].spectrum
         records[2] = replace(records[2], spectrum=replace(s, energies=s.energies.copy()))
         spectrum = median_spectrum(records)
@@ -1004,6 +1034,105 @@ class TestMedianSpectrum:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             median_spectrum([])
+
+
+def response_row_shapes(monkeypatch):
+    """The (runs, grid points) of every response_rows call of collect_runs from now on."""
+    shapes = []
+    rows = gdrq.experiment.response_rows
+
+    def counted(config, grid, energies, weighted):
+        shapes.append((len(energies), np.size(grid)))
+        return rows(config, grid, energies, weighted)
+
+    monkeypatch.setattr(gdrq.experiment, "response_rows", counted)
+    return shapes
+
+
+ENSEMBLE_COLUMNS = (
+    "grid", "run_indices", "seeds", "energies", "strengths", "weights",
+    "peak_energies", "peak_heights", "widths", "medians",
+)
+
+
+class TestEnsembleColumns:
+    """collect_runs keeps each run's poles, seed and peak, and the median
+    spectrum, as columns; its spectra are assembled in blocks of runs only to
+    find the peaks, and the median of an ensemble larger than one block is
+    taken a block of grid columns at a time."""
+
+    def test_a_shipped_ensemble_is_assembled_once(self, monkeypatch):
+        shapes = response_row_shapes(monkeypatch)
+        ensemble = collect_runs(load_config(CONFIGS / "sn120.cfg"), 5)
+        assert shapes == [(100, 251)]
+        assert isinstance(ensemble, Ensemble) and len(ensemble) == 100
+        assert ensemble.energies.shape == ensemble.strengths.shape == (100, 4)
+
+    @pytest.mark.parametrize("block_runs, width", [(3, 75), (7, 175)])
+    def test_blocks_keep_every_bit(self, monkeypatch, block_runs, width):
+        """Ten runs in blocks of 3 or 7, the median in passes of 75 or 175 of
+        the 251 grid columns, neither of which divides the grid, hold the
+        bits of the ensemble assembled in one block."""
+        whole = collect_runs(SN_QUANTUM, 5, runs=10)
+        grid = SN_QUANTUM.energy_grid().size
+        assert grid == 251
+        gdrq.experiment._ensemble.cache_clear()
+        monkeypatch.setattr(gdrq.experiment, "_ENSEMBLE_BLOCK_BYTES", block_runs * 48 * grid)
+        shapes = response_row_shapes(monkeypatch)
+        blocked = collect_runs(SN_QUANTUM, 5, runs=10)
+        first, last = 10 // block_runs, 10 % block_runs
+        passes, rest = divmod(grid, width)
+        assert shapes == [
+            *[(block_runs, grid)] * first, (last, grid), *[(10, width)] * passes, (10, rest)
+        ]
+        for name in ENSEMBLE_COLUMNS:
+            assert np.array_equal(bits(getattr(blocked, name)), bits(getattr(whole, name))), name
+        for column, expected in column_medians(whole).items():
+            assert np.array_equal(bits(getattr(median_spectrum(blocked), column)), bits(expected))
+        for a, b in zip(blocked, whole, strict=True):
+            assert_same_record(a, b)
+
+    def test_memory_grows_by_the_columns_only(self):
+        """Traced peak of collect_runs and mad_series: 200 and 4000 runs differ
+        by under 2 KB a run (a run's spectrum alone is 12 KB)."""
+        collect_runs(SN_QUANTUM, 5, runs=2)
+
+        def peak(runs):
+            gdrq.experiment._ensemble.cache_clear()
+            tracemalloc.start()
+            try:
+                mad_series(collect_runs(SN_QUANTUM, 5, runs=runs))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(4000)
+        assert large - small < 2048 * (4000 - 200), (small, large)
+
+    def test_runs_are_views_of_the_columns(self):
+        ensemble = collect_runs(SN_QUANTUM, 5, runs=4)
+        run = ensemble[-1]
+        assert isinstance(run, RunRecord)
+        assert (run.run_index, run.seed) == (3, int(ensemble.seeds[3]))
+        assert run.peak_energy == ensemble.peak_energies[3] == run.spectrum.peak_energy
+        assert run.width_fwhm == ensemble.widths[3] == run.spectrum.width_fwhm
+        assert ensemble[1:3][0].run_index == 1 and len(ensemble[::2]) == 2
+        with pytest.raises(IndexError):
+            ensemble[4]
+        with pytest.raises(AttributeError):
+            run.seed = 0
+        for name in ENSEMBLE_COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ensemble, name)[0] = 0
+
+    def test_writers_and_statistics_read_the_columns(self, tmp_path):
+        ensemble = collect_runs(SN_QUANTUM, 5, runs=6)
+        records = list(ensemble)
+        assert mad_series(ensemble) == mad_series(records)
+        write_runs_csv(tmp_path / "columns.csv", ensemble)
+        write_runs_csv(tmp_path / "records.csv", records)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        assert median_spectrum(ensemble) is median_spectrum(ensemble) is ensemble.median
 
 
 class TestMadSeries:
