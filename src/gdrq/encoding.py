@@ -30,7 +30,7 @@ MAX_GRID_POINTS = 100_000
 # largest shot count: the C long that numpy's binomial and multinomial take
 MAX_SHOTS = 2**63 - 1
 # largest run count.  An ensemble keeps about 140 bytes a run (its poles, seed
-# and peak, no spectrum), so the cap bounds its time, about 17 s, more than
+# and peak, no spectrum), so the cap bounds its time, about 10 s, more than
 # its memory
 MAX_RUNS = 100_000
 # highest shell a window may reach: filling shells takes time and memory linear

@@ -17,13 +17,15 @@ are drawn.  Everything a run's draws need that no seed changes (each
 replay's budget and block size included) is fixed in the plan, so a run pays
 for its draws and little else.
 
-An ensemble (collect_runs) is its columns: each run's seed, poles and peak,
-and the median spectrum's six columns; no run's spectrum is kept.  It hashes
-its runs' seeds and streams and draws them a bounded block of runs at a
-time, then assembles the spectra of a block of runs at once only to find
-their peaks.  Its runs are RunRecord views that rebuild their spectrum from
-their poles when read; a single run is a batch of one, and so is the median
-spectrum, whose six real columns take one stacked median.  Memory then grows
+An ensemble (collect_runs) is its columns: each run's seed, poles and peak;
+no run's spectrum is kept.  It hashes its runs' seeds and streams and draws
+them a bounded block of runs at a time, then assembles the spectra of a
+block of runs at once only to find their peaks.  Its runs are RunRecord
+views that rebuild their spectrum from their poles when read; a single run
+is a batch of one, and so is the median spectrum, whose six real columns
+take one stacked np.median.  An ensemble of one block takes those medians
+while its spectra exist; a larger one rebuilds its spectra for them, a block
+of grid columns at a time, only when its median is read.  Memory then grows
 with the run count by the columns alone.
 
 Three things are kept per process.  Plans are memoised by nucleus and window,
@@ -136,9 +138,11 @@ class Ensemble(Sequence[RunRecord]):
     are kept; the spectra are not.  Indexing and iteration give RunRecord
     views of the columns, made on access, whose spectrum is rebuilt from
     their poles when read (see _EnsembleRun).  `medians` holds the six real
-    median columns of the runs' spectra (see _medians), taken while the
-    spectra existed; `median` is their spectrum, its peak found when first
-    read.  Every array is read-only.
+    median columns of the runs' spectra (see _medians) when they were
+    assembled in one block, else None.  `median` is the median spectrum,
+    made when first read: from `medians`, or, for a larger ensemble, from
+    spectra rebuilt from the poles a block of grid columns at a time.  Every
+    array is read-only.
     """
 
     config: NucleusConfig
@@ -151,7 +155,7 @@ class Ensemble(Sequence[RunRecord]):
     peak_energies: np.ndarray
     peak_heights: np.ndarray
     widths: np.ndarray
-    medians: np.ndarray
+    medians: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -159,15 +163,24 @@ class Ensemble(Sequence[RunRecord]):
     def __getitem__(self, index):
         picked = range(len(self))[index]
         if isinstance(picked, range):
-            return tuple(_EnsembleRun(self, i) for i in picked)
-        return _EnsembleRun(self, picked)
+            return tuple(_EnsembleRun.view(self, i) for i in picked)
+        return _EnsembleRun.view(self, picked)
 
     def __iter__(self):
-        return (_EnsembleRun(self, i) for i in range(len(self)))
+        return (_EnsembleRun.view(self, i) for i in range(len(self)))
 
     @functools.cached_property
     def median(self) -> ResponseSpectrum:
-        return _median_spectrum(self.grid, self.medians)
+        medians = self.medians
+        if medians is None:
+            medians = np.empty((6, self.grid.size))
+            width = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * len(self)))
+            weighted = self.strengths * self.weights
+            for lo in range(0, self.grid.size, width):
+                part = slice(lo, lo + width)
+                rows = response_rows(self.config, self.grid[part], self.energies, weighted)
+                medians[:, part] = _medians(*rows)
+        return _median_spectrum(self.grid, medians)
 
 
 class _EnsembleRun(RunRecord):
@@ -176,12 +189,23 @@ class _EnsembleRun(RunRecord):
     Its poles become a TransitionSet, and its spectrum is rebuilt from them as
     a batch of one, when first read.  Every stage of the assembly works point
     by point (see response_rows), so the spectrum has the bits its run had in
-    the ensemble's block.
+    the ensemble's block.  Built from a RunRecord's fields, as
+    dataclasses.replace builds it, or copied, it is a plain RunRecord.
     """
 
-    def __init__(self, ensemble: Ensemble, index: int) -> None:
-        object.__setattr__(self, "_ensemble", ensemble)
-        object.__setattr__(self, "_index", index)
+    def __new__(cls, **fields) -> RunRecord:
+        return RunRecord(**fields)
+
+    def __reduce__(self):
+        # a copy or a pickle of a view is a plain RunRecord of its fields
+        return RunRecord, (self.run_index, self.seed, self.transitions, self.spectrum)
+
+    @classmethod
+    def view(cls, ensemble: Ensemble, index: int) -> "_EnsembleRun":
+        run = object.__new__(cls)
+        object.__setattr__(run, "_ensemble", ensemble)
+        object.__setattr__(run, "_index", index)
+        return run
 
     @property
     def run_index(self) -> int:
@@ -515,11 +539,11 @@ def collect_runs(
     are drawn first; then the spectra are assembled, block by block, only to
     find each run's peak, and dropped.  Each run equals run_quantum at its own
     seed.  An ensemble that fits one block (_ENSEMBLE_BLOCK_BYTES) takes its
-    median spectrum from that block's spectra; a larger one rebuilds every
-    run's spectrum a block of grid columns at a time for it.  So the memory of
-    an ensemble grows with its run count only by its columns.  The last
-    ensemble is kept: asking again for the same (config, master seed) returns
-    the same Ensemble.
+    median columns from that block's spectra; a larger one rebuilds every
+    run's spectrum a block of grid columns at a time for them, when its
+    median is first read.  So the memory of an ensemble grows with its run
+    count only by its columns.  The last ensemble is kept: asking again for
+    the same (config, master seed) returns the same Ensemble.
     """
     if runs is not None:
         config = replace(config, runs=runs)
@@ -544,50 +568,32 @@ def _ensemble(config: NucleusConfig, master_seed: int) -> Ensemble:
     energies, strengths, weights = poles
     weighted = strengths * weights
     peaks = np.empty((runs, 3))
+    medians = None
     for block in blocks:
         rows = response_rows(config, grid, energies[block], weighted[block])
         peaks[block] = [find_peak(grid, sigma) for sigma in rows[-1]]
         if len(blocks) == 1:
-            stack = _stack(*rows)
-        del rows  # before the next block's spectra, or the median, take their place
-    if len(blocks) == 1:
-        medians = _medians(stack)
-    else:
-        medians = np.empty((6, grid.size))
-        width = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * runs))
-        for lo in range(0, grid.size, width):
-            part = slice(lo, lo + width)
-            medians[:, part] = _medians(_stack(*response_rows(config, grid[part], energies, weighted)))
-    for array in (grid, indices, seeds, poles, peaks, medians):
+            # the spectra exist now; a larger ensemble rebuilds them if asked
+            medians = _medians(*rows)
+            medians.setflags(write=False)
+        del rows  # before the next block's spectra take their place
+    for array in (grid, indices, seeds, poles, peaks):
         array.setflags(write=False)
     return Ensemble(config, grid, indices, seeds, *poles, *peaks.T, medians)
 
 
-def _stack(
+def _medians(
     r0: np.ndarray, r_dressed: np.ndarray, sigma_raw: np.ndarray, sigma: np.ndarray
 ) -> np.ndarray:
-    """The six real columns of (runs, points) response rows, each part of r0
-    and of r_dressed, sigma_raw and sigma, as one (runs, 6, points) array."""
-    return np.stack([r0.real, r0.imag, r_dressed.real, r_dressed.imag, sigma_raw, sigma], axis=1)
+    """The (6, points) pointwise medians over the runs of (runs, points)
+    response rows: of each part of r0 and of r_dressed, sigma_raw and sigma.
 
-
-def _medians(stack: np.ndarray) -> np.ndarray:
-    """The (6, points) pointwise medians over the runs of a _stack, which it
-    reorders: np.median(stack, axis=0, overwrite_input=True) step for step.
-
-    The runs are partitioned at the middle rank or ranks and at the last;
-    the middle one or two are averaged, and a column whose last value is NaN
-    (NaN sorts last) takes that NaN.  np.median's check for a masked array
-    is left out, as it imports numpy.ma (about 12 ms and 1.2 MB) on first
-    use.  Each step works column by column, so each point gets the bits a
-    median of its own column gets, whatever is stacked with it.
+    They are stacked into one (runs, 6, points) array for one np.median,
+    which works column by column: each point gets the bits a median of its
+    own column gets, whatever is stacked with it.
     """
-    runs = len(stack)
-    middle = [runs // 2 - 1, runs // 2] if runs % 2 == 0 else [runs // 2]
-    stack.partition([*middle, -1], axis=0)
-    medians = stack[middle[0] : middle[-1] + 1].mean(axis=0)
-    np.copyto(medians, stack[-1], where=np.isnan(stack[-1]))
-    return medians
+    stack = np.stack([r0.real, r0.imag, r_dressed.real, r_dressed.imag, sigma_raw, sigma], axis=1)
+    return np.median(stack, axis=0, overwrite_input=True)
 
 
 def _median_spectrum(grid: np.ndarray, medians: np.ndarray) -> ResponseSpectrum:
@@ -600,7 +606,7 @@ def _median_spectrum(grid: np.ndarray, medians: np.ndarray) -> ResponseSpectrum:
 def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
     """Pointwise median of every response column across runs, peak re-found.
 
-    An ensemble's is the one it kept (see Ensemble).  Other records are
+    An ensemble's is the one it keeps (see Ensemble).  Other records are
     stacked from their spectra, which must share one energy grid, and take
     the same medians (see _medians).
     """
@@ -615,8 +621,8 @@ def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
             raise ValidationError("median spectrum needs runs on one energy grid")
     spectra = [record.spectrum for record in records]
     columns = ("r0", "r_dressed", "sigma_raw", "sigma")
-    stack = _stack(*(np.array([getattr(s, column) for s in spectra]) for column in columns))
-    return _median_spectrum(grid, _medians(stack))
+    rows = (np.array([getattr(s, column) for s in spectra]) for column in columns)
+    return _median_spectrum(grid, _medians(*rows))
 
 
 def check_mad_runs(runs: int) -> None:
@@ -662,14 +668,10 @@ def mad_series(records: Sequence[RunRecord]) -> MadSeries:
     sorted, so no prefix is sorted again.
     """
     check_mad_runs(len(records))
-    if isinstance(records, Ensemble):
-        peaks = records.peak_energies.tolist()
-    else:
-        peaks = [record.peak_energy for record in records]
     ordered: list[float] = []
     ms, medians, deviations = [], [], []
-    for m, peak in enumerate(peaks, start=1):
-        bisect.insort(ordered, peak)
+    for m, record in enumerate(records, start=1):
+        bisect.insort(ordered, record.peak_energy)
         if m < 2:
             continue
         center = _middle(m, ordered.__getitem__)
@@ -838,12 +840,12 @@ def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
 
 
 def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
-    if isinstance(records, Ensemble):
-        columns = (records.run_indices, records.seeds, records.peak_energies)
-        rows = zip(*(column.tolist() for column in columns))
-    else:
-        rows = ((r.run_index, r.seed, r.peak_energy) for r in records)
-    _write_rows(path, ["run_index", "seed", "e0_mev"], "%d,%d,%.9g", rows)
+    _write_rows(
+        path,
+        ["run_index", "seed", "e0_mev"],
+        "%d,%d,%.9g",
+        ((r.run_index, r.seed, r.peak_energy) for r in records),
+    )
 
 
 def write_mad_csv(path, series: MadSeries) -> None:

@@ -763,8 +763,7 @@ class TestPostSelectionBudget:
         assert "E0 = 16.3531 MeV" in capsys.readouterr().out
 
 
-# the commands run in order in one interpreter; after each, whether numpy.random and
-# numpy.ma are loaded
+# the commands run in order in one interpreter; after each, whether numpy.random is loaded
 LAZY_RANDOM_SCRIPT = """
 import contextlib, io, json, sys
 from gdrq import cli
@@ -779,7 +778,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*argv, "--config", config, "--out", out])
-    loaded.append([" ".join(argv), code, "numpy.random" in sys.modules, "numpy.ma" in sys.modules])
+    loaded.append([" ".join(argv), code, "numpy.random" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -790,13 +789,12 @@ class TestLazyRandomImport:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
         argv = [sys.executable, "-c", LAZY_RANDOM_SCRIPT, str(CONFIGS / "sn120.cfg"), str(tmp_path)]
         result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
-        # no median spectrum imports numpy.ma, which np.median's masked-array check does
         assert json.loads(result.stdout) == [
-            ["classical", 0, False, False],
-            ["basis-study", 0, False, False],
-            ["quantum --exact", 0, False, False],
-            ["compare --mode quantum --exact", 0, False, False],
-            ["quantum --runs 2", 0, True, False],
+            ["classical", 0, False],
+            ["basis-study", 0, False],
+            ["quantum --exact", 0, False],
+            ["compare --mode quantum --exact", 0, False],
+            ["quantum --runs 2", 0, True],
         ]
 
 

@@ -1,7 +1,9 @@
 """Unit tests for the experiment protocols and their CSV artifacts."""
 
+import copy
 import math
 import operator
+import pickle
 import re
 import statistics
 import sys
@@ -954,12 +956,6 @@ def constructed_runs(rng, runs, grid_size=9):
     return records
 
 
-def held_records(runs):
-    """Records that hold their spectra, as run_quantum gives them: the runs of
-    the ensemble of SN_QUANTUM at master seed 5."""
-    return [run_quantum(SN_QUANTUM, derive_run_seed(5, i), i) for i in range(runs)]
-
-
 class TestMedianSpectrum:
     @pytest.mark.parametrize("runs", [1, 2, 3, 20])
     def test_pointwise_median_of_runs(self, runs):
@@ -993,7 +989,7 @@ class TestMedianSpectrum:
         assert "\n" not in str(err.value)
 
     def test_runs_on_grids_of_different_energies_are_refused(self):
-        records = held_records(3)
+        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
         s = records[1].spectrum
         shifted = replace(s, energies=s.energies + 0.05)
         records[1] = replace(records[1], spectrum=shifted)
@@ -1002,7 +998,7 @@ class TestMedianSpectrum:
         assert "\n" not in str(err.value)
 
     def test_an_equal_grid_need_not_be_the_same_object(self):
-        records = held_records(3)
+        records = list(collect_runs(SN_QUANTUM, 5, runs=3))
         s = records[2].spectrum
         records[2] = replace(records[2], spectrum=replace(s, energies=s.energies.copy()))
         spectrum = median_spectrum(records)
@@ -1051,28 +1047,32 @@ def response_row_shapes(monkeypatch):
 
 ENSEMBLE_COLUMNS = (
     "grid", "run_indices", "seeds", "energies", "strengths", "weights",
-    "peak_energies", "peak_heights", "widths", "medians",
+    "peak_energies", "peak_heights", "widths",
 )
 
 
 class TestEnsembleColumns:
-    """collect_runs keeps each run's poles, seed and peak, and the median
-    spectrum, as columns; its spectra are assembled in blocks of runs only to
-    find the peaks, and the median of an ensemble larger than one block is
-    taken a block of grid columns at a time."""
+    """collect_runs keeps each run's poles, seed and peak as columns; its
+    spectra are assembled in blocks of runs only to find the peaks.  The
+    median columns of a one-block ensemble are taken from that block; a
+    larger ensemble takes them a block of grid columns at a time, when its
+    median is first read."""
 
     def test_a_shipped_ensemble_is_assembled_once(self, monkeypatch):
         shapes = response_row_shapes(monkeypatch)
         ensemble = collect_runs(load_config(CONFIGS / "sn120.cfg"), 5)
-        assert shapes == [(100, 251)]
         assert isinstance(ensemble, Ensemble) and len(ensemble) == 100
         assert ensemble.energies.shape == ensemble.strengths.shape == (100, 4)
+        assert ensemble.medians.shape == (6, 251)
+        median_spectrum(ensemble)
+        assert shapes == [(100, 251)]
 
     @pytest.mark.parametrize("block_runs, width", [(3, 75), (7, 175)])
     def test_blocks_keep_every_bit(self, monkeypatch, block_runs, width):
         """Ten runs in blocks of 3 or 7, the median in passes of 75 or 175 of
         the 251 grid columns, neither of which divides the grid, hold the
-        bits of the ensemble assembled in one block."""
+        bits of the ensemble assembled in one block.  The passes run only
+        when the median is read, so mad_series needs none."""
         whole = collect_runs(SN_QUANTUM, 5, runs=10)
         grid = SN_QUANTUM.energy_grid().size
         assert grid == 251
@@ -1080,15 +1080,21 @@ class TestEnsembleColumns:
         monkeypatch.setattr(gdrq.experiment, "_ENSEMBLE_BLOCK_BYTES", block_runs * 48 * grid)
         shapes = response_row_shapes(monkeypatch)
         blocked = collect_runs(SN_QUANTUM, 5, runs=10)
+        assert mad_series(blocked) == mad_series(whole)
         first, last = 10 // block_runs, 10 % block_runs
+        assert shapes == [*[(block_runs, grid)] * first, (last, grid)]
+        assert blocked.medians is None
+        median = median_spectrum(blocked)
         passes, rest = divmod(grid, width)
-        assert shapes == [
-            *[(block_runs, grid)] * first, (last, grid), *[(10, width)] * passes, (10, rest)
-        ]
+        assert shapes[first + 1 :] == [*[(10, width)] * passes, (10, rest)]
+        assert median_spectrum(blocked) is median
+        assert len(shapes) == first + 1 + passes + 1
         for name in ENSEMBLE_COLUMNS:
             assert np.array_equal(bits(getattr(blocked, name)), bits(getattr(whole, name))), name
         for column, expected in column_medians(whole).items():
-            assert np.array_equal(bits(getattr(median_spectrum(blocked), column)), bits(expected))
+            assert np.array_equal(bits(getattr(median, column)), bits(expected)), column
+        for column in SPECTRUM_ARRAYS:
+            assert np.array_equal(bits(getattr(median, column)), bits(getattr(whole.median, column)))
         for a, b in zip(blocked, whole, strict=True):
             assert_same_record(a, b)
 
@@ -1121,18 +1127,36 @@ class TestEnsembleColumns:
             ensemble[4]
         with pytest.raises(AttributeError):
             run.seed = 0
-        for name in ENSEMBLE_COLUMNS:
+        for name in (*ENSEMBLE_COLUMNS, "medians"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ensemble, name)[0] = 0
 
-    def test_writers_and_statistics_read_the_columns(self, tmp_path):
+    def test_a_view_replaced_or_copied_is_a_plain_record(self):
+        ensemble = collect_runs(SN_QUANTUM, 5, runs=3)
+        spectrum = ensemble[0].spectrum
+        replaced = replace(ensemble[1], spectrum=spectrum)
+        assert type(replaced) is RunRecord
+        assert (replaced.run_index, replaced.seed) == (1, int(ensemble.seeds[1]))
+        assert replaced.transitions == ensemble[1].transitions
+        assert replaced.spectrum is spectrum and replaced.peak_energy == ensemble.peak_energies[0]
+        for copied in (copy.copy(ensemble[2]), pickle.loads(pickle.dumps(ensemble[2]))):
+            assert type(copied) is RunRecord
+            assert_same_record(copied, ensemble[2])
+
+    def test_views_give_what_records_that_hold_their_spectra_give(self, tmp_path):
+        """mad_series, write_runs_csv and median_spectrum read an ensemble's
+        views as they read the run_quantum records of its seeds."""
         ensemble = collect_runs(SN_QUANTUM, 5, runs=6)
-        records = list(ensemble)
+        records = [run_quantum(SN_QUANTUM, derive_run_seed(5, i), i) for i in range(6)]
         assert mad_series(ensemble) == mad_series(records)
-        write_runs_csv(tmp_path / "columns.csv", ensemble)
+        write_runs_csv(tmp_path / "views.csv", ensemble)
         write_runs_csv(tmp_path / "records.csv", records)
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
-        assert median_spectrum(ensemble) is median_spectrum(ensemble) is ensemble.median
+        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        median = median_spectrum(ensemble)
+        assert median is median_spectrum(ensemble) is ensemble.median
+        for column in SPECTRUM_ARRAYS:
+            expected = getattr(median_spectrum(records), column)
+            assert np.array_equal(bits(getattr(median, column)), bits(expected)), column
 
 
 class TestMadSeries:
