@@ -338,31 +338,22 @@ class LcuOverlap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "limits", replay_limits(self.p_success))
 
-    def factors(
-        self,
-        shots: int,
-        swap: np.random.Generator | None,
-        rate: np.random.Generator | None,
-    ) -> tuple[float, float]:
-        """(success rate, clamped overlap) as one repeat of the experiment measures them.
-
-        If `swap` is None, the analytic values.  Otherwise `swap` shoots the
-        SWAP test and `rate` re-estimates the success rate from `shots`
-        Bernoulli draws.  The post-selection that precedes them reads neither:
-        its attempt count is drawn, if at all, by the caller (see energy).
-        """
-        if swap is None:
-            return self.p_success, self.swap.estimate(shots).clamped
-        k0 = self.swap.zero_count(shots, swap)
-        hits = rate.binomial(shots, self.p_success)
-        return hits / shots, _clamp(2.0 * k0 / shots - 1.0)
-
     def energy(self, shots: int, rng: np.random.Generator | None) -> float:
-        """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, all draws from
-        `rng`: the post-selection replay, then the SWAP shots and the success rate."""
-        if rng is not None:
+        """|<psi|A|psi>| = lambda * sqrt(p_success) * |<psi|chi>|, as one repeat
+        of the experiment measures it.
+
+        With no generator, the analytic value.  Otherwise every draw is from
+        `rng`: the post-selection replay, whose attempt count nothing reads,
+        then the SWAP shots and `shots` Bernoulli draws that re-estimate the
+        success rate.
+        """
+        if rng is None:
+            p_hat, overlap = self.p_success, self.swap.estimate(shots).clamped
+        else:
             replay_post_selection(self.p_success, rng, self.limits)
-        p_hat, overlap = self.factors(shots, rng, rng)
+            k0 = self.swap.zero_count(shots, rng)
+            p_hat = rng.binomial(shots, self.p_success) / shots
+            overlap = _clamp(2.0 * k0 / shots - 1.0)
         return self.lam * math.sqrt(p_hat) * math.sqrt(overlap)
 
 

@@ -14,8 +14,9 @@ post-selection replays, shot counts, success-rate estimates) from
 spawn-keyed streams of its seed.  Runs are therefore reproducible bit for
 bit, and independent of how many runs share a plan or in which order they
 are drawn.  Everything a run's draws need that no seed changes (each
-replay's budget and block size included) is fixed in the plan, so a run pays
-for its draws and little else.
+replay's budget and block size included) is fixed in the plan, and a block
+of runs is drawn straight into arrays of excitation energies and strengths,
+so a run pays for its draws and little else.
 
 An ensemble (collect_runs) is its columns: each run's seed, poles and peak;
 no run's spectrum is kept.  It hashes its runs' seeds and streams and draws
@@ -23,10 +24,11 @@ them a bounded block of runs at a time, then assembles the spectra of a
 block of runs at once only to find their peaks.  Its runs are RunRecord
 views that rebuild their spectrum from their poles when read; a single run
 is a batch of one, and so is the median spectrum, whose six real columns
-take one stacked np.median.  An ensemble of one block takes those medians
-while its spectra exist; a larger one rebuilds its spectra for them, a block
-of grid columns at a time, only when its median is read.  Memory then grows
-with the run count by the columns alone.
+are stacked to take np.median's steps without numpy.ma (see _medians).  An
+ensemble of one block takes those medians while its spectra exist; a larger
+one rebuilds its spectra for them, a block of grid columns at a time, only
+when its median is read.  Memory then grows with the run count by the
+columns alone.
 
 Three things are kept per process.  Plans are memoised by nucleus and window,
 all that their circuits read, at most PLAN_MEMO_SIZE of them, least recently
@@ -73,7 +75,6 @@ from .response import (
     assemble_spectrum,
     classical_transitions,
     find_peak,
-    pole_columns,
     quantum_transitions,
     response_rows,
     spectrum_rows,
@@ -98,8 +99,8 @@ PLAN_MEMO_SIZE = 2
 # streams a sampled run has per species when no energy is redrawn, in draw
 # order: the reference energy, the excited energy, then the strength's
 # post-selection replay, SWAP shots and success rate.  Nothing reads the
-# replay's attempt count, so it is not drawn, but its stream keeps its address
-# and every other stream keeps its own
+# replay's attempt count, so it is not drawn, nor are SWAP shots of certain
+# outcome, but their streams keep their addresses and every other its own
 _PLANNED_STREAMS = 5
 # bytes of spectra an ensemble assembles at once: a block of its runs on the
 # whole grid, or every run on a block of grid columns.  A run's point holds
@@ -109,6 +110,8 @@ _PLANNED_STREAMS = 5
 # one block, so they are assembled once
 _ENSEMBLE_BLOCK_BYTES = 2**21
 _POINT_BYTES = 48
+# the signs of a measured excitation's pole and its mirror
+_MIRROR = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -331,9 +334,6 @@ class _Energy:
     sign: float
     statistics: LcuOverlap
 
-    def measure(self, shots: int, rng: np.random.Generator | None) -> float:
-        return self.sign * self.statistics.energy(shots, rng)
-
 
 @dataclass(frozen=True)
 class _SpeciesPlan:
@@ -346,28 +346,16 @@ class _SpeciesPlan:
     strength: LcuOverlap
 
 
-def _species_streams(
-    seed: int, states: np.ndarray, spawn_index: int
-) -> Callable[[int], np.random.Generator]:
-    """Measurement generator k of one species in one run, built when asked for.
-
-    Generator k draws what RngStream(seed, (spawn_index, k)) draws.  A planned
-    one starts from its precomputed `states` row; one past them, drawn only
-    after an energy redraw, hashes its own row.
-    """
-
-    def stream(k: int) -> np.random.Generator:
-        if k < len(states):
-            return seeded_generator(states[k])
-        return seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
-
-    return stream
-
-
-def _analytic(k: int) -> None:
-    """The stream of every measurement of an exact run: none, so each reads
-    its analytic value."""
-    return None
+def _generator(seed: int, rows: np.ndarray | None, spawn_index: int, k: int):
+    """Measurement generator k of one species in one run: None in an exact
+    run (rows None), else one drawing what RngStream(seed, (spawn_index, k))
+    draws.  A planned one starts from its precomputed row of `rows`; one past
+    them, drawn only after an energy redraw, hashes its own."""
+    if rows is None:
+        return None
+    if k < len(rows):
+        return seeded_generator(rows[k])
+    return seeded_generator(seed_states(seed, [(spawn_index, k)], STREAM_WORDS)[0])
 
 
 @dataclass(frozen=True)
@@ -437,56 +425,69 @@ class QuantumPlan:
             species.append(_SpeciesPlan(sp_index, energy[2 * k], energy[2 * k + 1], strength))
         return cls(length=b, species=tuple(species))
 
-    def _measure(
-        self, shots: int, streams: Sequence[Callable[[int], np.random.Generator | None]]
-    ) -> TransitionSet:
-        """The poles one quantum experiment measures.
+    @functools.cached_property
+    def _draws(self) -> tuple:
+        """Per species, what its measurements read, in tuples made once: its
+        spawn index, each energy's sign and LcuOverlap, and the strength's
+        lambda squared, p_success, SWAP p0 and first ancilla marginal."""
+        draws = []
+        for sp in self.species:
+            ref, exc, swap = sp.reference, sp.excited, sp.strength.swap
+            strength = (sp.strength.lam**2, sp.strength.p_success, swap.p0, float(swap.marginal[0]))
+            energies = (ref.sign, ref.statistics, exc.sign, exc.statistics)
+            draws.append((sp.spawn_index, *energies, strength))
+        return tuple(draws)
+
+    def _measure(self, shots: int, seeds: Sequence[int], exact: bool = False) -> np.ndarray:
+        """The (runs, species, 2) excitation energy and strength that the
+        quantum experiment at each seed measures per species, at `shots` shots
+        per measurement; an exact run draws nothing and reads analytic values.
 
         Per species: measure the reference and the excited energy (redrawing
         the excited one while the excitation energy comes out non-positive),
         then estimate the transition strength from the dipole LCU success rate
-        and a SWAP overlap.  The measurement steps of a species take its
-        streams 0, 1, 2, ... in draw order, stream k from streams(k); a
-        stream None reads the analytic value instead.
+        and a SWAP overlap.  Measurement k of species s at seed x draws from
+        the stream RngStream(x, (s, k)), k counting the steps in draw order.
+        The seed sequences of every planned stream of the batch are hashed in
+        one seed_states pass, and a run starts each generator only when it
+        draws from it (see _generator).
         """
-        b = self.length
-        measured: list[tuple[float, float]] = []
-        for sp, stream in zip(self.species, streams):
-            e_ref = sp.reference.measure(shots, stream(0))
-            for k in range(1, MAX_ATTEMPTS + 1):
-                delta = sp.excited.measure(shots, stream(k)) - e_ref
-                if delta > _MIN_GAP_MEV:
-                    break
-            else:
-                raise PreparationError("could not resolve a positive excitation energy")
-            # stream k + 1 is the strength's post-selection replay, which is not drawn
-            p_hat, overlap = sp.strength.factors(shots, stream(k + 2), stream(k + 3))
-            measured.append((delta, sp.strength.lam**2 * p_hat * overlap * b**2))
-        return quantum_transitions(measured)
+        if exact:
+            states = [[None] * len(self.species)] * len(seeds)
+        else:
+            keys = [(spawn, k) for spawn, *_ in self._draws for k in range(_PLANNED_STREAMS)]
+            runs = len(seeds)
+            states = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (runs, 1)), STREAM_WORDS)
+            states = states.reshape(runs, len(self.species), _PLANNED_STREAMS, STREAM_WORDS)
+        b2 = self.length**2
+        measured = []
+        for seed, run in zip(seeds, states):
+            for (spawn, s_ref, ref, s_exc, exc, strength), rows in zip(self._draws, run):
+                e_ref = s_ref * ref.energy(shots, _generator(seed, rows, spawn, 0))
+                for k in range(1, MAX_ATTEMPTS + 1):
+                    delta = s_exc * exc.energy(shots, _generator(seed, rows, spawn, k)) - e_ref
+                    if delta > _MIN_GAP_MEV:
+                        break
+                else:
+                    raise PreparationError("could not resolve a positive excitation energy")
+                lam2, p, p0, m0 = strength
+                if rows is None:
+                    p_hat, raw = p, 2.0 * p0 - 1.0
+                else:
+                    # stream k + 1 is the strength's post-selection replay, which
+                    # is not drawn; its SWAP shots on stream k + 2 are drawn only
+                    # if their outcome is uncertain, binomial(shots, 1.0) being shots
+                    swap = None if m0 == 1.0 else _generator(seed, rows, spawn, k + 2)
+                    k0 = shots if swap is None else swap.binomial(shots, m0)
+                    hits = _generator(seed, rows, spawn, k + 3).binomial(shots, p)
+                    p_hat, raw = hits / shots, 2.0 * k0 / shots - 1.0
+                measured += (delta, lam2 * p_hat * min(max(raw, 0.0), 1.0) * b2)
+        return np.array(measured).reshape(len(seeds), len(self.species), 2)
 
     def transitions(self, seeds: Sequence[int], shots: int) -> list[TransitionSet]:
         """The poles that sampled experiments at the given seeds measure, at
-        `shots` shots per measurement.
-
-        Measurement k of species s at seed x draws from the stream
-        RngStream(x, (s, k)).  The seed sequences of every planned stream of
-        the batch are hashed in one seed_states pass, and each run starts each
-        generator only when it draws from it.
-        """
-        keys = [(sp.spawn_index, k) for sp in self.species for k in range(_PLANNED_STREAMS)]
-        runs = len(seeds)
-        states = seed_states(np.repeat(seeds, len(keys)), np.tile(keys, (runs, 1)), STREAM_WORDS)
-        states = states.reshape(runs, len(self.species), _PLANNED_STREAMS, STREAM_WORDS)
-        return [
-            self._measure(
-                shots,
-                [
-                    _species_streams(seed, rows, sp.spawn_index)
-                    for sp, rows in zip(self.species, states[run])
-                ]
-            )
-            for run, seed in enumerate(seeds)
-        ]
+        `shots` shots per measurement (see _measure)."""
+        return [quantum_transitions(run) for run in self._measure(shots, seeds).tolist()]
 
 
 def run_quantum(
@@ -502,11 +503,8 @@ def run_quantum(
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     seed = non_negative_int(seed, "seed")
     run_index = non_negative_int(run_index, "run index")
-    plan = _plan(config)
-    if mode == "exact":
-        transitions = plan._measure(config.shots, [_analytic] * len(plan.species))
-    else:
-        (transitions,) = plan.transitions([seed], config.shots)
+    (measured,) = _plan(config)._measure(config.shots, [seed], exact=mode == "exact")
+    transitions = quantum_transitions(measured.tolist())
     return RunRecord(
         run_index=run_index,
         seed=seed,
@@ -560,11 +558,15 @@ def _ensemble(config: NucleusConfig, master_seed: int) -> Ensemble:
     plan = _plan(config)
     indices = np.arange(runs)
     seeds = np.empty(runs, dtype=np.uint64)
-    # a pole and its mirror per species (see quantum_transitions)
-    poles = np.empty((3, runs, 2 * len(plan.species)))
+    # each species' pole and its mirror (see quantum_transitions)
+    poles = np.empty((3, runs, len(plan.species), 2))
     for block in blocks:
         seeds[block] = _run_seeds(master_seed, indices[block])
-        poles[:, block] = pole_columns(plan.transitions(seeds[block], config.shots))
+        measured = plan._measure(config.shots, seeds[block])
+        poles[0, block] = measured[..., :1] * _MIRROR
+        poles[1, block] = measured[..., 1:]
+    poles[2] = _MIRROR
+    poles = poles.reshape(3, runs, -1)
     energies, strengths, weights = poles
     weighted = strengths * weights
     peaks = np.empty((runs, 3))
@@ -588,12 +590,20 @@ def _medians(
     """The (6, points) pointwise medians over the runs of (runs, points)
     response rows: of each part of r0 and of r_dressed, sigma_raw and sigma.
 
-    They are stacked into one (runs, 6, points) array for one np.median,
-    which works column by column: each point gets the bits a median of its
-    own column gets, whatever is stacked with it.
+    They are stacked into one (runs, 6, points) array and take numpy's
+    median steps (np.median's _median), which work column by column, so each
+    point gets the bits np.median of its own column gets: one partition at
+    the middle index or indices and the last one, the mean of the middle,
+    and the last entry, which a NaN sorts to, wherever that is NaN.  Unlike
+    np.median, this never imports numpy.ma.
     """
     stack = np.stack([r0.real, r0.imag, r_dressed.real, r_dressed.imag, sigma_raw, sigma], axis=1)
-    return np.median(stack, axis=0, overwrite_input=True)
+    half = len(stack) // 2
+    middle = [half] if len(stack) % 2 else [half - 1, half]
+    stack.partition([*middle, -1], axis=0)
+    medians = np.mean(stack[middle[0] : half + 1], axis=0)
+    np.copyto(medians, stack[-1], where=np.isnan(stack[-1]))
+    return medians
 
 
 def _median_spectrum(grid: np.ndarray, medians: np.ndarray) -> ResponseSpectrum:

@@ -798,6 +798,43 @@ class TestLazyRandomImport:
         ]
 
 
+# the sampled subcommands run in order in one interpreter; after each, whether
+# numpy.ma is loaded.  200 runs are more than one block of spectra, so that
+# ensemble takes its median on first read (see experiment.Ensemble)
+MASKED_SCRIPT = """
+import contextlib, io, json, sys
+from gdrq import cli
+config, out = sys.argv[1:]
+loaded = []
+for argv in (
+    ["quantum", "--runs", "3"],
+    ["error-study", "--runs", "3"],
+    ["compare", "--mode", "quantum", "--runs", "3"],
+    ["quantum", "--runs", "200"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--shots", "1000", "--config", config, "--out", out])
+    loaded.append([" ".join(argv), code, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+class TestNoMaskedArrays:
+    def test_sampled_subcommands_never_import_numpy_ma(self, tmp_path):
+        """The median spectrum takes numpy's median steps without np.median,
+        whose NaN check imports numpy.ma (about 1 MB and 10 ms)."""
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        argv = [sys.executable, "-c", MASKED_SCRIPT, str(CONFIGS / "sn120.cfg"), str(tmp_path)]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        assert json.loads(result.stdout) == [
+            ["quantum --runs 3", 0, False],
+            ["error-study --runs 3", 0, False],
+            ["compare --mode quantum --runs 3", 0, False],
+            ["quantum --runs 200", 0, False],
+        ]
+
+
 # the sampled steps of scripts/reproduce_all.py for one nucleus, by output directory
 SAMPLED_STEPS = {
     "quantum": ["quantum"],

@@ -23,7 +23,7 @@ import gdrq.encoding
 import gdrq.experiment
 import gdrq.pauli
 import gdrq.statevector
-from gdrq.algorithms import LcuCircuit
+from gdrq.algorithms import MAX_ATTEMPTS, LcuCircuit, LcuOverlap, SwapStatistics
 from gdrq.cli import load_config
 from gdrq.encoding import (
     MAX_RUNS,
@@ -64,6 +64,7 @@ from gdrq.response import (
     classical_transitions,
     cross_section,
     find_peak,
+    quantum_transitions,
 )
 from gdrq.statevector import RngStream
 from oracles import closed_form_plan
@@ -336,7 +337,8 @@ def nuclei():
 
 def exact_poles(plan, shots):
     """The poles of an exact run, without dressing them into a spectrum."""
-    return plan._measure(shots, [lambda k: None] * len(plan.species)).entries
+    (measured,) = plan._measure(shots, [0], exact=True)
+    return quantum_transitions(measured.tolist()).entries
 
 
 class TestOneTransitionPerSpecies:
@@ -426,15 +428,44 @@ class TestExactQuantumEqualsClassicalOnFullShells:
         assert seen == compared
 
 
-def generators(species: RngStream):
-    """Measurement k's generator of one species: that of its stream's child k."""
-    return lambda k: species.child(k).generator
+def stream_by_stream(plan, seed, shots, exact=False):
+    """The poles at `seed`, measured step by step with the plan's LcuOverlaps:
+    measurement k of species s draws on its own RngStream(seed, (s, k)), and
+    the strength's SWAP shots are always drawn.  Exact, every step reads its
+    analytic value instead."""
+    root, b = RngStream(seed), plan.length
+    measured = []
+    for sp in plan.species:
+        stream = root.child(sp.spawn_index)
+        draw = (lambda k: None) if exact else (lambda k: stream.child(k).generator)
+        e_ref = sp.reference.sign * sp.reference.statistics.energy(shots, draw(0))
+        for k in range(1, MAX_ATTEMPTS + 1):
+            delta = sp.excited.sign * sp.excited.statistics.energy(shots, draw(k)) - e_ref
+            if delta > 1e-9:
+                break
+        strength = sp.strength
+        if exact:
+            p_hat, overlap = strength.p_success, strength.swap.estimate(shots).clamped
+        else:
+            # stream k + 1 is the strength's post-selection replay, which is not drawn
+            k0 = strength.swap.zero_count(shots, draw(k + 2))
+            p_hat = draw(k + 3).binomial(shots, strength.p_success) / shots
+            overlap = min(max(2.0 * k0 / shots - 1.0, 0.0), 1.0)
+        measured.append((delta, strength.lam**2 * p_hat * overlap * b**2))
+    return quantum_transitions(measured)
 
 
-def stream_by_stream(plan, seed, shots):
-    """The poles at `seed` with every measurement generator from its own RngStream."""
-    root = RngStream(seed)
-    return plan._measure(shots, [generators(root.child(sp.spawn_index)) for sp in plan.species])
+def with_uncertain_swaps(plan):
+    """The plan with every strength's SWAP outcome made uncertain: 90 % of
+    its shots read |0>."""
+    swap = SwapStatistics(0.95, np.array([0.9, 0.1]))
+    return replace(
+        plan,
+        species=tuple(
+            replace(sp, strength=LcuOverlap(sp.strength.lam, sp.strength.p_success, swap))
+            for sp in plan.species
+        ),
+    )
 
 
 # few shots make energy redraws common: seed 3 redraws five times in its first species
@@ -463,6 +494,8 @@ class TestBatchedStreams:
     def test_batch_equals_one_rng_stream_per_measurement(self, config, seed):
         plan = QuantumPlan.build(config)
         assert plan.transitions([seed], config.shots) == [stream_by_stream(plan, seed, config.shots)]
+        exact = run_quantum(config, seed, mode="exact").transitions
+        assert exact == stream_by_stream(plan, seed, config.shots, exact=True)
 
     def test_streams_past_the_planned_ones_are_hashed_alike(self, monkeypatch):
         plan = QuantumPlan.build(REDRAWING)
@@ -470,30 +503,44 @@ class TestBatchedStreams:
         (transitions,) = plan.transitions([3], REDRAWING.shots)
         # one pass for the planned streams, one row for each drawn stream past
         # them: five energy redraws take streams 2-6, and of the strength's
-        # streams 7-9 the replay's is not drawn
-        assert counts["seed_states"] == 1 + 4
+        # streams 7-9 neither the replay's nor the SWAP shots' is drawn, their
+        # outcome being certain: rows for streams 5, 6 and 9
+        assert counts["seed_states"] == 1 + 3
         assert transitions == stream_by_stream(plan, 3, REDRAWING.shots)
 
     def test_a_run_draws_no_strength_replay(self, monkeypatch):
-        """A run with no energy redraw builds the generators of the two
-        energies and of the strength's SWAP shots and success rate per
-        species, 8 in all, and replays only the energies' post-selections;
-        the strength replay's stream keeps its address (see
+        """A run with no energy redraw replays only the post-selections of its
+        4 energies, and builds the generators of the two energies and of the
+        strength's success rate per species, 6 in all: the strength's SWAP
+        outcome is certain on the shipped windows (marginal[0] == 1.0), so
+        its shots, binomial(shots, 1.0) == shots, are not drawn.  The streams
+        of the strength's replay and SWAP shots keep their addresses (see
         test_batch_equals_one_rng_stream_per_measurement)."""
         counts = count_calls(
             monkeypatch,
             [(gdrq.statevector, "seeded_generator"), (gdrq.algorithms, "replay_post_selection")],
         )
-        measured = []
-        measure = gdrq.experiment._Energy.measure
-        monkeypatch.setattr(
-            gdrq.experiment._Energy,
-            "measure",
-            lambda energy, *args: measured.append(energy) or measure(energy, *args),
-        )
         run_quantum(SN_QUANTUM, 1)
-        assert len(measured) == 4  # no redraw
-        assert counts == {"seeded_generator": 8, "replay_post_selection": 4}
+        assert counts == {"seeded_generator": 6, "replay_post_selection": 4}
+
+    @pytest.mark.parametrize("config", [SN_QUANTUM, REDRAWING, HE4_QUANTUM])
+    def test_an_uncertain_swap_outcome_is_drawn(self, monkeypatch, config):
+        """With an uncertain SWAP outcome, the strength draws its shots on
+        their own stream, 8 generators in a run with no redraw, and the poles
+        are those of one RngStream per measurement."""
+        plan = with_uncertain_swaps(QuantumPlan.build(config))
+        counts = count_calls(monkeypatch, [(gdrq.statevector, "seeded_generator")])
+        # at 8000 shots, seed 1 redraws no energy
+        plan.transitions([1], 8000)
+        assert counts["seeded_generator"] == 4 * len(plan.species)
+        # at 20 shots, seed 3 redraws energies; some other seeds run out of attempts
+        for seed in (1, 3, 5):
+            expected = stream_by_stream(plan, seed, config.shots)
+            assert plan.transitions([seed], config.shots) == [expected]
+        # the SWAP shots reach the poles
+        assert plan.transitions([1], config.shots) != QuantumPlan.build(config).transitions(
+            [1], config.shots
+        )
 
     def test_replay_limits_are_kept_in_the_plan(self, monkeypatch):
         """A plan fixes each replay's budget and block when it is built; its
@@ -811,6 +858,23 @@ def chi_square_survival(statistic: float, freedom: int) -> float:
     return math.exp(-half) * total
 
 
+class RecordedBinomials:
+    """A generator that records the count of each binomial draw at one of
+    the success rates of `hits` (rate -> (closed form, counts))."""
+
+    def __init__(self, generator, hits):
+        self.generator, self.hits = generator, hits
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+    def binomial(self, n, p):
+        k = self.generator.binomial(n, p)
+        if p in self.hits:
+            self.hits[p][1].append(k)
+        return k
+
+
 class TestSampledLaw:
     """The exact law of a sampled energy (see oracles.closed_form_plan).  On the
     shipped configs every SWAP overlap is exactly 1, so an energy measured at N
@@ -835,32 +899,40 @@ class TestSampledLaw:
             config = load_config(CONFIGS / f"{nucleus}.cfg")
             plan = QuantumPlan.build(config)
             closed = closed_form_plan(config)
-            hits = {
-                id(energy): (want, [])
+            energies = [
+                (energy, want)
                 for sp, c in zip(plan.species, closed)
                 for energy, want in ((sp.reference, c.reference), (sp.excited, c.excited))
-            }
-            measure = gdrq.experiment._Energy.measure
+            ]
+            # every energy's draws are told apart by their success rate
+            hits = {energy.statistics.p_success: (want, []) for energy, want in energies}
+            strengths = {sp.strength.p_success for sp in plan.species}
+            assert len(hits) == len(energies) and not strengths & hits.keys()
+            seeded = gdrq.experiment.seeded_generator
 
-            def recorded(energy, shots, rng):
-                value = measure(energy, shots, rng)
-                want, found = hits[id(energy)]
-                lam = energy.statistics.lam
-                k = round(shots * (value / lam) ** 2)
-                assert 0 <= k <= shots
-                sign = math.copysign(1.0, want.amplitude.real)
-                assert value == sign * lam * math.sqrt(k / shots)
-                found.append(k)
-                return value
+            def recorded(row):
+                return RecordedBinomials(seeded(row), hits)
 
             seeds = gdrq.experiment._run_seeds(77, np.arange(self.RUNS))
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(gdrq.experiment._Energy, "measure", recorded)
-                plan.transitions(seeds, config.shots)
+                patch.setattr(gdrq.experiment, "seeded_generator", recorded)
+                poles = plan._measure(config.shots, seeds)
             # the gap of a transition is hbar*omega, tens of standard deviations
             # at 8000 shots: no excited energy is redrawn, so each list holds
             # one unconditioned draw per run
             assert [len(found) for _, found in hits.values()] == [self.RUNS] * len(hits)
+            # on the closed-form overlap of 1, an energy is sign * lambda * sqrt(k / N)
+            for s, sp in enumerate(plan.species):
+                pair = [
+                    (*hits[e.statistics.p_success], e.statistics.lam)
+                    for e in (sp.reference, sp.excited)
+                ]
+                for run in range(self.RUNS):
+                    e_ref, e_exc = (
+                        math.copysign(lam, want.amplitude.real) * math.sqrt(k[run] / config.shots)
+                        for want, k, lam in pair
+                    )
+                    assert poles[run, s, 0] == e_exc - e_ref
             measured[nucleus] = config.shots, list(hits.values())
         return measured
 
@@ -974,6 +1046,24 @@ class TestMedianSpectrum:
             spectrum = median_spectrum(records)
             for column, expected in column_medians(records).items():
                 assert np.array_equal(bits(getattr(spectrum, column)), bits(expected)), column
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 100, 175])
+    def test_medians_keep_the_bits_of_np_median(self, runs):
+        """_medians takes numpy's median steps without calling np.median, and
+        gives its bits over the stacked columns: with ties, on a column of
+        mixed +-0.0 and on one holding a NaN.  175 runs are more than one
+        block of the shipped grid's spectra."""
+        rng = np.random.default_rng(runs)
+        shape = (runs, 7)
+        r0, r_dressed = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        sigma_raw, sigma = rng.normal(size=shape), rng.choice([1.0, 2.0, 3.0], shape)
+        sigma_raw[:, 0] = [0.0, -0.0] * (runs // 2) + [-0.0] * (runs % 2)
+        sigma[rng.integers(runs), 1] = np.nan
+        parts = [r0.real, r0.imag, r_dressed.real, r_dressed.imag, sigma_raw, sigma]
+        expected = np.median(np.stack(parts, axis=1), axis=0)
+        assert np.isnan(expected[5, 1])
+        medians = gdrq.experiment._medians(r0, r_dressed, sigma_raw, sigma)
+        assert np.array_equal(bits(medians), bits(expected))
 
     def test_constructed_runs_hold_every_special_value(self):
         records = constructed_runs(np.random.default_rng(3), 20)
