@@ -133,13 +133,13 @@ class SwapStatistics:
     def estimate(self, shots: int, rng: np.random.Generator | None = None) -> OverlapEstimate:
         """Overlap from p0 (no generator) or from `shots` draws on `rng` (see zero_count)."""
         if rng is None:
-            raw = 2.0 * self.p0 - 1.0
-            return OverlapEstimate(raw=raw, clamped=_clamp(raw), standard_error=0.0)
-        k0 = self.zero_count(shots, rng)
-        raw = 2.0 * k0 / shots - 1.0
-        smoothed = (k0 + 1.0) / (shots + 2.0)
-        se = 2.0 * math.sqrt(smoothed * (1.0 - smoothed) / shots)
-        return OverlapEstimate(raw=raw, clamped=_clamp(raw), standard_error=se)
+            rate, se = self.p0, 0.0
+        else:
+            k0 = self.zero_count(shots, rng)
+            rate = k0 / shots
+            smoothed = (k0 + 1.0) / (shots + 2.0)
+            se = 2.0 * math.sqrt(smoothed * (1.0 - smoothed) / shots)
+        return OverlapEstimate(raw=2.0 * rate - 1.0, clamped=swap_overlap(rate), standard_error=se)
 
     def zero_count(self, shots: int, rng: np.random.Generator) -> int:
         """Of `shots` SWAP-test shots on `rng`, those whose ancilla reads |0>.
@@ -153,9 +153,10 @@ class SwapStatistics:
         return rng.binomial(shots, self.marginal[0])
 
 
-def _clamp(raw: float) -> float:
-    """A raw overlap estimate clamped to [0, 1]."""
-    return min(max(raw, 0.0), 1.0)
+def swap_overlap(rate: float) -> float:
+    """|<psi|phi>|^2 from the rate at which a SWAP test's ancilla reads |0>:
+    2 rate - 1, which shot noise can push out of [0, 1], clamped to it."""
+    return min(max(2.0 * rate - 1.0, 0.0), 1.0)
 
 
 def swap_statistics(psi: StateVector, phi: StateVector) -> SwapStatistics:
@@ -348,13 +349,12 @@ class LcuOverlap:
         success rate.
         """
         if rng is None:
-            p_hat, overlap = self.p_success, self.swap.estimate(shots).clamped
+            p_hat, rate = self.p_success, self.swap.p0
         else:
             replay_post_selection(self.p_success, rng, self.limits)
-            k0 = self.swap.zero_count(shots, rng)
+            rate = self.swap.zero_count(shots, rng) / shots
             p_hat = rng.binomial(shots, self.p_success) / shots
-            overlap = _clamp(2.0 * k0 / shots - 1.0)
-        return self.lam * math.sqrt(p_hat) * math.sqrt(overlap)
+        return self.lam * math.sqrt(p_hat) * math.sqrt(swap_overlap(rate))
 
 
 def energy_expectation(

@@ -237,10 +237,14 @@ def _configure(args: argparse.Namespace) -> NucleusConfig:
     return config
 
 
-def _quantum_records(config: NucleusConfig, args: argparse.Namespace):
+def _quantum_runs(config: NucleusConfig, args: argparse.Namespace):
+    """The runs of a quantum command and the spectrum it reports: an exact
+    run's own, or the median of a sampled ensemble."""
     if args.exact:
-        return (run_quantum(config, args.seed, run_index=0, mode="exact"),)
-    return collect_runs(config, args.seed)
+        run = run_quantum(config, args.seed, mode="exact")
+        return (run,), run.spectrum
+    ensemble = collect_runs(config, args.seed)
+    return ensemble, median_spectrum(ensemble)
 
 
 # A handler lists its outputs in write order. Each writer is named inside the
@@ -258,8 +262,7 @@ def _cmd_classical(args: argparse.Namespace, config: NucleusConfig):
 
 
 def _cmd_quantum(args: argparse.Namespace, config: NucleusConfig):
-    records = _quantum_records(config, args)
-    spectrum = median_spectrum(records)
+    records, spectrum = _quantum_runs(config, args)
     label = "exact run" if args.exact else f"median of {len(records)} runs"
     summary = (
         f"quantum A={config.A} Z={config.Z} window {config.basis.label} ({label}): "
@@ -295,7 +298,7 @@ def _cmd_error_study(args: argparse.Namespace, config: NucleusConfig):
 
 def _cmd_compare(args: argparse.Namespace, config: NucleusConfig):
     if args.mode == "quantum":
-        spectrum = median_spectrum(_quantum_records(config, args))
+        _, spectrum = _quantum_runs(config, args)
     else:
         spectrum = run_classical(config)
     if args.experiment is not None:

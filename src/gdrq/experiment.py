@@ -22,13 +22,13 @@ An ensemble (collect_runs) is its columns: each run's seed, poles and peak;
 no run's spectrum is kept.  It hashes its runs' seeds and streams and draws
 them a bounded block of runs at a time, then assembles the spectra of a
 block of runs at once only to find their peaks.  Its runs are RunRecord
-views that rebuild their spectrum from their poles when read; a single run
-is a batch of one, and so is the median spectrum, whose six real columns
-are stacked to take np.median's steps without numpy.ma (see _medians).  An
-ensemble of one block takes those medians while its spectra exist; a larger
-one rebuilds its spectra for them, a block of grid columns at a time, only
-when its median is read.  Memory then grows with the run count by the
-columns alone.
+views whose poles and spectrum are made when read, by the code that makes a
+run_quantum record's.  The median spectrum is a batch of one, whose six real
+columns are stacked to take np.median's steps without numpy.ma (see
+_medians).  An ensemble of one block takes those medians while its spectra
+exist; a larger one rebuilds its spectra for them, a block of grid columns
+at a time, only when its median is read.  Memory then grows with the run
+count by the columns alone.
 
 Three things are kept per process.  Plans are memoised by nucleus and window,
 all that their circuits read, at most PLAN_MEMO_SIZE of them, least recently
@@ -56,6 +56,7 @@ from .algorithms import (
     LcuCircuit,
     LcuOverlap,
     SwapStatistics,
+    swap_overlap,
     swap_statistics,
 )
 from .encoding import (
@@ -75,7 +76,6 @@ from .response import (
     assemble_spectrum,
     classical_transitions,
     find_peak,
-    quantum_transitions,
     response_rows,
     spectrum_rows,
 )
@@ -189,11 +189,12 @@ class Ensemble(Sequence[RunRecord]):
 class _EnsembleRun(RunRecord):
     """Run `index` of an ensemble, read off its columns.
 
-    Its poles become a TransitionSet, and its spectrum is rebuilt from them as
-    a batch of one, when first read.  Every stage of the assembly works point
-    by point (see response_rows), so the spectrum has the bits its run had in
-    the ensemble's block.  Built from a RunRecord's fields, as
-    dataclasses.replace builds it, or copied, it is a plain RunRecord.
+    Its poles become a TransitionSet, and its spectrum is assembled from them
+    as run_quantum assembles a run's, when first read.  Every stage of the
+    assembly works point by point (see response_rows), so the spectrum has
+    the bits its run had in the ensemble's block.  Built from a RunRecord's
+    fields, as dataclasses.replace builds it, or copied, it is a plain
+    RunRecord.
     """
 
     def __new__(cls, **fields) -> RunRecord:
@@ -229,16 +230,11 @@ class _EnsembleRun(RunRecord):
     @functools.cached_property
     def transitions(self) -> TransitionSet:
         ensemble, i = self._ensemble, self._index
-        columns = (ensemble.energies[i], ensemble.strengths[i], ensemble.weights[i])
-        return TransitionSet(tuple(map(Transition, *(c.tolist() for c in columns))))
+        return _transition_set((ensemble.energies[i], ensemble.strengths[i], ensemble.weights[i]))
 
     @functools.cached_property
     def spectrum(self) -> ResponseSpectrum:
-        ensemble, row = self._ensemble, slice(self._index, self._index + 1)
-        weighted = ensemble.strengths[row] * ensemble.weights[row]
-        rows = response_rows(ensemble.config, ensemble.grid, ensemble.energies[row], weighted)
-        (spectrum,) = spectrum_rows(ensemble.grid, *rows)
-        return spectrum
+        return assemble_spectrum(self._ensemble.config, self.transitions)
 
 
 @dataclass(frozen=True)
@@ -472,7 +468,7 @@ class QuantumPlan:
                     raise PreparationError("could not resolve a positive excitation energy")
                 lam2, p, p0, m0 = strength
                 if rows is None:
-                    p_hat, raw = p, 2.0 * p0 - 1.0
+                    p_hat, rate = p, p0
                 else:
                     # stream k + 1 is the strength's post-selection replay, which
                     # is not drawn; its SWAP shots on stream k + 2 are drawn only
@@ -480,14 +476,26 @@ class QuantumPlan:
                     swap = None if m0 == 1.0 else _generator(seed, rows, spawn, k + 2)
                     k0 = shots if swap is None else swap.binomial(shots, m0)
                     hits = _generator(seed, rows, spawn, k + 3).binomial(shots, p)
-                    p_hat, raw = hits / shots, 2.0 * k0 / shots - 1.0
-                measured += (delta, lam2 * p_hat * min(max(raw, 0.0), 1.0) * b2)
+                    p_hat, rate = hits / shots, k0 / shots
+                measured += (delta, lam2 * p_hat * swap_overlap(rate) * b2)
         return np.array(measured).reshape(len(seeds), len(self.species), 2)
 
-    def transitions(self, seeds: Sequence[int], shots: int) -> list[TransitionSet]:
-        """The poles that sampled experiments at the given seeds measure, at
-        `shots` shots per measurement (see _measure)."""
-        return [quantum_transitions(run) for run in self._measure(shots, seeds).tolist()]
+
+def _pole_columns(measured: np.ndarray) -> np.ndarray:
+    """The (3, runs, poles) energies, strengths and signed weights of the
+    (runs, species, 2) energies and strengths that _measure gives: per
+    species, its pole at +energy with weight 1, then its antiresonant mirror
+    at -energy with weight -1, both of its strength."""
+    poles = np.empty((3, *measured.shape))
+    poles[0] = measured[..., :1] * _MIRROR
+    poles[1] = measured[..., 1:]
+    poles[2] = _MIRROR
+    return poles.reshape(3, len(measured), -1)
+
+
+def _transition_set(columns: Iterable[np.ndarray]) -> TransitionSet:
+    """The TransitionSet of one run's energy, strength and weight columns."""
+    return TransitionSet(tuple(map(Transition, *(c.tolist() for c in columns))))
 
 
 def run_quantum(
@@ -503,8 +511,8 @@ def run_quantum(
         raise ValidationError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     seed = non_negative_int(seed, "seed")
     run_index = non_negative_int(run_index, "run index")
-    (measured,) = _plan(config)._measure(config.shots, [seed], exact=mode == "exact")
-    transitions = quantum_transitions(measured.tolist())
+    measured = _plan(config)._measure(config.shots, [seed], exact=mode == "exact")
+    transitions = _transition_set(_pole_columns(measured)[:, 0])
     return RunRecord(
         run_index=run_index,
         seed=seed,
@@ -558,15 +566,10 @@ def _ensemble(config: NucleusConfig, master_seed: int) -> Ensemble:
     plan = _plan(config)
     indices = np.arange(runs)
     seeds = np.empty(runs, dtype=np.uint64)
-    # each species' pole and its mirror (see quantum_transitions)
-    poles = np.empty((3, runs, len(plan.species), 2))
+    poles = np.empty((3, runs, 2 * len(plan.species)))
     for block in blocks:
         seeds[block] = _run_seeds(master_seed, indices[block])
-        measured = plan._measure(config.shots, seeds[block])
-        poles[0, block] = measured[..., :1] * _MIRROR
-        poles[1, block] = measured[..., 1:]
-    poles[2] = _MIRROR
-    poles = poles.reshape(3, runs, -1)
+        poles[:, block] = _pole_columns(plan._measure(config.shots, seeds[block]))
     energies, strengths, weights = poles
     weighted = strengths * weights
     peaks = np.empty((runs, 3))
@@ -613,26 +616,10 @@ def _median_spectrum(grid: np.ndarray, medians: np.ndarray) -> ResponseSpectrum:
     return spectrum
 
 
-def median_spectrum(records: Sequence[RunRecord]) -> ResponseSpectrum:
-    """Pointwise median of every response column across runs, peak re-found.
-
-    An ensemble's is the one it keeps (see Ensemble).  Other records are
-    stacked from their spectra, which must share one energy grid, and take
-    the same medians (see _medians).
-    """
-    if isinstance(records, Ensemble):
-        return records.median
-    if not records:
-        raise ValidationError("median spectrum needs at least one run")
-    grid = records[0].spectrum.energies
-    for record in records:
-        energies = record.spectrum.energies
-        if energies is not grid and not np.array_equal(energies, grid):
-            raise ValidationError("median spectrum needs runs on one energy grid")
-    spectra = [record.spectrum for record in records]
-    columns = ("r0", "r_dressed", "sigma_raw", "sigma")
-    rows = (np.array([getattr(s, column) for s in spectra]) for column in columns)
-    return _median_spectrum(grid, _medians(*rows))
+def median_spectrum(ensemble: Ensemble) -> ResponseSpectrum:
+    """Pointwise median of every response column across an ensemble's runs,
+    peak re-found: the one the ensemble keeps (see Ensemble)."""
+    return ensemble.median
 
 
 def check_mad_runs(runs: int) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -92,51 +92,21 @@ def classical_transitions(config: NucleusConfig, occupations: OccupationTable) -
     return TransitionSet(tuple(entries))
 
 
-def quantum_transitions(measured: list[tuple[float, float]]) -> TransitionSet:
-    """Poles from measured (energy, strength) pairs.
-
-    Each pair gives a pole at +energy with weight 1 and its antiresonant
-    mirror at -energy with weight -1.
-    """
-    entries = []
-    for energy, strength in measured:
-        if energy <= 0:
-            raise ValidationError(f"measured transition energies must be > 0, got {energy}")
-        if strength < 0:
-            raise ValidationError(f"measured strengths must be >= 0, got {strength}")
-        entries.append(Transition(energy=energy, strength=strength, weight=1.0))
-        entries.append(Transition(energy=-energy, strength=strength, weight=-1.0))
-    return TransitionSet(tuple(entries))
-
-
 def bare_response(
     transitions: TransitionSet, grid: np.ndarray, gamma_spread: float
 ) -> np.ndarray:
     """Free response R0(E) = sum_i S_i w_i / (E - dE_i + i Gamma) on the grid."""
-    return bare_responses((transitions,), grid, gamma_spread)[0]
-
-
-def bare_responses(
-    transition_sets: Sequence[TransitionSet], grid: np.ndarray, gamma_spread: float
-) -> np.ndarray:
-    """R0 of several equally long pole lists, one row each (see pole_rows)."""
     if gamma_spread <= 0:
         raise ValidationError("gamma_spread must be positive")
-    energies, strengths, weights = pole_columns(transition_sets)
-    return pole_rows(energies, strengths * weights, grid, gamma_spread)
+    return pole_rows(*_pole_row(transitions), grid, gamma_spread)[0]
 
 
-def pole_columns(
-    transition_sets: Sequence[TransitionSet],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (rows, poles) energies, strengths and weights of equally long pole lists."""
-    if len({len(ts.entries) for ts in transition_sets}) != 1:
-        raise ValidationError("batched transition sets must be non-empty and equally long")
+def _pole_row(transitions: TransitionSet) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, poles) energies and signed strengths of a pole list (see pole_rows)."""
     poles = np.array(
-        [[(t.energy, t.strength, t.weight) for t in ts.entries] for ts in transition_sets],
-        dtype=float,
-    ).reshape(len(transition_sets), -1, 3)
-    return poles[..., 0], poles[..., 1], poles[..., 2]
+        [(t.energy, t.strength, t.weight) for t in transitions.entries], dtype=float
+    ).reshape(1, -1, 3)
+    return poles[..., 0], poles[..., 1] * poles[..., 2]
 
 
 def pole_rows(
@@ -257,19 +227,11 @@ def spectrum_rows(grid: np.ndarray, *batch: np.ndarray) -> tuple[ResponseSpectru
 
 
 def assemble_spectrum(config: NucleusConfig, transitions: TransitionSet) -> ResponseSpectrum:
-    """Full response pipeline: bare poles -> dressing -> calibrated cross section."""
-    return assemble_spectra(config, (transitions,))[0]
-
-
-def assemble_spectra(
-    config: NucleusConfig, transition_sets: Sequence[TransitionSet]
-) -> tuple[ResponseSpectrum, ...]:
-    """assemble_spectrum of equally long pole lists as one batch (see
-    response_rows).  Only the peaks are then found row by row, so a pole
-    crossing in any row is raised before a degenerate peak in an earlier one."""
+    """Full response pipeline: bare poles -> dressing -> calibrated cross
+    section, as a batch of one (see response_rows)."""
     grid = config.energy_grid()
-    energies, strengths, weights = pole_columns(transition_sets)
-    return spectrum_rows(grid, *response_rows(config, grid, energies, strengths * weights))
+    (spectrum,) = spectrum_rows(grid, *response_rows(config, grid, *_pole_row(transitions)))
+    return spectrum
 
 
 def response_rows(

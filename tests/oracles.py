@@ -15,6 +15,9 @@ table and the operator terms alone, with no circuit, state or gate: an LCU of
 op = sum c_t P_t on |x> succeeds with probability ||op|x>||^2 / lambda^2,
 lambda = sum |c_t|, and a SWAP test of its image against |y> reads
 p0 = (1 + |<y|op|x>|^2 / ||op|x>||^2) / 2.
+
+mirrored gives the poles of measured (energy, strength) pairs as the quantum
+route dresses them, each followed by its antiresonant mirror.
 """
 
 from collections import defaultdict
@@ -33,6 +36,7 @@ from gdrq.encoding import (
 )
 from gdrq.errors import ValidationError
 from gdrq.pauli import PauliSum
+from gdrq.response import Transition, TransitionSet
 from gdrq.statevector import (
     StateVector,
     Unitaries,
@@ -52,6 +56,14 @@ def measure_probability(state: StateVector, qubit: int, outcome: int) -> float:
         raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
     arr = np.abs(state.amplitudes.reshape([2] * state.nqubits)) ** 2
     return float(np.take(arr, outcome, axis=state.nqubits - 1 - qubit).sum())
+
+
+def mirrored(measured) -> TransitionSet:
+    """Poles of measured (energy, strength) pairs: each at +energy with weight
+    1, then its antiresonant mirror at -energy with weight -1."""
+    return TransitionSet(
+        tuple(Transition(sign * e, s, sign) for e, s in measured for sign in (1.0, -1.0))
+    )
 
 
 def select_stack(circuit: LcuCircuit) -> np.ndarray:

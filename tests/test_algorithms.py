@@ -23,6 +23,7 @@ from gdrq.algorithms import (
     lcu_apply,
     replay_limits,
     replay_post_selection,
+    swap_overlap,
     swap_statistics,
     swap_test,
 )
@@ -88,6 +89,18 @@ class TestSwapTest:
         expected = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
         est = swap_test(a, b, shots=0)
         assert est.raw == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("shots", [1, 7, 500, 8000])
+    def test_overlap_of_a_count_keeps_the_bits_of_its_doubled_count(self, shots):
+        """swap_overlap(k0 / shots) is clamp(2 k0 / shots - 1) bit for bit:
+        doubling is exact, so 2 (k0 / shots) rounds as 2 k0 / shots does."""
+        for k0 in range(shots + 1):
+            assert swap_overlap(k0 / shots) == min(max(2.0 * k0 / shots - 1.0, 0.0), 1.0)
+
+    def test_overlap_is_clamped_to_the_unit_interval(self):
+        assert swap_overlap(0.25) == 0.0 and swap_overlap(0.5) == 0.0
+        assert swap_overlap(0.75) == 0.5
+        assert swap_overlap(1.0) == 1.0 and swap_overlap(1.0 + 2**-52) == 1.0
 
     def test_sampled_mode_reports_error_bar(self):
         rng = np.random.default_rng(2)

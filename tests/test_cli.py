@@ -379,6 +379,20 @@ class TestMainSubcommands:
         assert "exact run" in capsys.readouterr().out
         assert len((out / "runs.csv").read_text().splitlines()) == 2
 
+    def test_exact_mode_reports_its_run_s_own_spectrum(self, tmp_path, capsys, monkeypatch):
+        """`quantum --exact` and `compare --mode quantum --exact` take no
+        median of their one run: they read its spectrum."""
+        monkeypatch.setattr(cli, "median_spectrum", lambda _: pytest.fail("a median was taken"))
+        cfg = CONFIGS / "sn120.cfg"
+        flags = ["--config", str(cfg), "--exact"]
+        assert cli.main(["quantum", *flags, "--out", str(tmp_path / "quantum")]) == 0
+        assert cli.main(["compare", "--mode", "quantum", *flags, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        run = experiment.run_quantum(cli.load_config(cfg), cli.DEFAULT_SEED, mode="exact")
+        experiment.write_spectrum_csv(tmp_path / "expected.csv", run.spectrum)
+        written = (tmp_path / "quantum" / "spectrum.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+
     def test_basis_study_writes_table(self, sn_config, tmp_path):
         out = tmp_path / "out"
         code = cli.main(

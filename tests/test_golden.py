@@ -7,7 +7,8 @@ The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
 script runs them, and at each config's own window and kappa) and the 120Sn
 basis study pin the classical path the same way; those commands take no --seed,
 so seed 1 in their keys only names the entry.  The comparison with the bundled
-data is pinned in both modes, the quantum one at seed 1.
+data is pinned in both modes, the quantum one at seed 1 and exact (which
+reads no seed).
 
 Below the CSVs, three digests pin raw float64 bits: every array and number of
 the records of a 50-run collect_runs ensemble per config; the terms of the
@@ -105,6 +106,12 @@ GOLDEN = {
     },
     ("pb208", 1, "compare --mode quantum"): {
         "comparison.csv": "2225242dd7adf9091b16547d63d625e9e160355ffa0a3ac8a5412c15512763c3",
+    },
+    ("sn120", 1, "compare --mode quantum --exact"): {
+        "comparison.csv": "9b58b08d8a3eebf7a650d33fad7d550182eadbd47f77bd44f7d1f75ea827bfae",
+    },
+    ("pb208", 1, "compare --mode quantum --exact"): {
+        "comparison.csv": "34305e618d22f8a1f2a0b4b07fd13342e7e535a1f174839dd8a0c25e6d75bb5a",
     },
 }
 

@@ -21,17 +21,17 @@ from gdrq.errors import DegenerateSpectrumError, PoleCrossingError, ValidationEr
 from gdrq.response import (
     Transition,
     TransitionSet,
-    assemble_spectra,
     assemble_spectrum,
     bare_response,
-    bare_responses,
     classical_transitions,
     cross_section,
     coupling,
     dress_response,
     find_peak,
-    quantum_transitions,
+    response_rows,
+    spectrum_rows,
 )
+from oracles import mirrored
 
 
 class TestTransition:
@@ -90,24 +90,6 @@ class TestClassicalTransitions:
         assert down[0].weight == pytest.approx(-(1.0 - 10.0 / 30.0))
 
 
-class TestQuantumTransitions:
-    def test_mirrors_all_alphas(self):
-        # one pole and its antiresonant mirror stand for all three components
-        ts = quantum_transitions([(8.0, 3.0), (11.0, 1.5)])
-        assert [(t.energy, t.strength, t.weight) for t in ts.entries] == [
-            (8.0, 3.0, 1.0),
-            (-8.0, 3.0, -1.0),
-            (11.0, 1.5, 1.0),
-            (-11.0, 1.5, -1.0),
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            quantum_transitions([(-1.0, 3.0)])
-        with pytest.raises(ValidationError):
-            quantum_transitions([(8.0, -3.0)])
-
-
 class TestBareResponse:
     def test_single_pole_analytic(self):
         grid = np.linspace(0.0, 20.0, 201)
@@ -119,7 +101,7 @@ class TestBareResponse:
 
     def test_antiresonant_pair_is_hermitian_in_energy(self):
         grid = np.linspace(-15.0, 15.0, 301)
-        ts = quantum_transitions([(8.0, 3.0)])
+        ts = mirrored([(8.0, 3.0)])
         r0 = bare_response(ts, grid, 2.0)
         # R(-E) = conj(R(E)): real part even, imaginary part odd
         assert np.allclose(r0[::-1], np.conj(r0), atol=1e-12)
@@ -133,13 +115,13 @@ class TestBareResponse:
 class TestDressResponse:
     def test_zero_coupling_is_identity(self):
         grid = np.linspace(5.0, 25.0, 101)
-        ts = quantum_transitions([(10.0, 4.0)])
+        ts = mirrored([(10.0, 4.0)])
         r0 = bare_response(ts, grid, 2.0)
         assert np.allclose(dress_response(r0, 0.0, grid), r0)
 
     def test_dressing_formula(self):
         grid = np.linspace(5.0, 25.0, 101)
-        ts = quantum_transitions([(10.0, 4.0)])
+        ts = mirrored([(10.0, 4.0)])
         r0 = bare_response(ts, grid, 2.0)
         for kappa_c in (0.1, 0.2, 0.3):
             dressed = dress_response(r0, kappa_c, grid)
@@ -247,9 +229,16 @@ def measured_sets(rows: int, seed: int) -> list[TransitionSet]:
     """Equally long pole lists that scatter around the giant resonance."""
     rng = np.random.default_rng(seed)
     return [
-        quantum_transitions(list(zip(rng.uniform(8.0, 20.0, 3), rng.uniform(1.0, 40.0, 3))))
+        mirrored(list(zip(rng.uniform(8.0, 20.0, 3), rng.uniform(1.0, 40.0, 3))))
         for _ in range(rows)
     ]
+
+
+def batch(sets: list[TransitionSet]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, poles) energies and signed strengths of equally long pole lists."""
+    energies = np.array([[t.energy for t in ts.entries] for ts in sets])
+    weighted = np.array([[t.strength * t.weight for t in ts.entries] for ts in sets])
+    return energies, weighted
 
 
 def bits(array: np.ndarray) -> bytes:
@@ -262,26 +251,13 @@ class TestSpectrumBatch:
     def test_batch_rows_equal_single_row_calls(self):
         grid = SN.energy_grid()
         kappa_c = coupling(SN)
-        r0 = bare_responses(measured_sets(7, seed=3), grid, SN.gamma_spread)
+        r0 = np.array([bare_response(ts, grid, SN.gamma_spread) for ts in measured_sets(7, seed=3)])
         dressed = dress_response(r0, kappa_c, grid)
         sigma = cross_section(grid, dressed)
         assert dressed.shape == sigma.shape == (7, grid.size)
         for k in range(7):
             assert bits(dressed[k]) == bits(dress_response(r0[k], kappa_c, grid))
             assert bits(sigma[k]) == bits(cross_section(grid, dressed[k]))
-
-    @pytest.mark.parametrize(
-        "boundary, expected",
-        [((1.0, 60.0), "E = 5.0000"), ((60.0, 1.0), "E = 30.0000")],
-        ids=["left-row-first", "right-row-first"],
-    )
-    def test_first_boundary_row_raises_its_own_error(self, boundary, expected):
-        good = measured_sets(2, seed=5)
-        # three poles far below or above the grid put sigma's maximum on an edge
-        edges = [quantum_transitions([(e, 40.0)] * 3) for e in boundary]
-        with pytest.raises(DegenerateSpectrumError, match=expected) as info:
-            assemble_spectra(SN, [good[0], *edges, good[1]])
-        assert "\n" not in str(info.value)
 
     def test_dressing_runs_once_per_batch(self, monkeypatch):
         calls = []
@@ -291,11 +267,13 @@ class TestSpectrumBatch:
             "dress_response",
             lambda r0, *args: calls.append(np.shape(r0)) or original(r0, *args),
         )
-        assemble_spectra(SN, measured_sets(6, seed=6))
-        assert calls == [(6, SN.energy_grid().size)]
+        grid = SN.energy_grid()
+        response_rows(SN, grid, *batch(measured_sets(6, seed=6)))
+        assert calls == [(6, grid.size)]
 
     def test_rows_are_read_only_views_of_the_batch(self):
-        spectra = assemble_spectra(SN, measured_sets(3, seed=7))
+        grid = SN.energy_grid()
+        spectra = spectrum_rows(grid, *response_rows(SN, grid, *batch(measured_sets(3, seed=7))))
         for field in ("r0", "r_dressed", "sigma_raw", "sigma"):
             rows = [getattr(s, field) for s in spectra]
             assert all(row.base is rows[0].base for row in rows)
