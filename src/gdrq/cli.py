@@ -19,6 +19,7 @@ import functools
 import os
 import sys
 import typing
+from collections.abc import Iterator
 from dataclasses import MISSING, fields, replace
 
 from . import __version__
@@ -238,13 +239,18 @@ def _configure(args: argparse.Namespace) -> NucleusConfig:
 
 
 def _quantum_runs(config: NucleusConfig, args: argparse.Namespace):
-    """The runs of a quantum command and the spectrum it reports: an exact
-    run's own, or the median of a sampled ensemble."""
+    """The runs.csv rows of a quantum command and the spectrum it reports: an
+    exact run's own, or the median of a sampled ensemble."""
     if args.exact:
         run = run_quantum(config, args.seed, mode="exact")
-        return (run,), run.spectrum
+        return [(run.run_index, run.seed, run.peak_energy)], run.spectrum
     ensemble = collect_runs(config, args.seed)
-    return ensemble, median_spectrum(ensemble)
+    return _run_rows(ensemble), median_spectrum(ensemble)
+
+
+def _run_rows(ensemble) -> Iterator[tuple[int, int, float]]:
+    """An ensemble's (run_index, seed, e0) rows, read off its columns as written."""
+    return zip(range(len(ensemble)), map(int, ensemble.seeds), map(float, ensemble.peak_energies))
 
 
 # A handler lists its outputs in write order. Each writer is named inside the
@@ -262,14 +268,14 @@ def _cmd_classical(args: argparse.Namespace, config: NucleusConfig):
 
 
 def _cmd_quantum(args: argparse.Namespace, config: NucleusConfig):
-    records, spectrum = _quantum_runs(config, args)
-    label = "exact run" if args.exact else f"median of {len(records)} runs"
+    rows, spectrum = _quantum_runs(config, args)
+    label = "exact run" if args.exact else f"median of {config.runs} runs"
     summary = (
         f"quantum A={config.A} Z={config.Z} window {config.basis.label} ({label}): "
         f"E0 = {spectrum.peak_energy:.4f} MeV, FWHM = {spectrum.width_fwhm:.4f} MeV"
     )
     return [summary], [
-        ("runs.csv", write_runs_csv, records),
+        ("runs.csv", write_runs_csv, rows),
         ("spectrum.csv", write_spectrum_csv, spectrum),
     ]
 
@@ -284,14 +290,14 @@ def _cmd_basis_study(args: argparse.Namespace, config: NucleusConfig):
 
 
 def _cmd_error_study(args: argparse.Namespace, config: NucleusConfig):
-    records = collect_runs(config, args.seed)
-    series = mad_series(records)
+    ensemble = collect_runs(config, args.seed)
+    series = mad_series(ensemble)
     summary = (
-        f"error study over {len(records)} runs: median E0 = {series.e0_median[-1]:.4f} MeV, "
+        f"error study over {len(ensemble)} runs: median E0 = {series.e0_median[-1]:.4f} MeV, "
         f"MAD = {series.delta_e0[-1]:.4f} MeV"
     )
     return [summary], [
-        ("runs.csv", write_runs_csv, records),
+        ("runs.csv", write_runs_csv, _run_rows(ensemble)),
         ("mad_series.csv", write_mad_csv, series),
     ]
 

@@ -18,17 +18,19 @@ replay's budget and block size included) is fixed in the plan, and a block
 of runs is drawn straight into arrays of excitation energies and strengths,
 so a run pays for its draws and little else.
 
-An ensemble (collect_runs) is its columns: each run's seed, poles and peak;
-no run's spectrum is kept.  It hashes its runs' seeds and streams and draws
-them a bounded block of runs at a time, then assembles the spectra of a
-block of runs at once only to find their peaks.  Its runs are RunRecord
+An ensemble (collect_runs) is its columns: each run's seed, the (species,
+2) energies and strengths it drew, and its peak; no run's spectrum is kept.
+It hashes its runs' seeds and streams and draws them a bounded block of runs
+at a time, then lays out each block's poles and mirrors (_pole_columns) and
+assembles the spectra of a block of runs at once only to find their peaks.
+The CLI reads these columns alone.  Indexing and iteration give RunRecord
 views whose poles and spectrum are made when read, by the code that makes a
 run_quantum record's.  The median spectrum is a batch of one, whose six real
 columns are stacked to take np.median's steps without numpy.ma (see
 _medians).  An ensemble of one block takes those medians while its spectra
 exist; a larger one rebuilds its spectra for them, a block of grid columns
 at a time, only when its median is read.  Memory then grows with the run
-count by the columns alone.
+count by the columns alone, 48 bytes a run on the shipped configs.
 
 Three things are kept per process.  Plans are memoised by nucleus and window,
 all that their circuits read, at most PLAN_MEMO_SIZE of them, least recently
@@ -45,6 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Iterable, Sequence
@@ -136,65 +139,56 @@ class RunRecord:
 class Ensemble(Sequence[RunRecord]):
     """The runs of one collect_runs call as columns, one row per run.
 
-    Each run's index and seed, its poles ((runs, poles) energies, strengths
-    and signed weights) and the peak energy, height and FWHM of its spectrum
-    are kept; the spectra are not.  Indexing and iteration give RunRecord
-    views of the columns, made on access, whose spectrum is rebuilt from
-    their poles when read (see _EnsembleRun).  `medians` holds the six real
-    median columns of the runs' spectra (see _medians) when they were
-    assembled in one block, else None.  `median` is the median spectrum,
-    made when first read: from `medians`, or, for a larger ensemble, from
-    spectra rebuilt from the poles a block of grid columns at a time.  Every
-    array is read-only.
+    Each run's seed, its `measured` (species, 2) excitation energies and
+    strengths (as QuantumPlan._measure draws them) and the peak energy of its
+    spectrum are kept; the spectra are not.  An integer index, and iteration,
+    give RunRecord views of the columns, made on access, whose poles and
+    spectrum are rebuilt from the draw when read (see _EnsembleRun).
+    `medians` holds the six real median columns of the runs' spectra (see
+    _medians) when they were assembled in one block, else None.  `median` is
+    the median spectrum on config.energy_grid(), made when first read: from
+    `medians`, or, for a larger ensemble, from spectra rebuilt from the draws
+    a block of grid columns at a time.  Every array is read-only.
     """
 
     config: NucleusConfig
-    grid: np.ndarray
-    run_indices: np.ndarray
     seeds: np.ndarray
-    energies: np.ndarray
-    strengths: np.ndarray
-    weights: np.ndarray
+    measured: np.ndarray
     peak_energies: np.ndarray
-    peak_heights: np.ndarray
-    widths: np.ndarray
     medians: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.seeds)
 
-    def __getitem__(self, index):
-        picked = range(len(self))[index]
-        if isinstance(picked, range):
-            return tuple(_EnsembleRun.view(self, i) for i in picked)
-        return _EnsembleRun.view(self, picked)
-
-    def __iter__(self):
-        return (_EnsembleRun.view(self, i) for i in range(len(self)))
+    def __getitem__(self, index: int) -> RunRecord:
+        return _EnsembleRun.view(self, range(len(self))[operator.index(index)])
 
     @functools.cached_property
     def median(self) -> ResponseSpectrum:
+        grid = self.config.energy_grid()
         medians = self.medians
         if medians is None:
-            medians = np.empty((6, self.grid.size))
+            medians = np.empty((6, grid.size))
             width = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * len(self)))
-            weighted = self.strengths * self.weights
-            for lo in range(0, self.grid.size, width):
+            energies, strengths, weights = _pole_columns(self.measured)
+            weighted = strengths * weights
+            for lo in range(0, grid.size, width):
                 part = slice(lo, lo + width)
-                rows = response_rows(self.config, self.grid[part], self.energies, weighted)
+                rows = response_rows(self.config, grid[part], energies, weighted)
                 medians[:, part] = _medians(*rows)
-        return _median_spectrum(self.grid, medians)
+        return _median_spectrum(grid, medians)
 
 
 class _EnsembleRun(RunRecord):
-    """Run `index` of an ensemble, read off its columns.
+    """A run of an ensemble, read off its columns: its run_index is its
+    position, its seed and peak energy are its entries there.
 
-    Its poles become a TransitionSet, and its spectrum is assembled from them
-    as run_quantum assembles a run's, when first read.  Every stage of the
-    assembly works point by point (see response_rows), so the spectrum has
-    the bits its run had in the ensemble's block.  Built from a RunRecord's
-    fields, as dataclasses.replace builds it, or copied, it is a plain
-    RunRecord.
+    Its draw becomes a TransitionSet, and its spectrum (and so its FWHM) is
+    assembled from it as run_quantum assembles a run's, when first read.
+    Every stage of the assembly works point by point (see response_rows), so
+    the spectrum has the bits its run had in the ensemble's block.  Built
+    from a RunRecord's fields, as dataclasses.replace builds it, or copied,
+    it is a plain RunRecord.
     """
 
     def __new__(cls, **fields) -> RunRecord:
@@ -208,29 +202,20 @@ class _EnsembleRun(RunRecord):
     def view(cls, ensemble: Ensemble, index: int) -> "_EnsembleRun":
         run = object.__new__(cls)
         object.__setattr__(run, "_ensemble", ensemble)
-        object.__setattr__(run, "_index", index)
+        object.__setattr__(run, "run_index", index)
         return run
 
     @property
-    def run_index(self) -> int:
-        return int(self._ensemble.run_indices[self._index])
-
-    @property
     def seed(self) -> int:
-        return int(self._ensemble.seeds[self._index])
+        return int(self._ensemble.seeds[self.run_index])
 
     @property
     def peak_energy(self) -> float:
-        return float(self._ensemble.peak_energies[self._index])
-
-    @property
-    def width_fwhm(self) -> float:
-        return float(self._ensemble.widths[self._index])
+        return float(self._ensemble.peak_energies[self.run_index])
 
     @functools.cached_property
     def transitions(self) -> TransitionSet:
-        ensemble, i = self._ensemble, self._index
-        return _transition_set((ensemble.energies[i], ensemble.strengths[i], ensemble.weights[i]))
+        return _transition_set(self._ensemble.measured[self.run_index])
 
     @functools.cached_property
     def spectrum(self) -> ResponseSpectrum:
@@ -493,9 +478,9 @@ def _pole_columns(measured: np.ndarray) -> np.ndarray:
     return poles.reshape(3, len(measured), -1)
 
 
-def _transition_set(columns: Iterable[np.ndarray]) -> TransitionSet:
-    """The TransitionSet of one run's energy, strength and weight columns."""
-    return TransitionSet(tuple(map(Transition, *(c.tolist() for c in columns))))
+def _transition_set(measured: np.ndarray) -> TransitionSet:
+    """The TransitionSet of one run's (species, 2) draw: its poles and mirrors."""
+    return TransitionSet(tuple(map(Transition, *_pole_columns(measured[None])[:, 0].tolist())))
 
 
 def run_quantum(
@@ -512,7 +497,7 @@ def run_quantum(
     seed = non_negative_int(seed, "seed")
     run_index = non_negative_int(run_index, "run index")
     measured = _plan(config)._measure(config.shots, [seed], exact=mode == "exact")
-    transitions = _transition_set(_pole_columns(measured)[:, 0])
+    transitions = _transition_set(measured[0])
     return RunRecord(
         run_index=run_index,
         seed=seed,
@@ -564,27 +549,25 @@ def _ensemble(config: NucleusConfig, master_seed: int) -> Ensemble:
     step = max(1, _ENSEMBLE_BLOCK_BYTES // (_POINT_BYTES * grid.size))
     blocks = [slice(lo, lo + step) for lo in range(0, runs, step)]
     plan = _plan(config)
-    indices = np.arange(runs)
     seeds = np.empty(runs, dtype=np.uint64)
-    poles = np.empty((3, runs, 2 * len(plan.species)))
+    measured = np.empty((runs, len(plan.species), 2))
     for block in blocks:
-        seeds[block] = _run_seeds(master_seed, indices[block])
-        poles[:, block] = _pole_columns(plan._measure(config.shots, seeds[block]))
-    energies, strengths, weights = poles
-    weighted = strengths * weights
-    peaks = np.empty((runs, 3))
+        seeds[block] = _run_seeds(master_seed, range(runs)[block])
+        measured[block] = plan._measure(config.shots, seeds[block])
+    peak_energies = np.empty(runs)
     medians = None
     for block in blocks:
-        rows = response_rows(config, grid, energies[block], weighted[block])
-        peaks[block] = [find_peak(grid, sigma) for sigma in rows[-1]]
+        energies, strengths, weights = _pole_columns(measured[block])
+        rows = response_rows(config, grid, energies, strengths * weights)
+        peak_energies[block] = [find_peak(grid, sigma)[0] for sigma in rows[-1]]
         if len(blocks) == 1:
             # the spectra exist now; a larger ensemble rebuilds them if asked
             medians = _medians(*rows)
             medians.setflags(write=False)
         del rows  # before the next block's spectra take their place
-    for array in (grid, indices, seeds, poles, peaks):
+    for array in (seeds, measured, peak_energies):
         array.setflags(write=False)
-    return Ensemble(config, grid, indices, seeds, *poles, *peaks.T, medians)
+    return Ensemble(config, seeds, measured, peak_energies, medians)
 
 
 def _medians(
@@ -657,18 +640,20 @@ def _ranked_deviation(ordered: list[float], center: float, k: int) -> float:
     return max(left, right)
 
 
-def mad_series(records: Sequence[RunRecord]) -> MadSeries:
-    """Cumulative statistics of peak energies over the first m runs, m >= 2.
+def mad_series(ensemble: Ensemble) -> MadSeries:
+    """Cumulative statistics of an ensemble's peak energies over its first m
+    runs, m >= 2; only its peak_energies column is read.
 
     Each entry is bit for bit statistics.median of the first m peaks and of
     their absolute deviations from it.  The peaks seen so far are kept
     sorted, so no prefix is sorted again.
     """
-    check_mad_runs(len(records))
+    peaks = ensemble.peak_energies.tolist()
+    check_mad_runs(len(peaks))
     ordered: list[float] = []
     ms, medians, deviations = [], [], []
-    for m, record in enumerate(records, start=1):
-        bisect.insort(ordered, record.peak_energy)
+    for m, peak in enumerate(peaks, start=1):
+        bisect.insort(ordered, peak)
         if m < 2:
             continue
         center = _middle(m, ordered.__getitem__)
@@ -836,13 +821,9 @@ def write_spectrum_csv(path, spectrum: ResponseSpectrum) -> None:
     _write_rows(path, header, ",".join(["%s"] * 9), rows)
 
 
-def write_runs_csv(path, records: Sequence[RunRecord]) -> None:
-    _write_rows(
-        path,
-        ["run_index", "seed", "e0_mev"],
-        "%d,%d,%.9g",
-        ((r.run_index, r.seed, r.peak_energy) for r in records),
-    )
+def write_runs_csv(path, rows: Iterable[tuple[int, int, float]]) -> None:
+    """One (run_index, seed, e0) row per run."""
+    _write_rows(path, ["run_index", "seed", "e0_mev"], "%d,%d,%.9g", rows)
 
 
 def write_mad_csv(path, series: MadSeries) -> None:

@@ -393,6 +393,23 @@ class TestMainSubcommands:
         written = (tmp_path / "quantum" / "spectrum.csv").read_bytes()
         assert written == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["quantum", "error-study"])
+    def test_sampled_commands_read_the_ensemble_s_columns(self, tmp_path, capsys, monkeypatch, command):
+        """`quantum` and `error-study` build no run view: runs.csv, the median
+        and the MAD series come from the ensemble's columns, with the bytes
+        they have when views may be built."""
+        argv = [command, "--config", str(CONFIGS / "sn120.cfg"), "--seed", "3"]
+        written = {}
+        for patched in (True, False):
+            experiment._ensemble.cache_clear()
+            with monkeypatch.context() as m:
+                if patched:
+                    m.setattr(experiment._EnsembleRun, "view", lambda *_: pytest.fail("a view was built"))
+                assert cli.main([*argv, "--out", str(tmp_path / str(patched))]) == 0
+            written[patched] = tree_bytes(tmp_path / str(patched))
+        capsys.readouterr()
+        assert written[True] == written[False] and len(written[True]) == 2
+
     def test_basis_study_writes_table(self, sn_config, tmp_path):
         out = tmp_path / "out"
         code = cli.main(

@@ -9,7 +9,7 @@ import statistics
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdrq.algorithms
+import gdrq.cli
 import gdrq.encoding
 import gdrq.experiment
 import gdrq.pauli
@@ -498,8 +499,7 @@ def stream_by_stream(plan, seed, shots, exact=False):
 def measured_poles(plan, shots, seed):
     """The poles run_quantum takes from `plan` at `seed`, before it dresses
     them into a spectrum, which a low-shot run may have no peak in."""
-    measured = plan._measure(shots, [seed])
-    return gdrq.experiment._transition_set(gdrq.experiment._pole_columns(measured)[:, 0])
+    return gdrq.experiment._transition_set(plan._measure(shots, [seed])[0])
 
 
 def with_uncertain_swaps(plan):
@@ -615,7 +615,7 @@ class TestBatchedStreams:
     def test_records_are_a_prefix_of_a_longer_ensemble(self):
         short = collect_runs(SN_QUANTUM, 11, runs=7)
         long = collect_runs(SN_QUANTUM, 11, runs=20)
-        for a, b in zip(short, long[:7], strict=True):
+        for a, b in zip(short, [long[i] for i in range(7)], strict=True):
             assert_same_record(a, b)
 
 
@@ -1091,7 +1091,7 @@ class TestMedianSpectrum:
         spectrum = median_spectrum(records)
         for column, expected in column_medians(records).items():
             assert np.array_equal(bits(getattr(spectrum, column)), bits(expected)), column
-        assert spectrum.energies is records.grid
+        assert np.array_equal(bits(spectrum.energies), bits(SN_QUANTUM.energy_grid()))
 
     @pytest.mark.parametrize("runs", [1, 2, 3, 4, 5, 20])
     def test_zeros_ties_and_nan_keep_their_bits(self, runs):
@@ -1162,14 +1162,11 @@ def response_row_shapes(monkeypatch):
     return shapes
 
 
-ENSEMBLE_COLUMNS = (
-    "grid", "run_indices", "seeds", "energies", "strengths", "weights",
-    "peak_energies", "peak_heights", "widths",
-)
+ENSEMBLE_COLUMNS = ("seeds", "measured", "peak_energies")
 
 
 class TestEnsembleColumns:
-    """collect_runs keeps each run's poles, seed and peak as columns; its
+    """collect_runs keeps each run's seed, draw and peak as columns; its
     spectra are assembled in blocks of runs only to find the peaks.  The
     median columns of a one-block ensemble are taken from that block; a
     larger ensemble takes them a block of grid columns at a time, when its
@@ -1179,7 +1176,7 @@ class TestEnsembleColumns:
         shapes = response_row_shapes(monkeypatch)
         ensemble = collect_runs(load_config(CONFIGS / "sn120.cfg"), 5)
         assert isinstance(ensemble, Ensemble) and len(ensemble) == 100
-        assert ensemble.energies.shape == ensemble.strengths.shape == (100, 4)
+        assert ensemble.measured.shape == (100, 2, 2)
         assert ensemble.medians.shape == (6, 251)
         median_spectrum(ensemble)
         assert shapes == [(100, 251)]
@@ -1232,14 +1229,25 @@ class TestEnsembleColumns:
         small, large = peak(200), peak(4000)
         assert large - small < 2048 * (4000 - 200), (small, large)
 
+    def test_an_ensemble_holds_a_seed_a_draw_and_a_peak_a_run(self):
+        """48 bytes a run on two species: its seed, its (species, 2) energies
+        and strengths and its peak energy.  No column holds a run index, a
+        mirror pole, a weight, a peak height, a width or the grid."""
+        ensemble = collect_runs(SN_QUANTUM, 5, runs=200)
+        assert ensemble.medians is None  # more runs than one block
+        assert ensemble.measured.shape == (200, 2, 2)
+        held = [getattr(ensemble, f.name) for f in fields(ensemble)]
+        assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == 200 * 48
+
     def test_runs_are_views_of_the_columns(self):
         ensemble = collect_runs(SN_QUANTUM, 5, runs=4)
         run = ensemble[-1]
         assert isinstance(run, RunRecord)
         assert (run.run_index, run.seed) == (3, int(ensemble.seeds[3]))
         assert run.peak_energy == ensemble.peak_energies[3] == run.spectrum.peak_energy
-        assert run.width_fwhm == ensemble.widths[3] == run.spectrum.width_fwhm
-        assert ensemble[1:3][0].run_index == 1 and len(ensemble[::2]) == 2
+        assert run.transitions.entries[0].energy == ensemble.measured[3, 0, 0]
+        assert run.transitions.entries[0].strength == ensemble.measured[3, 0, 1]
+        assert_same_record(run, run_quantum(SN_QUANTUM, run.seed, 3))
         with pytest.raises(IndexError):
             ensemble[4]
         with pytest.raises(AttributeError):
@@ -1260,16 +1268,15 @@ class TestEnsembleColumns:
             assert type(copied) is RunRecord
             assert_same_record(copied, ensemble[2])
 
-    def test_views_give_what_records_that_hold_their_spectra_give(self, tmp_path):
-        """mad_series and write_runs_csv read an ensemble's views as they read
-        the run_quantum records of its seeds, and its median is that of the
-        records' spectra."""
+    def test_columns_give_what_records_that_hold_their_spectra_give(self):
+        """mad_series of an ensemble and the runs.csv rows the CLI reads off
+        its columns are those of the run_quantum records of its seeds, and
+        its median is that of the records' spectra."""
         ensemble = collect_runs(SN_QUANTUM, 5, runs=6)
         records = [run_quantum(SN_QUANTUM, derive_run_seed(5, i), i) for i in range(6)]
-        assert mad_series(ensemble) == mad_series(records)
-        write_runs_csv(tmp_path / "views.csv", ensemble)
-        write_runs_csv(tmp_path / "records.csv", records)
-        assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        assert mad_series(ensemble) == mad_series(peaks([r.peak_energy for r in records]))
+        rows = [(r.run_index, r.seed, r.peak_energy) for r in records]
+        assert list(gdrq.cli._run_rows(ensemble)) == rows
         median = median_spectrum(ensemble)
         assert median is median_spectrum(ensemble) is ensemble.median
         for column, expected in column_medians(records).items():
@@ -1352,8 +1359,8 @@ class TestShotNoiseScaling:
 
 
 def peaks(values):
-    """Stand-ins for run records: mad_series reads only their peak energies."""
-    return [SimpleNamespace(peak_energy=v) for v in values]
+    """A stand-in for an ensemble: mad_series reads only its peak energies."""
+    return SimpleNamespace(peak_energies=np.array(values, dtype=float))
 
 
 class TestBasisStudy:
@@ -1536,13 +1543,11 @@ class TestCsvWriters:
         assert a.read_bytes() == b.read_bytes()
 
     def test_runs_csv_rows(self, tmp_path):
-        records = collect_runs(SN_QUANTUM, 5, runs=2)
+        seed = derive_run_seed(5, 0)
         path = tmp_path / "runs.csv"
-        write_runs_csv(path, records)
+        write_runs_csv(path, [(0, seed, 15.25), (1, 2**64 - 1, 1 / 3)])
         lines = path.read_text().splitlines()
-        assert lines[0] == "run_index,seed,e0_mev"
-        assert lines[1].split(",")[0] == "0"
-        assert lines[1].split(",")[1] == str(derive_run_seed(5, 0))
+        assert lines == ["run_index,seed,e0_mev", f"0,{seed},15.25", "1,18446744073709551615,0.333333333"]
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True))

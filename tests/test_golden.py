@@ -2,8 +2,9 @@
 
 The digests pin every byte of the quantum and error-study outputs at two master
 seeds with each config's own run count (100 runs of 8000 shots), plus the exact
-spectrum.  A refactor of the quantum pipeline must leave all of them unchanged.
-The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
+spectrum, and of `quantum --runs 300` at seed 1, more runs than one block, whose
+median is rebuilt from the draws a block of grid columns at a time.  A refactor
+of the quantum pipeline must leave all of them unchanged.  The classical spectra (at the 0-10 window with kappa 0.4, as the reproduction
 script runs them, and at each config's own window and kappa) and the 120Sn
 basis study pin the classical path the same way; those commands take no --seed,
 so seed 1 in their keys only names the entry.  The comparison with the bundled
@@ -112,6 +113,16 @@ GOLDEN = {
     },
     ("pb208", 1, "compare --mode quantum --exact"): {
         "comparison.csv": "34305e618d22f8a1f2a0b4b07fd13342e7e535a1f174839dd8a0c25e6d75bb5a",
+    },
+    # past one block of runs (174 on a 251-point grid), the median is rebuilt
+    # from the draws a block of grid columns at a time
+    ("sn120", 1, "quantum --runs 300"): {
+        "runs.csv": "7b3603fb77e0fa4481a32ebfeb6ba75a6d13e55c5903736ade257914bfdc902d",
+        "spectrum.csv": "890561ddd2e56347ff3a32f54b5ddca2574dc5254c4d53d0ea14990f81f7eb12",
+    },
+    ("pb208", 1, "quantum --runs 300"): {
+        "runs.csv": "c3c7ef25de74569c23b3d959e301486e6d98878dd054794f8f327880476c1aad",
+        "spectrum.csv": "a74a2e7a5c8e36e8458f5473048259a7621b31ba9fc83bc95b662065bea9a97b",
     },
 }
 
